@@ -36,7 +36,6 @@ from repro.webserver.metrics import RequestRecord, ServerMetrics
 from repro.webserver.architecture import ServerHost
 from repro.webserver.server import (
     ThreadPerConnectionServer,
-    WebServer,
     WebServerConfig,
 )
 from repro.webserver.eventloop import EventLoopServer
@@ -58,7 +57,6 @@ __all__ = [
     "ThreadPerConnectionServer",
     "EventLoopServer",
     "SERVER_ARCHITECTURES",
-    "WebServer",
     "WebServerConfig",
     "WebServerHost",
     "HostConfig",

@@ -33,7 +33,10 @@ What a subclass decides is *scheduling only*, via two hooks:
     task on a single-process event loop
     (:class:`~repro.webserver.eventloop.EventLoopServer`).
 
-Two read-only properties make the architecture a measurable axis:
+Two read-only properties make the architecture a measurable axis.
+Both are read on every accept, so both must be O(1) — a counter kept
+at spawn and exit (the threaded server's ``_live_workers``, the event
+loop's ``_in_flight``), never a scan over past workers:
 
 ``live_workers``
     In-flight connections being served right now (worker threads or

@@ -23,15 +23,15 @@ event-driven alternative is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
-from repro.cli import ManagedThread, MethodBuilder
+from repro.cli import MethodBuilder
 from repro.errors import ReproError
 from repro.sim import Counter
 from repro.webserver.architecture import ServerHost
 from repro.webserver.handlers import Connection
 
-__all__ = ["WebServerConfig", "ThreadPerConnectionServer", "WebServer",
+__all__ = ["WebServerConfig", "ThreadPerConnectionServer",
            "build_handler_methods"]
 
 
@@ -154,7 +154,7 @@ class ThreadPerConnectionServer(ServerHost):
     The accept loop is its own simulation process; every admitted
     connection spawns a :class:`~repro.cli.ManagedThread` (paying the
     CLR thread-start overhead) whose entry point is the CIL
-    ``StartListen`` method.  Memory proxy: ``1 + active_threads``
+    ``StartListen`` method.  Memory proxy: ``1 + live_workers``
     simulated processes.
     """
 
@@ -171,7 +171,9 @@ class ThreadPerConnectionServer(ServerHost):
         engine.metrics.register(self.threads_spawned.name,
                                 self.threads_spawned,
                                 **self.metric_labels)
-        self._threads: List[ManagedThread] = []
+        #: Worker threads started and not yet finished.  A counter, not
+        #: a scan over spawned threads: it is read on every accept.
+        self._live_workers = 0
 
     # -- architecture hooks -------------------------------------------------
 
@@ -180,18 +182,14 @@ class ThreadPerConnectionServer(ServerHost):
                             daemon=True)
 
     @property
-    def active_threads(self) -> int:
-        """Worker threads still serving a connection."""
-        return sum(1 for t in self._threads if t.is_alive)
-
-    @property
     def live_workers(self) -> int:
-        return self.active_threads
+        """Worker threads still serving a connection."""
+        return self._live_workers
 
     @property
     def live_processes(self) -> int:
         """The accept-loop process plus one process per live worker."""
-        return 1 + self.active_threads
+        return 1 + self._live_workers
 
     # -- the accept loop ---------------------------------------------------
 
@@ -207,15 +205,20 @@ class ThreadPerConnectionServer(ServerHost):
                 continue
             conn = Connection(socket, accepted_at=self.engine.now)
             conn_id = self.handlers.register(conn)
-            thread = self.runtime.create_thread(
-                self._start_listen, [conn_id], name=f"worker-{conn_id}"
-            )
-            thread.start()
-            self._threads.append(thread)
+            self.runtime.create_thread(
+                self._serve(conn_id), name=f"worker-{conn_id}"
+            ).start()
+            self._live_workers += 1
             self.threads_spawned.add()
             self._note_dispatch()
 
-
-#: Historical name: the paper's server was the only one before the
-#: event-driven architecture landed.
-WebServer = ThreadPerConnectionServer
+    def _serve(self, conn_id):
+        """Generator: a worker thread's body, ``StartListen`` on one
+        connection.  The worker leaves the live count in the same step
+        its process finishes, whether it returns or raises, so a
+        same-instant accept sees exactly the workers still alive."""
+        try:
+            return (yield from self.runtime.interpreter.invoke(
+                self._start_listen, [conn_id]))
+        finally:
+            self._live_workers -= 1

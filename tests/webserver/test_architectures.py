@@ -17,7 +17,6 @@ from repro.webserver import (
     ThreadPerConnectionServer,
     WebServerConfig,
     WebServerHost,
-    WebServer,
 )
 
 REQUESTS = [
@@ -34,8 +33,6 @@ def test_registry_names_both_architectures():
         "thread": ThreadPerConnectionServer,
         "eventloop": EventLoopServer,
     }
-    # The historical name still points at the paper's design.
-    assert WebServer is ThreadPerConnectionServer
 
 
 def test_unknown_architecture_rejected():
