@@ -214,7 +214,7 @@ class RaceDetector:
         self.events_tracked = 0
         self._seen: Set[tuple] = set()
 
-    # -- context management (hooks from Process/TaskLoop) ------------------
+    # -- context management (hooks from Process, TaskLoop, Disk) ------------
 
     def context_of(self, owner: Any, name: Optional[str] = None) -> Context:
         """The owner's context, forked from the current one on first

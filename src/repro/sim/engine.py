@@ -87,7 +87,7 @@ class Engine:
         """Start a new process driving ``generator``; returns the process
         (itself an event that triggers when the generator finishes).
 
-        ``daemon=True`` marks server-loop processes (disk arms, listen
+        ``daemon=True`` marks server-loop processes (listen loops, task
         loops) that legitimately block forever: they are excluded from
         deadlock detection when the event queue drains.
 

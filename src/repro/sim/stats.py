@@ -38,6 +38,9 @@ class Counter:
         every collector in this module uses for bad input — callers
         can catch one exception class for all of them).
         """
+        if type(n) is int and n >= 0:  # fast path: the common case
+            self.value += n
+            return
         if not isinstance(n, numbers.Integral):
             raise SimulationError(
                 f"Counter {self.name!r}: add() needs an integer, got {n!r}"
@@ -64,7 +67,10 @@ class Tally:
         input raises :class:`~repro.errors.SimulationError` (matching
         :meth:`Counter.add` — one error type across the collectors).
         """
-        self._values.append(self._check(value))
+        if type(value) is float and value == value:  # fast path: not NaN
+            self._values.append(value)
+        else:
+            self._values.append(self._check(value))
 
     def extend(self, values: Sequence[float]) -> None:
         """Add many observations (validated like :meth:`record`)."""

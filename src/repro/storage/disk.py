@@ -10,9 +10,10 @@ Defaults approximate a 7200 rpm desktop drive of the paper's era
 (2004): ~8.5 ms average seek, ~4.2 ms average rotational latency,
 50 MB/s media rate.
 
-A :class:`Disk` is an active object: its arm is a daemon process that
-drains the attached scheduler.  ``submit()`` returns an event that
-succeeds with the request when it completes, so callers simply::
+A :class:`Disk` is an active object: its arm is a callback state
+machine, driven by the engine, that drains the attached scheduler.
+``submit()`` returns an event that succeeds with the request when it
+completes, so callers simply::
 
     done = disk.submit(IORequest(lba=0, nblocks=8))
     req = yield done
@@ -27,8 +28,9 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.errors import DiskError, DiskFailedError, MediaError
+from repro.sanitizer import runtime as _sanitizer
 from repro.sim import Counter, Engine, Tally, TimeWeighted
-from repro.sim.event import Event
+from repro.sim.event import Event, Timeout
 from repro.sim.probe import NULL_PROBE
 from repro.storage.geometry import DiskGeometry
 from repro.storage.request import IORequest
@@ -130,7 +132,11 @@ class Disk:
 
         self._head_cylinder = 0
         self._last_end_lba: Optional[int] = None
+        # Arm state: the pending wake-up while idle, the request (and
+        # its injected fault) while serving.
         self._wakeup: Optional[Event] = None
+        self._serving: Optional[IORequest] = None
+        self._fault = None
         self._completions: Dict[int, Event] = {}
         self._injector = injector
         self.failed = False
@@ -154,7 +160,9 @@ class Disk:
         reg.gauge(f"{name}.queue_max_depth",
                   lambda: self.scheduler.max_depth, device=name)
 
-        engine.process(self._arm(), name=f"{name}.arm", daemon=True)
+        if _sanitizer.active is not None:
+            _sanitizer.active.on_spawn(self, f"{name}.arm")
+        engine._schedule_call(self._arm_start)
         if injector is not None:
             injector.register_disk(self)
 
@@ -178,14 +186,15 @@ class Disk:
         the transfer completes."""
         if self.failed:
             raise DiskFailedError(f"disk {self.name} is offline")
-        if request.end_lba > self.geometry.total_blocks:
+        end_lba = request.lba + request.nblocks
+        if end_lba > self.geometry.total_blocks:
             raise DiskError(
-                f"request [{request.lba}, {request.end_lba}) exceeds disk "
+                f"request [{request.lba}, {end_lba}) exceeds disk "
                 f"of {self.geometry.total_blocks} blocks"
             )
         if request.request_id in self._completions:
             raise DiskError(f"request {request.request_id} already submitted")
-        request.submitted_at = self.engine.now
+        request.submitted_at = self.engine._now
         done = self.engine.event()
         self._completions[request.request_id] = done
         if self.probe.enabled:
@@ -294,84 +303,144 @@ class Disk:
         )
 
     # -- the arm -------------------------------------------------------------
+    #
+    # The arm is a callback state machine driven by the engine: idle
+    # (waiting on ``_wakeup``) -> serving (one Timeout per request) ->
+    # complete -> serving the next request or idle again.  Each step
+    # takes the heap slots the equivalent generator process would, so
+    # simulated timing and event order are unchanged; an exception in a
+    # step propagates out of ``Engine.run``.  Under an active race
+    # detector every step runs in the arm's own vector-clock context.
 
-    def _arm(self):
-        while True:
-            if self.scheduler.empty:
-                self._wakeup = self.engine.event()
-                self.busy.record(0.0)
-                yield self._wakeup
-            self.busy.record(1.0)
-            request = self.scheduler.pop(self._head_cylinder)
-            request.started_at = self.engine.now
-            service = self.service_time(request)
-            fault = None
-            if self._injector is not None:
-                fault = self._injector.disk_fault(
-                    self.name, request.lba, request.nblocks)
-                if fault is not None:
-                    kind, spec = fault
-                    if kind == "disk.slow":
-                        service *= spec.slow_factor
-                    elif kind == "disk.stall":
-                        service += spec.delay
-            yield self.engine.timeout(service)
-            # Head ends at the cylinder holding the request's last block.
-            self._head_cylinder = self.geometry.cylinder_of(request.end_lba - 1)
-            self._last_end_lba = request.end_lba
-            request.completed_at = self.engine.now
+    def _arm_start(self) -> None:
+        det = _sanitizer.active
+        if det is None:
+            self._serve_or_idle()
+        else:
+            self._sanitized_step(det, None, self._serve_or_idle)
 
-            # fail_disk() may have claimed the completion mid-service.
-            done = self._completions.pop(request.request_id, None)
-            if done is None:
-                continue
+    def _on_wake(self, event: Event) -> None:
+        det = _sanitizer.active
+        if det is None:
+            self._serve_or_idle()
+        else:
+            self._sanitized_step(det, event, self._serve_or_idle)
 
+    def _on_served(self, event: Event) -> None:
+        det = _sanitizer.active
+        if det is None:
+            self._complete()
+        else:
+            self._sanitized_step(det, event, self._complete)
+
+    def _sanitized_step(self, det, event: Optional[Event], step) -> None:
+        if event is not None:  # the first step is a start, not a wake-up
+            det.on_wakeup(self, event)
+        prev = det.enter(self)
+        try:
+            step()
+        finally:
+            det.leave(prev)
+
+    def _serve_or_idle(self) -> None:
+        # fail_disk() may have drained the queue between a submit's
+        # wake-up and this step; go back to waiting rather than pop.
+        if self.scheduler.empty:
+            self._idle()
+        else:
+            self._serve_next()
+
+    def _idle(self) -> None:
+        wake = self._wakeup = Event(self.engine)
+        wake.callbacks.append(self._on_wake)
+        self.busy.record(0.0)
+
+    def _serve_next(self) -> None:
+        self.busy.record(1.0)
+        engine = self.engine
+        request = self.scheduler.pop(self._head_cylinder)
+        request.started_at = engine._now
+        service = self.service_time(request)
+        fault = None
+        if self._injector is not None:
+            fault = self._injector.disk_fault(
+                self.name, request.lba, request.nblocks)
+            if fault is not None:
+                kind, spec = fault
+                if kind == "disk.slow":
+                    service *= spec.slow_factor
+                elif kind == "disk.stall":
+                    service += spec.delay
+        self._serving = request
+        self._fault = fault
+        Timeout(engine, service).callbacks.append(self._on_served)
+
+    def _complete(self) -> None:
+        request = self._serving
+        fault = self._fault
+        self._serving = self._fault = None
+        end_lba = request.lba + request.nblocks
+        # Head ends at the cylinder holding the request's last block.
+        self._head_cylinder = self.geometry.cylinder_of(end_lba - 1)
+        self._last_end_lba = end_lba
+        request.completed_at = self.engine._now
+
+        # fail_disk() may have claimed the completion mid-service.
+        done = self._completions.pop(request.request_id, None)
+        if done is not None:
             if fault is not None and fault[0] == "disk.media_error":
-                self.media_errors.add()
-                self._last_end_lba = None  # the stream broke; reposition
-                tracer = self.engine.tracer
-                if tracer.enabled:
-                    tracer.complete(
-                        f"disk.{'write' if request.is_write else 'read'}",
-                        "storage", request.started_at,
-                        device=self.name, lba=request.lba,
-                        nblocks=request.nblocks, error="MediaError",
-                    )
-                done.add_callback(lambda ev: None)
-                done.fail(MediaError(
-                    f"disk {self.name}: unrecoverable read at lba "
-                    f"{request.lba}+{request.nblocks}"
-                ))
-                continue
-
-            nbytes = request.nblocks * self.geometry.block_size
-            self.requests_completed.add()
-            if request.is_write:
-                self.bytes_written.add(nbytes)
+                self._fail_media(request, done)
             else:
-                self.bytes_read.add(nbytes)
-            self.service_times.record(request.service_time)
-            self.response_times.record(request.response_time)
-            tracer = self.engine.tracer
-            if tracer.enabled:
-                tracer.complete(
-                    f"disk.{'write' if request.is_write else 'read'}",
-                    "storage", request.started_at,
-                    device=self.name, lba=request.lba,
-                    nblocks=request.nblocks,
-                    wait_ms=round((request.started_at - request.submitted_at) * 1e3, 6),
-                )
-                tracer.counter(f"{self.name}.queue", "storage",
-                               len(self.scheduler))
-            if self.probe.enabled:
-                self.probe.record(
-                    "disk", f"{self.name} complete",
-                    id=request.request_id,
-                    service_ms=round(request.service_time * 1e3, 4),
-                    response_ms=round(request.response_time * 1e3, 4),
-                )
+                self._succeed(request, done)
+        self._serve_or_idle()
 
-            done.succeed(request)
+    def _fail_media(self, request: IORequest, done: Event) -> None:
+        self.media_errors.add()
+        self._last_end_lba = None  # the stream broke; reposition
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.complete(
+                f"disk.{'write' if request.is_write else 'read'}",
+                "storage", request.started_at,
+                device=self.name, lba=request.lba,
+                nblocks=request.nblocks, error="MediaError",
+            )
+        done.add_callback(lambda ev: None)
+        done.fail(MediaError(
+            f"disk {self.name}: unrecoverable read at lba "
+            f"{request.lba}+{request.nblocks}"
+        ))
+
+    def _succeed(self, request: IORequest, done: Event) -> None:
+        nbytes = request.nblocks * self.geometry.block_size
+        self.requests_completed.add()
+        if request.is_write:
+            self.bytes_written.add(nbytes)
+        else:
+            self.bytes_read.add(nbytes)
+        service = request.completed_at - request.started_at
+        response = request.completed_at - request.submitted_at
+        self.service_times.record(service)
+        self.response_times.record(response)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.complete(
+                f"disk.{'write' if request.is_write else 'read'}",
+                "storage", request.started_at,
+                device=self.name, lba=request.lba,
+                nblocks=request.nblocks,
+                wait_ms=round((request.started_at - request.submitted_at) * 1e3, 6),
+            )
+            tracer.counter(f"{self.name}.queue", "storage",
+                           len(self.scheduler))
+        if self.probe.enabled:
+            self.probe.record(
+                "disk", f"{self.name} complete",
+                id=request.request_id,
+                service_ms=round(service * 1e3, 4),
+                response_ms=round(response * 1e3, 4),
+            )
+        done.succeed(request)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -9,7 +9,7 @@ cylinder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from repro.errors import DiskError
@@ -23,25 +23,26 @@ class DiskGeometry:
 
     Defaults give an ~37 GB disk with 512 B blocks — a plausible 2004
     desktop drive (the paper's test machine era).
+
+    ``blocks_per_cylinder`` and ``total_blocks`` are derived once at
+    construction; they take no part in equality, hashing or ``repr``,
+    and ``dataclasses.replace`` recomputes them.
     """
 
     cylinders: int = 60_000
     heads: int = 4
     sectors_per_track: int = 300
     block_size: int = 512
+    blocks_per_cylinder: int = field(init=False, repr=False, compare=False)
+    total_blocks: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("cylinders", "heads", "sectors_per_track", "block_size"):
             if getattr(self, name) < 1:
                 raise DiskError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    @property
-    def blocks_per_cylinder(self) -> int:
-        return self.heads * self.sectors_per_track
-
-    @property
-    def total_blocks(self) -> int:
-        return self.cylinders * self.blocks_per_cylinder
+        per_cylinder = self.heads * self.sectors_per_track
+        object.__setattr__(self, "blocks_per_cylinder", per_cylinder)
+        object.__setattr__(self, "total_blocks", self.cylinders * per_cylinder)
 
     @property
     def capacity_bytes(self) -> int:
@@ -54,7 +55,8 @@ class DiskGeometry:
 
     def cylinder_of(self, lba: int) -> int:
         """Cylinder containing ``lba``."""
-        self.check_lba(lba)
+        if not (0 <= lba < self.total_blocks):
+            raise DiskError(f"LBA {lba} out of range [0, {self.total_blocks})")
         return lba // self.blocks_per_cylinder
 
     def chs_of(self, lba: int) -> Tuple[int, int, int]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import DiskError, DiskFailedError, MediaError
+from repro.sanitizer import runtime as _sanitizer
 from repro.sim import Counter, Engine
 from repro.sim.event import Event
 from repro.storage.disk import Disk
@@ -90,46 +91,62 @@ class StripedArray:
         fragments, each contiguous on its member disk."""
         if nblocks < 1:
             raise DiskError(f"nblocks must be >= 1, got {nblocks}")
-        if lba < 0 or lba + nblocks > self.total_blocks:
-            raise DiskError(f"range [{lba}, {lba + nblocks}) out of array bounds")
+        end = lba + nblocks
+        if lba < 0 or end > self.total_blocks:
+            raise DiskError(f"range [{lba}, {end}) out of array bounds")
+        ndisks = len(self.disks)
+        if ndisks == 1:
+            # Consecutive stripe units share the one disk and are
+            # physically contiguous: the range is a single fragment.
+            return [(0, lba, nblocks)]
+        # With two or more disks consecutive units land on different
+        # members, so every stripe-unit run is its own fragment.
+        unit = self.stripe_unit
+        unit_index, offset = divmod(lba, unit)
+        physical_unit, disk_index = divmod(unit_index, ndisks)
         fragments: List[Tuple[int, int, int]] = []
         block = lba
-        remaining = nblocks
-        while remaining > 0:
-            disk_index, phys = self.map_block(block)
-            # Run length within the current stripe unit.
-            unit_remaining = self.stripe_unit - (block % self.stripe_unit)
-            run = min(remaining, unit_remaining)
-            # Merge with previous fragment when it continues on the same disk.
-            if fragments and fragments[-1][0] == disk_index and (
-                fragments[-1][1] + fragments[-1][2] == phys
-            ):
-                disk, start, length = fragments[-1]
-                fragments[-1] = (disk, start, length + run)
-            else:
-                fragments.append((disk_index, phys, run))
+        while block < end:
+            run = min(end - block, unit - offset)
+            fragments.append((disk_index, physical_unit * unit + offset, run))
             block += run
-            remaining -= run
+            offset = 0
+            disk_index += 1
+            if disk_index == ndisks:
+                disk_index = 0
+                physical_unit += 1
         return fragments
 
     def submit_range(self, lba: int, nblocks: int, is_write: bool = False) -> Event:
         """Submit a logical range; the event succeeds with the list of
-        completed member :class:`IORequest` objects once all land."""
+        completed member :class:`IORequest` objects once all land.
+
+        The first fragment failure fails the event with that error."""
         fragments = self.split(lba, nblocks)
         events = [
             self.disks[disk].submit(IORequest(lba=phys, nblocks=run, is_write=is_write))
             for disk, phys, run in fragments
         ]
         done = self.engine.event()
-        gather = self.engine.all_of(events)
+        remaining = len(events)
 
-        def _finish(ev: Event) -> None:
-            if ev.ok:
-                done.succeed([e.value for e in events])
-            else:
+        def _gather(ev: Event) -> None:
+            nonlocal remaining
+            if _sanitizer.active is not None:
+                # Runs in the drain loop's root context: accumulate each
+                # fragment's clock so the waiter orders after all of them.
+                _sanitizer.active.on_condition(done, ev)
+            if done.triggered:
+                return  # an earlier fragment already failed it
+            if not ev.ok:
                 done.fail(ev.value)
+                return
+            remaining -= 1
+            if remaining == 0:
+                done.succeed([e.value for e in events])
 
-        gather.add_callback(_finish)
+        for ev in events:
+            ev.add_callback(_gather)
         return done
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -249,3 +249,43 @@ def test_time_weighted_integral_before_last_change_raises():
     eng.run()
     with pytest.raises(SimulationError):
         tw.integral(1.0)
+
+
+def test_counter_rejects_non_integral_and_negative_counts():
+    c = Counter("reqs")
+    for bad in (1.0, 2.5, -1, -3, "3", None):
+        with pytest.raises(SimulationError):
+            c.add(bad)
+    assert c.value == 0
+
+
+def test_counter_accepts_numpy_ints_and_bool():
+    import numpy as np
+
+    c = Counter("reqs")
+    c.add(np.int64(3))
+    c.add(np.uint8(2))
+    c.add(True)
+    c.add(0)
+    assert c.value == 6
+    assert type(c.value) is int
+
+
+def test_tally_rejects_nan_and_non_numeric_observations():
+    import numpy as np
+
+    t = Tally("lat")
+    for bad in (float("nan"), np.float64("nan"), "fast", None, object()):
+        with pytest.raises(SimulationError):
+            t.record(bad)
+    assert t.count == 0
+
+
+def test_tally_accepts_numpy_scalars_and_bool_as_floats():
+    import numpy as np
+
+    t = Tally("lat")
+    for v in (1.5, np.float64(2.5), np.float32(0.5), np.int64(4), True, 7):
+        t.record(v)
+    assert t.values == [1.5, 2.5, 0.5, 4.0, 1.0, 7.0]
+    assert all(type(v) is float for v in t.values)

@@ -98,3 +98,29 @@ def test_chs_in_bounds_property(cyl, heads, spt, lba):
     else:
         c, h, s = g.chs_of(lba)
         assert 0 <= c < cyl and 0 <= h < heads and 0 <= s < spt
+
+
+def test_derived_totals_are_plain_fields_outside_identity():
+    import dataclasses
+
+    g = DiskGeometry(cylinders=10, heads=2, sectors_per_track=5)
+    assert g.blocks_per_cylinder == 10
+    assert g.total_blocks == 100
+    # Equality, hash and repr see only the four defining fields.
+    assert g == DiskGeometry(cylinders=10, heads=2, sectors_per_track=5)
+    assert hash(g) == hash(DiskGeometry(cylinders=10, heads=2,
+                                        sectors_per_track=5))
+    assert "total_blocks" not in repr(g)
+    bigger = dataclasses.replace(g, cylinders=20)
+    assert bigger.total_blocks == 200
+    assert bigger != g
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.total_blocks = 1
+
+
+def test_cylinder_of_rejects_out_of_range_lbas():
+    g = DiskGeometry(cylinders=10, heads=2, sectors_per_track=5)
+    assert g.cylinder_of(99) == 9
+    for lba in (-1, 100, 10**9):
+        with pytest.raises(DiskError):
+            g.cylinder_of(lba)

@@ -147,3 +147,69 @@ def test_split_partitions_range_exactly(ndisks, unit, lba, nblocks):
             rebuilt.append((disk_index, phys + i))
     expected = [arr.map_block(b) for b in range(lba, lba + nblocks)]
     assert rebuilt == expected
+
+
+def _reference_split(arr, lba, nblocks):
+    """Block-by-block map through ``map_block``, then merge every block
+    that continues the previous fragment on the same disk."""
+    fragments = []
+    for block in range(lba, lba + nblocks):
+        disk, phys = arr.map_block(block)
+        if fragments and fragments[-1][0] == disk and (
+            fragments[-1][1] + fragments[-1][2] == phys
+        ):
+            d, start, length = fragments[-1]
+            fragments[-1] = (d, start, length + 1)
+        else:
+            fragments.append((disk, phys, 1))
+    return fragments
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(min_value=1, max_value=32),
+    st.integers(min_value=1, max_value=64),
+    st.data(),
+)
+def test_split_matches_block_by_block_reference(ndisks, unit, data):
+    eng = Engine()
+    tiny = DiskGeometry(cylinders=4, heads=2, sectors_per_track=8)
+    disks = [Disk(eng, geometry=tiny, name=f"d{i}") for i in range(ndisks)]
+    arr = StripedArray(eng, disks, stripe_unit=unit)
+    lba = data.draw(st.integers(min_value=0, max_value=arr.total_blocks - 1))
+    nblocks = data.draw(
+        st.integers(min_value=1, max_value=min(600, arr.total_blocks - lba)))
+    assert arr.split(lba, nblocks) == _reference_split(arr, lba, nblocks)
+
+
+def test_split_rejects_ranges_past_either_end():
+    eng = Engine()
+    arr = make_array(eng, ndisks=3, stripe_unit=4)
+    with pytest.raises(DiskError):
+        arr.split(-1, 2)
+    with pytest.raises(DiskError):
+        arr.split(arr.total_blocks - 1, 2)
+    assert arr.split(arr.total_blocks - 1, 1) == [
+        arr.map_block(arr.total_blocks - 1) + (1,)]
+
+
+def test_submit_fails_with_first_fragment_error():
+    from repro.errors import DiskFailedError
+
+    eng = Engine()
+    arr = make_array(eng, ndisks=2, stripe_unit=4)
+    done = arr.submit_range(0, 16)
+    arr.disks[1].fail_disk("test")
+    outcome = []
+
+    def waiter():
+        try:
+            yield done
+        except DiskFailedError as exc:
+            outcome.append(str(exc))
+
+    eng.process(waiter())
+    eng.run()
+    assert outcome == ["disk d1 failed: test"]
+    # The surviving member still completes its own fragments.
+    assert arr.disks[0].requests_completed.value == 2
