@@ -29,8 +29,8 @@ control flow the same way the determinism lint does, and the pragma is
 the escape hatch.  Diagnostics are deterministic: sorted by
 ``(path, line, column, local)``.
 
-Run via ``python tools/lint_staleread.py`` or
-``python -m repro.sanitizer lint`` (see ``docs/static-analysis.md``).
+Run via ``python -m repro.sanitizer lint`` (see
+``docs/static-analysis.md``).
 """
 
 from __future__ import annotations

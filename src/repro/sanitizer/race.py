@@ -35,6 +35,34 @@ refactor silently changes.  ``relaxed=True`` marks control-plane
 observations (health probes, backoff peeks) that are correct under
 either order by design — every relaxed site should say why.
 
+**Instant-scoped clocks.**  Because only same-instant pairs are ever
+compared, clocks carry only same-instant knowledge.  A context's clock
+is tagged with the instant it was last used at; on first use at a
+different instant it drops every entry but its own component (which
+never goes backwards).  Every clock sent along an edge — an event's
+``_vc``, an ``AllOf``/``AnyOf`` accumulator, a buffered ``Store``
+item's clock — is stamped with the instant it was taken at, and a
+join at instant ``now`` applies it only if it was stamped at ``now``;
+a forked child starts scoped to its spawner's instant.  This is exact,
+not an approximation: every send ticks the sender, so an access's
+``(tid, epoch)`` reaches another context only through edges made at
+or after the access's instant, and a chain ordering two accesses at
+instant ``T`` therefore runs only through edges made at ``T`` — all
+of which are kept.  Entries from earlier instants can only ever
+confirm orderings the kept ones already decide (a scoped clock never
+exceeds the unscoped one), so races and counters are those of clocks
+that keep everything, at a few entries per clock instead of one per
+context the run ever spawned.
+
+An instant is a simulated time.  The root context is shared by every
+engine a detector watches, so it is rescoped whenever it moves to an
+engine at another time.  That stays exact because ``engine.run()``
+finishes every instant it reaches.  The one way to lose an edge is to
+leave an engine mid-instant (driver code between runs, or a pause
+between ``step()`` calls) after the root context took a buffered
+``Store`` item there, use the root in another engine at another time,
+and then come back and send from the root at the first instant.
+
 The detector is purely observational: it never schedules events and
 never draws randomness, so simulated metrics are byte-identical with
 it on or off.
@@ -51,6 +79,7 @@ from typing import Any, Iterator, List, Optional, Set, Tuple
 
 from repro.sanitizer import runtime
 from repro.sanitizer.vectorclock import (
+    Clock,
     fork_clock,
     happened_before,
     join_into,
@@ -82,9 +111,15 @@ def _context_label(owner: Any) -> str:
 
 
 class Context:
-    """One concurrency context (root scheduler, process, or task)."""
+    """One concurrency context (root scheduler, process, or task).
 
-    __slots__ = ("det", "tid", "name", "path", "clock")
+    ``at`` is the instant ``clock`` is scoped to.  A fork is a send, so
+    a child starts scoped to its spawner's instant: if the spawner has
+    not been used at the spawn instant yet, it has nothing there to
+    pass on.
+    """
+
+    __slots__ = ("det", "tid", "name", "path", "clock", "at")
 
     def __init__(self, det: "RaceDetector", tid: int, name: str,
                  parent: Optional["Context"]) -> None:
@@ -95,8 +130,17 @@ class Context:
             parent.path + (name,) if parent is not None else (name,))
         self.clock = fork_clock(parent.clock if parent is not None else None,
                                 tid)
+        self.at = parent.at if parent is not None else None
         if parent is not None:
             parent.clock[parent.tid] += 1
+
+    def clock_at(self, now: float) -> Clock:
+        """The clock scoped to instant ``now``: first use at a new
+        instant drops every entry but the context's own component."""
+        if self.at != now:
+            self.clock = {self.tid: self.clock[self.tid]}
+            self.at = now
+        return self.clock
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Context {' > '.join(self.path)} tid={self.tid}>"
@@ -244,33 +288,44 @@ class RaceDetector:
 
     def on_trigger(self, event: Any) -> None:
         """``succeed``/``fail`` in the current context: stamp the event
-        with the sender's clock (joined over any accumulated child
-        clocks), then tick the sender."""
+        with the sender's clock (joined over any child clocks
+        accumulated at this instant), then tick the sender."""
         cur = self._current
-        vc = dict(cur.clock)
+        now = event.engine._now
+        # clock_at's fast path inlined: this runs on every event trigger.
+        clock = cur.clock if cur.at == now else cur.clock_at(now)
+        vc = clock.copy()
         prior = getattr(event, "_vc", None)
-        if prior:
-            join_into(vc, prior)
-        event._vc = vc
-        cur.clock[cur.tid] += 1
+        if prior is not None and prior[0] == now:
+            join_into(vc, prior[1])
+        event._vc = (now, vc)
+        clock[cur.tid] += 1
         self.events_tracked += 1
 
     def on_wakeup(self, owner: Any, event: Any) -> None:
         """``owner`` (process/task) resumes because ``event`` was
-        processed: join the trigger's clock."""
+        processed: join the trigger's clock if it was sent at this
+        instant."""
         ctx = self.context_of(owner)
+        now = event.engine._now
+        clock = ctx.clock if ctx.at == now else ctx.clock_at(now)
         vc = getattr(event, "_vc", None)
-        if vc:
-            join_into(ctx.clock, vc)
-        ctx.clock[ctx.tid] += 1
+        if vc is not None and vc[0] == now:
+            join_into(clock, vc[1])
+        clock[ctx.tid] += 1
 
     def on_condition(self, condition: Any, child: Any) -> None:
         """AllOf/AnyOf observed a child trigger: accumulate the child's
-        clock so the condition's waiter joins *every* contributor, not
-        just the last."""
+        clock so the condition's waiter joins *every* contributor at
+        this instant, not just the last."""
         vc = getattr(child, "_vc", None)
-        if vc:
-            condition._vc = joined(getattr(condition, "_vc", None), vc)
+        if vc is not None:
+            now = condition.engine._now
+            if vc[0] == now:
+                acc = getattr(condition, "_vc", None)
+                condition._vc = (now, joined(
+                    acc[1] if acc is not None and acc[0] == now else None,
+                    vc[1]))
 
     def on_store_put(self, store: Any) -> None:
         """An item was buffered (no getter waiting): carry the
@@ -279,26 +334,36 @@ class RaceDetector:
         if clocks is None:
             clocks = store._san_vcs = deque()
         cur = self._current
-        clocks.append(dict(cur.clock))
-        cur.clock[cur.tid] += 1
+        now = store.engine._now
+        clock = cur.clock_at(now)
+        clocks.append((now, clock.copy()))
+        clock[cur.tid] += 1
 
     def on_store_get(self, store: Any) -> None:
         """A buffered item is consumed now: join its producer's clock
-        into the consumer."""
+        into the consumer if it was buffered at this instant."""
         clocks = getattr(store, "_san_vcs", None)
         if clocks:
             cur = self._current
-            join_into(cur.clock, clocks.popleft())
-            cur.clock[cur.tid] += 1
+            now = store.engine._now
+            clock = cur.clock_at(now)
+            at, vc = clocks.popleft()
+            if at == now:
+                join_into(clock, vc)
+            clock[cur.tid] += 1
 
     def on_store_drain(self, store: Any) -> None:
         """Every buffered item is consumed by the drainer at once."""
         clocks = getattr(store, "_san_vcs", None)
         if clocks:
             cur = self._current
+            now = store.engine._now
+            clock = cur.clock_at(now)
             while clocks:
-                join_into(cur.clock, clocks.popleft())
-            cur.clock[cur.tid] += 1
+                at, vc = clocks.popleft()
+                if at == now:
+                    join_into(clock, vc)
+            clock[cur.tid] += 1
 
     # -- access recording ---------------------------------------------------
 
@@ -309,7 +374,8 @@ class RaceDetector:
         now = engine._now
         cur = self._current
         self.accesses += 1
-        acc = Access(now, cur.tid, cur.clock[cur.tid], write, relaxed, op,
+        clock = cur.clock_at(now)
+        acc = Access(now, cur.tid, clock[cur.tid], write, relaxed, op,
                      " > ".join(cur.path), site)
         if var._det is not self or var._time != now:
             # A new timestamp: accesses at earlier times are ordered by
@@ -326,7 +392,7 @@ class RaceDetector:
                 continue  # read/read never conflicts
             if relaxed or prev.relaxed:
                 continue  # by-design tolerant observation
-            if happened_before(prev.tid, prev.epoch, cur.clock):
+            if happened_before(prev.tid, prev.epoch, clock):
                 continue  # synchronized via an HB edge
             self._report(var, prev, acc)
         var._accesses.append(acc)

@@ -1,8 +1,6 @@
 """Vector clocks for the happens-before race detector.
 
-A clock is a plain ``{tid: count}`` dict — sparse, because a run
-creates thousands of short-lived process contexts and almost every
-clock knows about only a handful of them.  The operations are free
+A clock is a plain ``{tid: count}`` dict.  The operations are free
 functions over dicts rather than a wrapper class: the detector calls
 them on the simulator's event-trigger path, where a method dispatch
 per event is measurable.
@@ -21,6 +19,17 @@ Semantics (standard Mattern/Fidge, message = event trigger):
 ``happened_before(tid, epoch, clock)`` answers the detector's only
 question: is the access stamped ``(tid, epoch)`` ordered before the
 context owning ``clock``?
+
+**Instant scoping.**  The detector only ever asks that question about
+two accesses made at the same simulated instant, so it keeps clocks
+*instant-scoped* (see :mod:`repro.sanitizer.race`): a context's clock
+drops every entry but its own component when first used at a new
+instant, and a sent clock travels as an ``(instant, clock)`` pair
+that a receiver joins only at the instant it was taken at.  Unscoped
+clocks only ever grow — every fork copies, every join keeps the max —
+until each holds an entry for nearly every context the run has
+spawned; scoped, almost every clock knows about only a handful of
+contexts.
 """
 
 from __future__ import annotations
