@@ -12,8 +12,18 @@ Defaults approximate a 7200 rpm desktop drive of the paper's era
 
 A :class:`Disk` is an active object: its arm is a callback state
 machine, driven by the engine, that drains the attached scheduler.
-``submit()`` returns an event that succeeds with the request when it
-completes, so callers simply::
+The one way in is ``enqueue(request, on_done)``: the arm settles the
+request by calling ``on_done(request, error)`` exactly once, with
+``error`` None when the transfer completed, a
+:class:`~repro.errors.MediaError` when the media failed it, or a
+:class:`~repro.errors.DiskFailedError` when :meth:`Disk.fail_disk`
+took the device offline first.  The call is direct: it runs inside
+the arm's step (or inside ``fail_disk``) and takes no heap slot of its
+own, so a caller that needs one schedules it itself.
+
+``submit()`` is the :class:`~repro.sim.event.Event` adapter over
+``enqueue``: the returned event succeeds with the request, or fails
+with the error, from inside ``on_done``, so callers simply::
 
     done = disk.submit(IORequest(lba=0, nblocks=8))
     req = yield done
@@ -23,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +48,9 @@ from repro.storage.scheduler import DiskScheduler, make_scheduler
 from repro.units import MB
 
 __all__ = ["DiskParams", "Disk"]
+
+#: ``on_done(request, error)``: how the arm settles an enqueued request.
+OnDone = Callable[[IORequest, Optional[Exception]], None]
 
 
 @dataclass(frozen=True)
@@ -137,7 +150,9 @@ class Disk:
         self._wakeup: Optional[Event] = None
         self._serving: Optional[IORequest] = None
         self._fault = None
-        self._completions: Dict[int, Event] = {}
+        # request_id -> (request, on_done) for every request queued or
+        # in service, in submission order.
+        self._completions: Dict[int, Tuple[IORequest, OnDone]] = {}
         self._injector = injector
         self.failed = False
 
@@ -181,9 +196,9 @@ class Disk:
         """Current arm position (cylinder index)."""
         return self._head_cylinder
 
-    def submit(self, request: IORequest) -> Event:
-        """Queue ``request``; the returned event succeeds with it when
-        the transfer completes."""
+    def enqueue(self, request: IORequest, on_done: OnDone) -> None:
+        """Queue ``request``; the arm calls ``on_done(request, error)``
+        exactly once when it settles (see the module docstring)."""
         if self.failed:
             raise DiskFailedError(f"disk {self.name} is offline")
         end_lba = request.lba + request.nblocks
@@ -195,8 +210,7 @@ class Disk:
         if request.request_id in self._completions:
             raise DiskError(f"request {request.request_id} already submitted")
         request.submitted_at = self.engine._now
-        done = self.engine.event()
-        self._completions[request.request_id] = done
+        self._completions[request.request_id] = (request, on_done)
         if self.probe.enabled:
             self.probe.record(
                 "disk", f"{self.name} submit",
@@ -213,6 +227,22 @@ class Disk:
         if self._wakeup is not None:
             wake, self._wakeup = self._wakeup, None
             wake.succeed()
+
+    def submit(self, request: IORequest) -> Event:
+        """Queue ``request``; the returned event succeeds with it when
+        the transfer completes, or fails with the arm's error."""
+        done = Event(self.engine)
+
+        def settle(request: IORequest, error: Optional[Exception]) -> None:
+            if error is None:
+                done.succeed(request)
+            else:
+                # Guard against "failed event nobody waited on": background
+                # fetchers may have been abandoned by a timed-out retry.
+                done.add_callback(lambda ev: None)
+                done.fail(error)
+
+        self.enqueue(request, settle)
         return done
 
     def submit_range(self, lba: int, nblocks: int, is_write: bool = False) -> Event:
@@ -235,12 +265,10 @@ class Disk:
         # Drain the scheduler so the arm never services stale requests.
         while not self.scheduler.empty:
             self.scheduler.pop(self._head_cylinder)
-        for done in list(self._completions.values()):
-            # Guard against "failed event nobody waited on": background
-            # fetchers may have been abandoned by a timed-out retry.
-            done.add_callback(lambda ev: None)
-            done.fail(error)
+        pending = list(self._completions.values())
         self._completions.clear()
+        for request, on_done in pending:
+            on_done(request, error)
         tracer = self.engine.tracer
         if tracer.enabled:
             tracer.instant("disk.failed", "storage", device=self.name,
@@ -385,16 +413,16 @@ class Disk:
         self._last_end_lba = end_lba
         request.completed_at = self.engine._now
 
-        # fail_disk() may have claimed the completion mid-service.
-        done = self._completions.pop(request.request_id, None)
-        if done is not None:
+        # fail_disk() may have settled the request mid-service.
+        entry = self._completions.pop(request.request_id, None)
+        if entry is not None:
             if fault is not None and fault[0] == "disk.media_error":
-                self._fail_media(request, done)
+                self._fail_media(request, entry[1])
             else:
-                self._succeed(request, done)
+                self._succeed(request, entry[1])
         self._serve_or_idle()
 
-    def _fail_media(self, request: IORequest, done: Event) -> None:
+    def _fail_media(self, request: IORequest, on_done: OnDone) -> None:
         self.media_errors.add()
         self._last_end_lba = None  # the stream broke; reposition
         tracer = self.engine.tracer
@@ -405,13 +433,12 @@ class Disk:
                 device=self.name, lba=request.lba,
                 nblocks=request.nblocks, error="MediaError",
             )
-        done.add_callback(lambda ev: None)
-        done.fail(MediaError(
+        on_done(request, MediaError(
             f"disk {self.name}: unrecoverable read at lba "
             f"{request.lba}+{request.nblocks}"
         ))
 
-    def _succeed(self, request: IORequest, done: Event) -> None:
+    def _succeed(self, request: IORequest, on_done: OnDone) -> None:
         nbytes = request.nblocks * self.geometry.block_size
         self.requests_completed.add()
         if request.is_write:
@@ -440,7 +467,7 @@ class Disk:
                 service_ms=round(service * 1e3, 4),
                 response_ms=round(response * 1e3, 4),
             )
-        done.succeed(request)
+        on_done(request, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -74,7 +74,10 @@ class StripedArray:
 
     @property
     def total_blocks(self) -> int:
-        return self.disks[0].total_blocks * len(self.disks)
+        # Only whole stripe units are addressable: a member's tail
+        # shorter than a unit would map past the end of some member.
+        per_disk = self.disks[0].total_blocks
+        return (per_disk - per_disk % self.stripe_unit) * len(self.disks)
 
     def map_block(self, logical_block: int) -> Tuple[int, int]:
         """Map a logical block to ``(disk_index, physical_block)``."""
@@ -121,32 +124,53 @@ class StripedArray:
         """Submit a logical range; the event succeeds with the list of
         completed member :class:`IORequest` objects once all land.
 
-        The first fragment failure fails the event with that error."""
+        The first fragment failure fails the event with that error.  A
+        range touching an offline member raises
+        :class:`~repro.errors.DiskFailedError` before any fragment is
+        queued."""
         fragments = self.split(lba, nblocks)
-        events = [
-            self.disks[disk].submit(IORequest(lba=phys, nblocks=run, is_write=is_write))
-            for disk, phys, run in fragments
-        ]
-        done = self.engine.event()
-        remaining = len(events)
+        disks = self.disks
+        for disk, _, _ in fragments:
+            if disks[disk].failed:
+                raise DiskFailedError(f"disk {disks[disk].name} is offline")
+        engine = self.engine
+        done = Event(engine)
+        requests = [IORequest(lba=phys, nblocks=run, is_write=is_write)
+                    for _, phys, run in fragments]
+        remaining = len(requests)
 
-        def _gather(ev: Event) -> None:
+        # Each fragment settles by a direct call from its disk's arm; only
+        # the call that decides the range (the last to land, or the first
+        # to fail) takes a heap slot, scheduled where it lands, and
+        # triggers the array's event from there.  Same-instant entries
+        # keep the order one completion event per fragment would give.
+        def land(request: IORequest, error: Optional[Exception]) -> None:
             nonlocal remaining
-            if _sanitizer.active is not None:
-                # Runs in the drain loop's root context: accumulate each
-                # fragment's clock so the waiter orders after all of them.
-                _sanitizer.active.on_condition(done, ev)
-            if done.triggered:
-                return  # an earlier fragment already failed it
-            if not ev.ok:
-                done.fail(ev.value)
+            det = _sanitizer.active
+            if det is not None:
+                # The fragment's trigger, in the arm's context, accumulated
+                # into the array's event.  Once a failure has triggered that
+                # event, a late fragment's clock joins from a slot of its
+                # own, so a waiter already queued at this instant misses it.
+                stamp = Event(engine)
+                det.on_trigger(stamp)
+                if done.triggered:
+                    engine._schedule_call(
+                        lambda: det.on_condition(done, stamp))
+                else:
+                    det.on_condition(done, stamp)
+            if remaining == 0:
+                return  # an earlier fragment already failed the range
+            if error is not None:
+                remaining = 0
+                engine._schedule_call(lambda: done.fail(error))
                 return
             remaining -= 1
             if remaining == 0:
-                done.succeed([e.value for e in events])
+                engine._schedule_call(lambda: done.succeed(requests))
 
-        for ev in events:
-            ev.add_callback(_gather)
+        for (disk, _, _), request in zip(fragments, requests):
+            disks[disk].enqueue(request, land)
         return done
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -201,3 +201,30 @@ def test_synthetic_params_validation():
         SyntheticAppParams(io_fraction=(0.5, 0.2))
     with pytest.raises(ModelError):
         SyntheticAppParams(total_time=(0.0, 1.0))
+
+
+def test_striped_run_heap_entries_are_pinned(monkeypatch):
+    """Host-independent guard on the striped I/O path: the exact number
+    of heap entries (``Engine._seq``) one small QCRD run pushes.  Each
+    disk fragment settles by a direct call from its arm, so one extra
+    event hop per fragment would add ``fragments`` entries and fail
+    this on any host."""
+    from repro.model import executor
+
+    engines = []
+
+    class RecordingEngine(executor.Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(executor, "Engine", RecordingEngine)
+    result = ApplicationExecutor(
+        build_qcrd(1.2, 0.55), MachineConfig(disks=8)).run()
+    (engine,) = engines
+    fragments = sum(engine.metrics.get(name).value
+                    for name in engine.metrics.names()
+                    if name.endswith(".completed"))
+    assert result.makespan == pytest.approx(0.9845618658041327, rel=1e-12)
+    assert fragments == 635
+    assert engine._seq == 1210

@@ -179,7 +179,9 @@ def test_split_matches_block_by_block_reference(ndisks, unit, data):
     lba = data.draw(st.integers(min_value=0, max_value=arr.total_blocks - 1))
     nblocks = data.draw(
         st.integers(min_value=1, max_value=min(600, arr.total_blocks - lba)))
-    assert arr.split(lba, nblocks) == _reference_split(arr, lba, nblocks)
+    fragments = arr.split(lba, nblocks)
+    assert fragments == _reference_split(arr, lba, nblocks)
+    assert all(phys + run <= tiny.total_blocks for _, phys, run in fragments)
 
 
 def test_split_rejects_ranges_past_either_end():
@@ -213,3 +215,42 @@ def test_submit_fails_with_first_fragment_error():
     assert outcome == ["disk d1 failed: test"]
     # The surviving member still completes its own fragments.
     assert arr.disks[0].requests_completed.value == 2
+
+
+def test_submit_to_degraded_stripe_queues_nothing():
+    """A range touching an offline member raises before any fragment is
+    queued: the healthy members stay idle and the clock stays put."""
+    from repro.errors import DiskFailedError
+
+    eng = Engine()
+    arr = make_array(eng, ndisks=2, stripe_unit=4)
+    eng.run()  # let both arms go idle
+    arr.disks[1].fail_disk("test")
+    with pytest.raises(DiskFailedError):
+        arr.submit_range(0, 32)
+    assert [len(d.scheduler) for d in arr.disks] == [0, 0]
+    assert eng.run() == 0.0
+    assert arr.disks[0].requests_completed.value == 0
+    # A range that stays on the healthy member is still served.
+    done = arr.submit_range(0, 4)
+    eng.run()
+    assert [r.lba for r in done.value] == [0]
+
+
+def test_fragments_settle_without_per_fragment_heap_slots():
+    """A range costs one heap slot to settle (plus the array event),
+    whatever its fragment count; the disk arms' own slots are unchanged."""
+    def heap_entries(nblocks):
+        eng = Engine()
+        arr = make_array(eng, ndisks=4, stripe_unit=4)
+        eng.run()
+        start = eng._seq
+        done = arr.submit_range(0, nblocks)
+        eng.run()
+        assert len(done.value) == nblocks // 4
+        return eng._seq - start
+
+    # Per fragment: a wake-up (first fragment on an idle disk) and a
+    # service Timeout; per range: the settle call and the array event.
+    assert heap_entries(16) == 4 * 2 + 2
+    assert heap_entries(64) == 4 + 16 + 2
