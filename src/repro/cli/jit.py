@@ -20,14 +20,8 @@ to the compiled code.  Simulated times and charged costs are
 unchanged — the native tier only makes the *simulator* faster.  Set
 ``REPRO_JIT_NATIVE=0`` (or pass ``native_enabled=False``) to force
 the pure interpreter tier, e.g. for differential testing or
-before/after wall-clock measurements.
-
-Eligibility is decided by a *gate* (see
-:func:`repro.cli.jitcompile.native_eligible`): the default
-``syntactic`` gate scans the whole body; the ``analysis`` gate uses
-:mod:`repro.analysis` reachability to also admit methods whose only
-unsupported instructions are dead code.  Select it with
-``REPRO_JIT_GATE=analysis`` or the ``gate=`` constructor argument.
+before/after wall-clock measurements.  Which bodies are eligible is
+decided by :func:`repro.cli.jitcompile.native_eligible`.
 """
 
 from __future__ import annotations
@@ -69,7 +63,6 @@ class JitCompiler:
         engine: Engine,
         params: JitParams | None = None,
         native_enabled: Optional[bool] = None,
-        gate: Optional[str] = None,
     ) -> None:
         self.engine = engine
         self.params = params or JitParams()
@@ -78,19 +71,9 @@ class JitCompiler:
         if native_enabled is None:
             native_enabled = os.environ.get("REPRO_JIT_NATIVE", "1") != "0"
         self.native_enabled = native_enabled
-        if gate is None:
-            gate = os.environ.get("REPRO_JIT_GATE", "syntactic")
-        from repro.cli.jitcompile import GATES
-
-        if gate not in GATES:
-            raise JitError(
-                f"unknown JIT gate {gate!r}; choices: {list(GATES)} "
-                "(set REPRO_JIT_GATE or the gate= argument)"
-            )
-        self.gate = gate
-        #: (method token, InterpreterParams, gate) → compiled closure,
-        #: or None when the method fell back to the interpreter tier.
-        self._native: Dict[Tuple[int, Any, str], Optional[Callable]] = {}
+        #: (method token, InterpreterParams) → compiled closure, or
+        #: None when the method fell back to the interpreter tier.
+        self._native: Dict[Tuple[int, Any], Optional[Callable]] = {}
         self.methods_compiled = Counter("jit.methods")
         self.compile_times = Tally("jit.time")
         engine.metrics.register(self.methods_compiled.name, self.methods_compiled)
@@ -145,13 +128,13 @@ class JitCompiler:
         """
         if not self.native_enabled:
             return None
-        key = (method.token, interp_params, self.gate)
+        key = (method.token, interp_params)
         try:
             return self._native[key]
         except KeyError:
             from repro.cli.jitcompile import compile_native
 
-            fn = compile_native(method, interp_params, gate=self.gate)
+            fn = compile_native(method, interp_params)
             self._native[key] = fn
             return fn
 

@@ -57,7 +57,7 @@ from repro.cli.cil import Instruction, Op, STACK_EFFECTS
 from repro.cli.metadata import MethodDef
 from repro.cli.verifier import _call_effect, _well_formed_call_tuple
 
-__all__ = ["GATES", "native_eligible", "compile_native", "native_source"]
+__all__ = ["native_eligible", "compile_native", "native_source"]
 
 
 #: Opcodes the template compiler knows how to emit (all of them).
@@ -67,10 +67,6 @@ _CONV_KINDS = {"i4", "int32", "i8", "int64", "r8", "float64"}
 
 _I32_MASK = 0xFFFFFFFF
 _I64_MASK = 0xFFFFFFFFFFFFFFFF
-
-
-#: Recognized values for the eligibility ``gate`` parameter.
-GATES = ("syntactic", "analysis")
 
 
 def _pc_eligible(ins: Instruction) -> bool:
@@ -91,37 +87,20 @@ def _pc_eligible(ins: Instruction) -> bool:
     return True
 
 
-def native_eligible(method: MethodDef, gate: str = "syntactic") -> bool:
+def native_eligible(method: MethodDef) -> bool:
     """True when ``method`` can be template-compiled.
 
     Requirements: verified (``max_stack`` recorded), statically
-    well-formed call operands, and known ``conv`` kinds.
-
-    ``gate`` selects how much of the body those requirements cover:
-
-    * ``"syntactic"`` (default) — every instruction must pass, even
-      unreachable ones.  Cheap, and the historical behavior.
-    * ``"analysis"`` — only instructions the abstract interpreter in
-      :mod:`repro.analysis.typeflow` proves reachable must pass.  The
-      analyzer's reachability mirrors :func:`_entry_depths` exactly
-      (same successor relation, same unconditional handler seeding),
-      so every pc the template compiler would emit is still checked —
-      the analysis gate accepts a strict superset of the syntactic
-      gate (it additionally admits methods whose only problematic
-      instructions are dead code the compiler skips).
+    well-formed call operands, and known ``conv`` kinds — checked on
+    every instruction, reachable or not.  The compiler itself emits
+    only reachable blocks, so a reachability-aware check could only
+    add methods whose ineligible code is dead; no bundled method is
+    one, and such a method still runs correctly on the interpreter
+    tier.
     """
-    if gate not in GATES:
-        raise ValueError(f"unknown gate {gate!r}; choices: {list(GATES)}")
     if method.max_stack is None:
         return False
-    body = method.body
-    if gate == "analysis":
-        from repro.analysis.typeflow import analyze_types  # lazy: no cycle
-
-        pcs = analyze_types(method).reachable_pcs()
-    else:
-        pcs = range(len(body))
-    return all(_pc_eligible(body[pc]) for pc in pcs)
+    return all(_pc_eligible(ins) for ins in method.body)
 
 
 # ---------------------------------------------------------------------------
@@ -734,25 +713,25 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
     return "\n".join(out.lines) + "\n", ctx
 
 
-def native_source(method: MethodDef, params, gate: str = "syntactic") -> Optional[str]:
+def native_source(method: MethodDef, params) -> Optional[str]:
     """The generated Python source (None when ineligible) — for tests
     and the disassembler."""
-    if not native_eligible(method, gate=gate):
+    if not native_eligible(method):
         return None
     source, _ctx = _generate(method, params)
     return source
 
 
-def compile_native(method: MethodDef, params, gate: str = "syntactic") -> Optional[Callable]:
+def compile_native(method: MethodDef, params) -> Optional[Callable]:
     """Compile ``method`` into a Python generator function.
 
     Returns ``fn(interp, args, depth)`` or None when the method is not
-    eligible for the template tier (under ``gate`` — see
-    :func:`native_eligible`).  ``params`` is the interpreter's
+    eligible for the template tier (see :func:`native_eligible`).
+    ``params`` is the interpreter's
     :class:`~repro.cli.interpreter.InterpreterParams`; its cost
     constants are baked into the generated code.
     """
-    if not native_eligible(method, gate=gate):
+    if not native_eligible(method):
         return None
     from repro.cli.interpreter import (  # local import: avoids a cycle
         ManagedArray,

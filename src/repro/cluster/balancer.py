@@ -22,7 +22,7 @@ Health probing is deterministic and out-of-band: every
 ``probe_interval`` the balancer asks the network whether a SYN would
 reach a live listener on each node (a control-plane observation — no
 connection is built and no data-LAN cost is paid, so probes never
-pollute server request metrics).  Probe rounds ride the engine's
+pollute server request metrics).  Health-probe rounds ride the engine's
 background scheduler, so an idle cluster's probing never extends a
 run; they observe the timeline, they don't drive it.
 

@@ -193,15 +193,11 @@ class FileSystem:
         params: Optional[FsParams] = None,
         cache_params: Optional[CacheParams] = None,
         prefetch_policy: Optional[PrefetchPolicy] = None,
-        probe=None,
     ) -> None:
-        from repro.sim.probe import NULL_PROBE
-
         self.engine = engine
         self.device = device
         self.params = params or FsParams()
-        self.probe = probe if probe is not None else NULL_PROBE
-        self.cache = BufferCache(engine, device, cache_params, probe=self.probe)
+        self.cache = BufferCache(engine, device, cache_params)
         self.prefetcher = Prefetcher(self.cache, prefetch_policy)
         self._files: Dict[str, Inode] = {}
         self._by_id: Dict[int, Inode] = {}
@@ -529,14 +525,11 @@ class FileSystem:
     # -- accounting ------------------------------------------------------------
 
     def _account(self, op: str, start: float) -> None:
-        elapsed = self.engine.now - start
-        self.op_times[op].record(elapsed)
+        self.op_times[op].record(self.engine.now - start)
         self.ops.add()
         tracer = self.engine.tracer
         if tracer.enabled:
             tracer.complete(f"fs.{op}", "io", start)
-        if self.probe.enabled:
-            self.probe.record("fs", op, ms=round(elapsed * 1e3, 6))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FileSystem files={len(self._files)} next_lba={self._next_free_lba}>"

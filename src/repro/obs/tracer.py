@@ -7,8 +7,7 @@ the paper's measurements need:
 
 * **span** — an interval with a name, category, start/end times,
   structured attributes, and an optional parent link (nesting);
-* **instant** — a point event (a probe record, an eviction, a
-  prefetch issue);
+* **instant** — a point event (an eviction, a prefetch issue);
 * **counter** — a sampled numeric series (queue depths, residency).
 
 Components never hold a tracer directly: they reach it through
@@ -172,8 +171,8 @@ class NullTracer:
     """Tracer that records nothing (the default everywhere).
 
     Stateless and shared (:data:`NULL_TRACER`); every method is a
-    no-op, so instrumentation is zero-cost when disabled — the same
-    pattern as :class:`repro.sim.probe.NullProbe`.
+    no-op, and hot paths test :attr:`enabled` first, so
+    instrumentation is zero-cost when disabled.
     """
 
     __slots__ = ()
@@ -212,16 +211,14 @@ NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """Recording tracer: an append-only, capacity-capped event buffer.
+    """Recording tracer: an append-only event buffer.
 
     Parameters
     ----------
-    capacity:
-        Maximum retained events (oldest dropped beyond it, counted in
-        :attr:`dropped`); ``None`` = unbounded.
     categories:
-        If given, only events in these categories are recorded (the
-        same opt-in filtering :class:`~repro.sim.probe.Probe` offers).
+        If given, only events in these categories are recorded
+        (e.g. ``{"storage"}`` keeps just the disk spans and queue
+        counters).
 
     The tracer reads time from whichever engine it was last
     :meth:`attach`-ed to; before any attachment the clock reads 0.0.
@@ -229,17 +226,9 @@ class Tracer:
 
     enabled = True
 
-    def __init__(
-        self,
-        capacity: Optional[int] = None,
-        categories: Optional[Iterable[str]] = None,
-    ) -> None:
-        if capacity is not None and capacity < 1:
-            raise SimulationError(f"capacity must be >= 1 or None, got {capacity}")
-        self.capacity = capacity
+    def __init__(self, categories: Optional[Iterable[str]] = None) -> None:
         self.categories = set(categories) if categories is not None else None
         self.events: List[TraceEvent] = []
-        self.dropped = 0
         self.process_names: Dict[int, str] = {}
         self._engine: Any = None
         self._pid = 0
@@ -278,12 +267,6 @@ class Tracer:
     def wants(self, category: str) -> bool:
         return self.categories is None or category in self.categories
 
-    def _emit(self, event: TraceEvent) -> None:
-        if self.capacity is not None and len(self.events) >= self.capacity:
-            self.events.pop(0)
-            self.dropped += 1
-        self.events.append(event)
-
     def begin(self, name: str, category: str = "", tid: int = 0,
               **attrs: Any) -> Span:
         """Open a span at the current time.
@@ -312,7 +295,7 @@ class Tracer:
             stack.pop()
         if not self.wants(span.category):
             return
-        self._emit(TraceEvent(
+        self.events.append(TraceEvent(
             kind="span", name=span.name, category=span.category,
             start=span.start, end=self.now, span_id=span.span_id,
             parent_id=span.parent_id, pid=self._pid, tid=span.tid,
@@ -336,7 +319,7 @@ class Tracer:
                 f"span {name!r} ends before it starts ({stop} < {start})"
             )
         self._next_id += 1
-        self._emit(TraceEvent(
+        self.events.append(TraceEvent(
             kind="span", name=name, category=category, start=start,
             end=stop, span_id=self._next_id, parent_id=parent,
             pid=self._pid, tid=tid, attrs=attrs,
@@ -349,7 +332,7 @@ class Tracer:
             return
         now = self.now
         self._next_id += 1
-        self._emit(TraceEvent(
+        self.events.append(TraceEvent(
             kind="instant", name=name, category=category, start=now,
             end=now, span_id=self._next_id, parent_id=None,
             pid=self._pid, tid=tid, attrs=attrs,
@@ -362,7 +345,7 @@ class Tracer:
             return
         now = self.now
         self._next_id += 1
-        self._emit(TraceEvent(
+        self.events.append(TraceEvent(
             kind="counter", name=name, category=category, start=now,
             end=now, span_id=self._next_id, parent_id=None,
             pid=self._pid, tid=tid, attrs={"value": value},
@@ -384,15 +367,13 @@ class Tracer:
 
     def clear(self) -> None:
         self.events.clear()
-        self.dropped = 0
         self._stacks.clear()
 
     def __len__(self) -> int:
         return len(self.events)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Tracer events={len(self.events)} pid={self._pid} "
-                f"dropped={self.dropped}>")
+        return f"<Tracer events={len(self.events)} pid={self._pid}>"
 
 
 #: Instance decorations collapsed by :func:`summarize`:

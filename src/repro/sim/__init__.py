@@ -30,9 +30,7 @@ from repro.sim.process import Process
 from repro.sim.engine import Engine
 from repro.sim.resources import Resource, Store, Channel
 from repro.sim.stats import Counter, Tally, TimeWeighted, Histogram
-from repro.sim.probe import NULL_PROBE, NullProbe, Probe, ProbeEntry
 from repro.sim.taskloop import Task, TaskLoop
-from repro.sim.timeline import bucket_counts, render_timeline
 
 __all__ = [
     "Engine",
@@ -50,10 +48,4 @@ __all__ = [
     "Tally",
     "TimeWeighted",
     "Histogram",
-    "Probe",
-    "ProbeEntry",
-    "NullProbe",
-    "NULL_PROBE",
-    "bucket_counts",
-    "render_timeline",
 ]

@@ -41,7 +41,6 @@ from repro.errors import DiskError, DiskFailedError, MediaError
 from repro.sanitizer import runtime as _sanitizer
 from repro.sim import Counter, Engine, Tally, TimeWeighted
 from repro.sim.event import Event, Timeout
-from repro.sim.probe import NULL_PROBE
 from repro.storage.geometry import DiskGeometry
 from repro.storage.request import IORequest
 from repro.storage.scheduler import DiskScheduler, make_scheduler
@@ -130,7 +129,6 @@ class Disk:
         scheduler: "str | DiskScheduler" = "fcfs",
         rng: Optional[np.random.Generator] = None,
         name: str = "disk",
-        probe=NULL_PROBE,
         injector=None,
     ) -> None:
         self.engine = engine
@@ -141,7 +139,6 @@ class Disk:
         self.scheduler: DiskScheduler = scheduler
         self._rng = rng
         self.name = name
-        self.probe = probe
 
         self._head_cylinder = 0
         self._last_end_lba: Optional[int] = None
@@ -211,12 +208,6 @@ class Disk:
             raise DiskError(f"request {request.request_id} already submitted")
         request.submitted_at = self.engine._now
         self._completions[request.request_id] = (request, on_done)
-        if self.probe.enabled:
-            self.probe.record(
-                "disk", f"{self.name} submit",
-                id=request.request_id, lba=request.lba,
-                nblocks=request.nblocks, write=request.is_write,
-            )
         self.scheduler.push(request)
         tracer = self.engine.tracer
         if tracer.enabled:
@@ -460,13 +451,6 @@ class Disk:
             )
             tracer.counter(f"{self.name}.queue", "storage",
                            len(self.scheduler))
-        if self.probe.enabled:
-            self.probe.record(
-                "disk", f"{self.name} complete",
-                id=request.request_id,
-                service_ms=round(service * 1e3, 4),
-                response_ms=round(response * 1e3, 4),
-            )
         on_done(request, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

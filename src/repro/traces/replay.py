@@ -32,7 +32,6 @@ from repro.errors import TraceError
 from repro.io import CacheParams, FileSystem, FsParams
 from repro.io.prefetch import PrefetchPolicy, make_prefetch_policy
 from repro.sim import Engine
-from repro.sim.probe import NULL_PROBE
 from repro.storage import Disk, DiskGeometry, DiskParams
 from repro.traces.ops import IOOp, TraceHeader, TraceRecord
 from repro.traces.timing import OpTimings
@@ -87,11 +86,8 @@ class ReplayConfig:
     pace: bool = True
     concurrent: bool = False
     scheduler: str = "fcfs"
-    # When set, the replayer attaches an instrumentation Probe limited
-    # to these categories ("disk", "cache", "fs") and returns it in
-    # ReplayResult.probe (for timelines/diagnostics).
-    probe_categories: Optional[Tuple[str, ...]] = None
-    # Unified observability sink (repro.obs.Tracer); None = disabled.
+    # Unified observability sink (repro.obs.Tracer, optionally limited
+    # to some categories); None = disabled.
     tracer: Optional[object] = None
     # Deterministic fault injection (repro.faults.FaultPlan) and the
     # retry policy (repro.faults.RetryPolicy) replayed reads/writes
@@ -144,7 +140,6 @@ class ReplayResult:
     jit_methods: int
     instructions: int
     streams: int = 1
-    probe: Optional[object] = None  # repro.sim.Probe when requested
     faults_injected: int = 0
     retries: int = 0
     retries_exhausted: int = 0
@@ -370,11 +365,6 @@ class TraceReplayer:
         cfg = self.config
         engine = Engine(tracer=cfg.tracer)
         engine.tracer.name_process(f"replay:{application}")
-        probe = None
-        if cfg.probe_categories is not None:
-            from repro.sim import Probe
-
-            probe = Probe(engine, categories=set(cfg.probe_categories))
         injector = None
         if cfg.fault_plan is not None:
             from repro.faults import FaultInjector
@@ -386,7 +376,6 @@ class TraceReplayer:
             params=cfg.disk_params,
             scheduler=cfg.scheduler,
             name="local-disk",
-            probe=probe if probe is not None else NULL_PROBE,
             injector=injector,
         )
         fs = FileSystem(
@@ -395,7 +384,6 @@ class TraceReplayer:
             params=cfg.fs_params,
             cache_params=CacheParams(capacity_pages=cfg.cache_pages),
             prefetch_policy=cfg.make_policy(),
-            probe=probe,
         )
         runtime = CliRuntime(engine)
         retrier = None
@@ -474,7 +462,6 @@ class TraceReplayer:
             jit_methods=runtime.jit.methods_compiled.value,
             instructions=runtime.interpreter.instructions_executed.value,
             streams=len(streams),
-            probe=probe,
             faults_injected=injector.injected.value if injector else 0,
             retries=retrier.retries.value if retrier else 0,
             retries_exhausted=retrier.exhausted.value if retrier else 0,

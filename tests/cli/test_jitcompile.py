@@ -218,7 +218,6 @@ def test_unverified_method_is_ineligible():
     m = MethodBuilder("m", returns=True).ldc(1).ret().build()
     m.max_stack = None
     assert not native_eligible(m)
-    assert not native_eligible(m, gate="analysis")
 
 
 @pytest.mark.parametrize("operand", [
@@ -237,7 +236,6 @@ def test_malformed_call_tuple_is_ineligible_not_an_error(operand):
     ])
     m.max_stack = 1  # pretend-verified so only the operand shape gates
     assert not native_eligible(m)
-    assert not native_eligible(m, gate="analysis")
     assert native_source(m, None) is None
 
 
@@ -250,7 +248,6 @@ def test_unknown_conv_kinds_are_ineligible_not_errors(kind):
     ], returns=True)
     m.max_stack = 1
     assert not native_eligible(m)
-    assert not native_eligible(m, gate="analysis")
 
 
 def test_non_string_ldstr_is_ineligible_not_an_error():
@@ -261,7 +258,6 @@ def test_non_string_ldstr_is_ineligible_not_an_error():
     ])
     m.max_stack = 1
     assert not native_eligible(m)
-    assert not native_eligible(m, gate="analysis")
 
 
 def test_ineligible_method_still_runs_on_interpreter_tier():
@@ -276,6 +272,22 @@ def test_ineligible_method_still_runs_on_interpreter_tier():
     assert rt.jit.native_for(m, rt.interpreter.params) is None
     with pytest.raises(ExecutionFault, match="unknown conversion"):
         _run(rt, m)
+
+    # Ineligible instructions that are dead code still decline the
+    # gate; the interpreter never reaches them.
+    dead = MethodDef("DeadJunk", [
+        Instruction(Op.LDC, 7),            # 0
+        Instruction(Op.BR, 6),             # 1 -> ret
+        Instruction(Op.CONV, "i2"),        # 2 unreachable
+        Instruction(Op.CALL, "garbage"),   # 3 unreachable
+        Instruction(Op.LDSTR, 123),        # 4 unreachable
+        Instruction(Op.POP),               # 5 unreachable
+        Instruction(Op.RET),               # 6
+    ], returns=True)
+    verify_method(dead)
+    rt = _runtime(True)
+    assert rt.jit.native_for(dead, rt.interpreter.params) is None
+    assert _run(rt, dead) == 7
 
 
 def test_native_source_is_inspectable():

@@ -21,6 +21,17 @@ def test_replay_spans_cover_the_stack():
     replayed = tracer.spans("replay")
     assert replayed
     assert {"index", "offset", "length", "measured"} <= set(replayed[0].attrs)
+    # Disk spans name the device and the time the request queued.
+    disk_reads = [s for s in tracer.spans("storage") if s.name == "disk.read"]
+    assert disk_reads
+    assert {"device", "wait_ms"} <= set(disk_reads[0].attrs)
+    fs_ops = {s.name for s in tracer.spans("io")}
+    assert {"fs.open", "fs.read", "fs.close"} <= fs_ops
+    assert any(e.kind == "instant" and e.name == "cache.prefetch"
+               for e in tracer.events)
+    # Point events are stamped at the moment they are recorded.
+    points = [e.start for e in tracer.events if e.kind != "span"]
+    assert points == sorted(points)
 
 
 def test_webserver_request_spans():

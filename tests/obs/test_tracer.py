@@ -1,5 +1,5 @@
-"""Tracer core: spans on the simulated clock, nesting, capacity,
-null-tracer zero-cost guarantees."""
+"""Tracer core: spans on the simulated clock, nesting, category
+filtering, null-tracer zero-cost guarantees."""
 
 import pytest
 
@@ -121,21 +121,6 @@ def test_category_filter_drops_unwanted():
     assert [e.name for e in tracer.events] == ["a"]
 
 
-def test_capacity_drops_oldest():
-    tracer = Tracer(capacity=2)
-    Engine(tracer=tracer)
-    for i in range(5):
-        tracer.instant(f"e{i}", "test")
-    assert len(tracer) == 2
-    assert tracer.dropped == 3
-    assert [e.name for e in tracer.events] == ["e3", "e4"]
-
-
-def test_zero_capacity_rejected():
-    with pytest.raises(SimulationError):
-        Tracer(capacity=0)
-
-
 def test_attach_opens_new_process_group():
     tracer = Tracer()
     Engine(tracer=tracer)
@@ -187,15 +172,13 @@ def test_null_tracer_api_is_noop():
     assert len(tracer) == 0
 
 
-def test_clear_resets_buffer_and_dropped():
-    tracer = Tracer(capacity=1)
+def test_clear_resets_buffer():
+    tracer = Tracer()
     Engine(tracer=tracer)
     tracer.instant("a", "t")
     tracer.instant("b", "t")
-    assert tracer.dropped == 1
     tracer.clear()
     assert len(tracer) == 0
-    assert tracer.dropped == 0
 
 
 def test_summarize_aggregates_spans():

@@ -1,99 +1,19 @@
-"""Tests for the instrumentation probe and its component wiring."""
+"""Tests for the instrumentation probe points: each simulated component
+records what it does through the engine's tracer."""
 
-import pytest
-
-from repro.errors import SimulationError
 from repro.io import FileSystem
-from repro.sim import Engine, NULL_PROBE, NullProbe, Probe
+from repro.obs import Tracer
+from repro.sim import Engine
 from repro.storage import Disk, DiskGeometry
 
 
-def test_null_probe_discards():
-    NULL_PROBE.record("x", "y", a=1)  # must not raise or store anything
-    assert not NULL_PROBE.enabled
-    assert not NULL_PROBE.wants("anything")
+def _small_disk(eng):
+    return Disk(eng, geometry=DiskGeometry(cylinders=100, heads=2, sectors_per_track=10))
 
 
-def test_probe_records_with_timestamps():
-    eng = Engine()
-    probe = Probe(eng)
-
-    def proc():
-        probe.record("test", "start")
-        yield eng.timeout(2.5)
-        probe.record("test", "end", value=42)
-
-    eng.process(proc())
-    eng.run()
-    assert len(probe) == 2
-    assert probe.entries[0].time == 0.0
-    assert probe.entries[1].time == 2.5
-    assert probe.entries[1].fields == {"value": 42}
-
-
-def test_probe_category_filter():
-    eng = Engine()
-    probe = Probe(eng, categories={"keep"})
-    probe.record("keep", "a")
-    probe.record("drop", "b")
-    assert [e.message for e in probe.entries] == ["a"]
-    assert probe.wants("keep") and not probe.wants("drop")
-
-
-def test_probe_capacity_drops_oldest():
-    eng = Engine()
-    probe = Probe(eng, capacity=3)
-    for i in range(5):
-        probe.record("c", f"m{i}")
-    assert [e.message for e in probe.entries] == ["m2", "m3", "m4"]
-    assert probe.dropped == 2
-    with pytest.raises(SimulationError):
-        Probe(eng, capacity=0)
-
-
-def test_probe_queries_and_render():
-    eng = Engine()
-    probe = Probe(eng)
-    probe.record("a", "first", x=1)
-
-    def proc():
-        yield eng.timeout(1.0)
-        probe.record("b", "second")
-
-    eng.process(proc())
-    eng.run()
-    assert len(probe.by_category("a")) == 1
-    assert len(probe.between(0.5, 2.0)) == 1
-    text = probe.render()
-    assert "first" in text and "x=1" in text
-    probe.clear()
-    assert len(probe) == 0
-
-
-def test_disk_emits_probe_events():
-    eng = Engine()
-    probe = Probe(eng)
-    disk = Disk(
-        eng,
-        geometry=DiskGeometry(cylinders=100, heads=2, sectors_per_track=10),
-        probe=probe,
-    )
-    disk.submit_range(0, 4)
-    eng.run()
-    messages = [e.message for e in probe.by_category("disk")]
-    assert any("submit" in m for m in messages)
-    assert any("complete" in m for m in messages)
-
-
-def test_fs_and_cache_emit_probe_events():
-    eng = Engine()
-    probe = Probe(eng)
-    disk = Disk(
-        eng,
-        geometry=DiskGeometry(cylinders=1000, heads=2, sectors_per_track=40),
-        probe=probe,
-    )
-    fs = FileSystem(eng, disk, probe=probe)
+def _open_read_close(eng):
+    disk = Disk(eng, geometry=DiskGeometry(cylinders=1000, heads=2, sectors_per_track=40))
+    fs = FileSystem(eng, disk)
 
     def scenario():
         yield from fs.create("/f", size_bytes=100_000)
@@ -102,32 +22,53 @@ def test_fs_and_cache_emit_probe_events():
         yield from fs.close(h)
 
     eng.run_process(scenario())
-    fs_ops = {e.message for e in probe.by_category("fs")}
-    assert {"open", "read", "close"} <= fs_ops
-    cache_msgs = [e.message for e in probe.by_category("cache")]
-    assert "prefetch" in cache_msgs  # the open-prefetch
-    # Events are time-ordered.
-    times = [e.time for e in probe.entries]
-    assert times == sorted(times)
 
 
-def test_probe_off_by_default_costs_nothing():
-    """Components default to the shared NullProbe instance."""
-    eng = Engine()
-    disk = Disk(eng, geometry=DiskGeometry(cylinders=100, heads=2, sectors_per_track=10))
-    assert isinstance(disk.probe, NullProbe)
-    fs = FileSystem(eng, disk)
-    assert isinstance(fs.probe, NullProbe)
-    assert isinstance(fs.cache.probe, NullProbe)
+def test_probe_records_with_timestamps():
+    tracer = Tracer()
+    eng = Engine(tracer=tracer)
+    disk = _small_disk(eng)
+    disk.submit_range(0, 4)
+    disk.submit_range(500, 4)  # queues behind the first
+    eng.run()
+    first, second = [s for s in tracer.spans("storage") if s.name == "disk.read"]
+    assert first.start == 0.0 and first.attrs["wait_ms"] == 0.0
+    assert 0.0 < first.end <= second.start
+    # The second request waited exactly as long as the first was served.
+    assert abs(second.attrs["wait_ms"] - first.end * 1e3) < 1e-6
+    assert second.end == eng.now
 
 
-def test_probe_construction_warns_deprecation():
-    eng = Engine()
-    with pytest.warns(DeprecationWarning, match="Probe is deprecated"):
-        probe = Probe(eng)
-    # The adapter still behaves exactly as before the deprecation.
-    probe.record("disk", "op", lba=7)
-    assert len(probe) == 1
-    entry = probe.entries[0]
-    assert (entry.category, entry.message, entry.fields) == ("disk", "op", {"lba": 7})
-    assert probe.render() != ""
+def test_probe_category_filter():
+    tracer = Tracer(categories={"io"})
+    _open_read_close(Engine(tracer=tracer))
+    assert tracer.categories_seen() == ["io"]
+    assert tracer.wants("io") and not tracer.wants("storage")
+
+
+def test_disk_emits_probe_events():
+    tracer = Tracer()
+    eng = Engine(tracer=tracer)
+    disk = _small_disk(eng)
+    disk.submit_range(0, 4)
+    eng.run()
+    storage = tracer.by_category("storage")
+    reads = [e for e in storage if e.kind == "span" and e.name == "disk.read"]
+    assert len(reads) == 1
+    assert reads[0].attrs["device"] == "disk"
+    assert (reads[0].attrs["lba"], reads[0].attrs["nblocks"]) == (0, 4)
+    assert any(e.kind == "counter" and e.name == "disk.queue" for e in storage)
+
+
+def test_fs_and_cache_emit_probe_events():
+    tracer = Tracer()
+    _open_read_close(Engine(tracer=tracer))
+    fs_ops = {s.name for s in tracer.spans("io")}
+    assert {"fs.open", "fs.read", "fs.close"} <= fs_ops
+    # The open-prefetch.
+    assert any(e.kind == "instant" and e.name == "cache.prefetch"
+               for e in tracer.events)
+    assert any(s.name == "disk.read" for s in tracer.spans("storage"))
+    # Point events are time-ordered.
+    points = [e.start for e in tracer.events if e.kind != "span"]
+    assert points == sorted(points)

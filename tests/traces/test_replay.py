@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import TraceError
+from repro.obs import Tracer, render_summary
 from repro.traces import (
     IOOp,
     ReplayConfig,
@@ -145,22 +146,12 @@ def test_rows_for_uses_length_for_reads_and_offset_for_seeks():
 
 def test_probe_categories_attach_instrumentation():
     h, recs = generate_cholesky()
-    cfg = small_config(probe_categories=("disk", "cache"))
-    res = TraceReplayer(cfg).replay(h, recs, "cholesky")
-    assert res.probe is not None
-    assert len(res.probe) > 0
-    categories = {e.category for e in res.probe.entries}
-    assert categories <= {"disk", "cache"}
-    # A timeline can be rendered straight from the result.
-    from repro.sim.timeline import render_timeline
-
-    assert "timeline:" in render_timeline(res.probe, buckets=20)
-
-
-def test_probe_off_by_default():
-    h, recs = generate_cholesky()
-    res = TraceReplayer(small_config()).replay(h, recs)
-    assert res.probe is None
+    tracer = Tracer(categories={"storage", "io"})
+    TraceReplayer(small_config(tracer=tracer)).replay(h, recs, "cholesky")
+    assert len(tracer) > 0
+    assert set(tracer.categories_seen()) == {"storage", "io"}
+    # A span summary can be rendered straight from the tracer.
+    assert "disk.read" in render_summary(tracer)
 
 
 def test_prefetch_policy_config_applied():
