@@ -15,8 +15,8 @@ This package scales the single-host web-server stack out to N
   and readmit repaired ones, at which point the cluster re-replicates
   their stale shards before trusting them with reads again
   (:mod:`~repro.cluster.cluster`);
-* a Zipf-popularity open-arrival fleet drives the whole thing
-  (:mod:`~repro.cluster.workload`).
+* a Zipf-popularity open-arrival fleet, the repository's one Poisson
+  generator, drives the whole thing (:mod:`~repro.cluster.workload`).
 
 The headline invariant — no acknowledged write is ever lost — is
 checkable on any cluster via

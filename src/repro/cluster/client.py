@@ -55,6 +55,10 @@ __all__ = ["ClusterClient"]
 #: Per-replica failures a read fails over on / a write re-drives on.
 _REPLICA_FAILURES = (ConnectionReset, RetryExhausted, HttpError)
 
+#: Re-drive rounds for a replica that keeps failing writes while still
+#: admitted, before the write aborts unacknowledged.
+WRITE_ROUNDS = 3
+
 
 class ClusterClient:
     """Coordinates replicated reads/writes against one cluster."""
@@ -195,7 +199,7 @@ class ClusterClient:
                 if not pending:
                     break
                 rounds += 1
-                if rounds >= self.cluster.config.write_rounds:
+                if rounds >= WRITE_ROUNDS:
                     raise RetryExhausted(
                         f"write {key!r}: replica(s) {pending} kept failing "
                         f"while admitted", attempts=rounds)

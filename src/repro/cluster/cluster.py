@@ -69,9 +69,6 @@ class ClusterConfig:
         Root seed for all cluster-level randomness.
     retry:
         Client retry policy (defaults to 3 attempts, 5 ms base).
-    write_rounds:
-        Re-drive rounds for a replica that keeps failing writes while
-        still admitted, before the write aborts unacknowledged.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan`; ``node.*`` specs
         arm against the members, ``disk.*``/``net.*`` specs against
@@ -97,7 +94,6 @@ class ClusterConfig:
     accept_backlog: Optional[int] = None
     request_deadline: Optional[float] = None
     retry: Optional[RetryPolicy] = None
-    write_rounds: int = 3
     fault_plan: Optional[FaultPlan] = None
     tracer: object = None
 
@@ -113,8 +109,6 @@ class ClusterConfig:
                 f"unknown policy {self.policy!r}; expected one of {POLICIES}")
         if self.num_keys < 1:
             raise ClusterError(f"num_keys must be >= 1, got {self.num_keys}")
-        if self.write_rounds < 1:
-            raise ClusterError("write_rounds must be >= 1")
 
 
 class FileCluster:

@@ -40,6 +40,7 @@ from repro.io import (
 )
 from repro.sim import Counter, Engine
 from repro.storage import Disk, DiskGeometry, DiskParams
+from repro.webserver.handlers import FILE_CHUNK
 from repro.webserver.server import WebServerConfig
 
 __all__ = ["ClusterNode"]
@@ -131,8 +132,7 @@ class ClusterNode:
         stream/sync costs as a ``doPost`` without the HTTP hop."""
         path = self.key_path(key)
         stream = yield from FileStream.open(self.fs, path, FileMode.CREATE)
-        writer = StreamWriter(stream,
-                              buffer_size=self.server.config.file_chunk)
+        writer = StreamWriter(stream, buffer_size=FILE_CHUNK)
         yield from writer.write(nbytes)
         yield from writer.flush()
         yield from self.fs.sync(stream.handle)

@@ -4,16 +4,20 @@ The client fleet a replicated file service actually faces: requests
 arrive by a Poisson process regardless of how the cluster is doing
 (open arrivals — load does not back off during a crash, which is what
 makes failover latency and retry pressure observable), and key
-popularity follows a Zipf law (``weight ∝ rank^-s``), so a handful of
-hot keys dominate — the regime where a crashed node's share of the
-keyspace actually matters and the ``consistent`` policy's cache
-locality shows.
+popularity follows a Zipf law (``weight ∝ rank^-s``, ``s`` =
+:data:`ZIPF_S`), so a handful of hot keys dominate — the regime where
+a crashed node's share of the keyspace actually matters and the
+``consistent`` policy's cache locality shows.
 
 Every request goes through the shared
 :class:`~repro.cluster.client.ClusterClient`, so reads fail over and
 writes replicate exactly as production traffic would; a request that
 still dies after the coordinator's bounded retries is counted as
 *aborted* and the fleet keeps going.
+
+This is the repository's one open-arrival generator; the web server's
+:class:`~repro.webserver.workload.WorkloadGenerator` is the paper's
+closed loop.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ __all__ = ["ClusterWorkloadConfig", "ClusterWorkloadResult",
 _ABORTABLE = (ConnectionReset, RetryExhausted, HttpError,
               NoReplicasAvailable, ClusterError)
 
+#: Zipf exponent of key popularity.
+ZIPF_S = 1.1
+
 
 @dataclass(frozen=True)
 class ClusterWorkloadConfig:
@@ -56,8 +63,6 @@ class ClusterWorkloadConfig:
         Mean Poisson arrivals per simulated second.
     get_fraction:
         Probability a request is a GET; the rest are replicated PUTs.
-    zipf_s:
-        Zipf exponent for key popularity (0 = uniform).
     seed:
         Root seed for the fleet's arrival/mix streams.
     """
@@ -65,7 +70,6 @@ class ClusterWorkloadConfig:
     requests: int = 200
     arrival_rate: float = 400.0
     get_fraction: float = 0.7
-    zipf_s: float = 1.1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -75,13 +79,16 @@ class ClusterWorkloadConfig:
             raise ReproError("arrival_rate must be positive")
         if not (0.0 <= self.get_fraction <= 1.0):
             raise ReproError("get_fraction must be in [0, 1]")
-        if self.zipf_s < 0:
-            raise ReproError("zipf_s must be >= 0")
 
 
 @dataclass
 class ClusterWorkloadResult:
-    """Aggregate outcome of one cluster workload run."""
+    """Aggregate outcome of one cluster workload run.
+
+    ``latencies`` holds, per completed request, the simulated time from
+    its first attempt to its completion, so coordinator retries,
+    failovers and backoff are included.
+    """
 
     completed: int
     aborted: int
@@ -125,7 +132,7 @@ class ClusterWorkload:
         self.config = config or ClusterWorkloadConfig()
         self._streams = cluster.streams.fork("workload")
         ranks = np.arange(1, len(cluster.keys) + 1, dtype=np.float64)
-        weights = ranks ** -self.config.zipf_s
+        weights = ranks ** -ZIPF_S
         self._weights = weights / weights.sum()
 
     def run(self) -> ClusterWorkloadResult:

@@ -184,10 +184,8 @@ class NullTracer:
     def name_process(self, name: str) -> None:
         pass
 
-    def begin(self, name: str, category: str = "", tid: int = 0, **attrs: Any):
+    def span(self, name: str, category: str = "", tid: int = 0, **attrs: Any):
         return _NULL_SPAN
-
-    span = begin
 
     def complete(self, name: str, category: str, start: float,
                  end: Optional[float] = None, tid: int = 0,
@@ -267,13 +265,14 @@ class Tracer:
     def wants(self, category: str) -> bool:
         return self.categories is None or category in self.categories
 
-    def begin(self, name: str, category: str = "", tid: int = 0,
-              **attrs: Any) -> Span:
+    def span(self, name: str, category: str = "", tid: int = 0,
+             **attrs: Any) -> Span:
         """Open a span at the current time.
 
         The span nests under the innermost open span on the same
         ``(pid, tid)`` track; close it with ``span.end()`` or use the
-        returned object as a context manager.
+        returned object as a context manager
+        (``with tracer.span("name", "cat"):``).
         """
         stack = self._stacks.setdefault((self._pid, tid), [])
         parent_id = stack[-1].span_id if stack else None
@@ -282,9 +281,6 @@ class Tracer:
                     self.now, attrs)
         stack.append(span)
         return span
-
-    #: Alias — ``with tracer.span("name", "cat"):`` reads naturally.
-    span = begin
 
     def _finish_span(self, span: Span) -> None:
         stack = self._stacks.get((self._pid, span.tid))

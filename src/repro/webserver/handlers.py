@@ -35,6 +35,10 @@ __all__ = ["Connection", "RequestHandlers"]
 
 _connection_ids = itertools.count(1)
 
+#: Read/write granularity (bytes) of the ``doGet``/``doPost`` file
+#: streaming loops.
+FILE_CHUNK = 8192
+
 
 class Connection:
     """Per-connection server state shared between intrinsic calls."""
@@ -155,8 +159,7 @@ class RequestHandlers:
             yield from self._respond(conn, HttpResponse(503), read_time=None)
             return
         try:
-            nbytes = yield from stream.read_to_end(
-                chunk=self.server.config.file_chunk)
+            nbytes = yield from stream.read_to_end(chunk=FILE_CHUNK)
             yield from stream.close()
         except (StorageError, RetryExhausted):
             yield from self._respond(conn, HttpResponse(503), read_time=None)
@@ -181,7 +184,7 @@ class RequestHandlers:
         t0 = self.engine.now
         try:
             stream = yield from FileStream.open(self.fs, path, FileMode.CREATE)
-            writer = StreamWriter(stream, buffer_size=self.server.config.file_chunk)
+            writer = StreamWriter(stream, buffer_size=FILE_CHUNK)
             yield from writer.write(request.body_bytes)
             yield from writer.flush()
             # Uploaded data is made durable before acknowledging — this is

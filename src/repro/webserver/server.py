@@ -51,9 +51,6 @@ class WebServerConfig:
     upload_dir:
         Directory POST bodies land in, under random-number file names
         (the paper's no-synchronization-needed scheme).
-    file_chunk:
-        Read/write granularity (bytes) for the ``doGet``/``doPost``
-        file streaming loops.
     seed:
         Root seed for the server's private RNG streams (upload names).
     keyed_writes:
@@ -86,7 +83,6 @@ class WebServerConfig:
     port: int = 5050
     docroot: str = "/www"
     upload_dir: str = "/www/uploads"
-    file_chunk: int = 8192
     seed: int = 0
     keyed_writes: bool = False
     max_concurrency: Optional[int] = None
@@ -96,8 +92,6 @@ class WebServerConfig:
     def __post_init__(self) -> None:
         if not (0 < self.port < 65536):
             raise ReproError(f"bad port {self.port}")
-        if self.file_chunk < 1:
-            raise ReproError("file_chunk must be >= 1")
         if self.max_concurrency is not None and self.max_concurrency < 1:
             raise ReproError("max_concurrency must be >= 1 or None")
         if self.accept_backlog is not None and self.accept_backlog < 1:

@@ -5,19 +5,10 @@ clients" — this module drives concurrent clients with seeded think
 times and a GET/POST mix, for the scaling studies beyond the paper's
 single-client tables.
 
-Two arrival processes are supported:
-
-``"closed"`` (default)
-    N clients in a think/request loop — the paper's model, where load
-    self-limits because each client waits for its response before
-    issuing the next request.
-
-``"open"``
-    Requests arrive by a Poisson process at ``arrival_rate`` per
-    second regardless of how the server is doing, each on a fresh
-    one-shot client.  Open arrivals do not back off, which is what
-    makes overload (and the ``max_concurrency``/``accept_backlog``
-    degradation knobs) observable.
+The arrival process is the paper's closed loop: N clients in a
+think/request loop, where load self-limits because each client waits
+for its response before issuing the next request.  Open (Poisson)
+arrivals live in :class:`repro.cluster.workload.ClusterWorkload`.
 
 Client-side resilience: with ``retry`` set to a
 :class:`repro.faults.RetryPolicy`, each request runs under a
@@ -31,7 +22,7 @@ workload keeps going; one dead request is data, not a crash), and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import ConnectionReset, HttpError, ReproError, RetryExhausted
 from repro.rng import SeededStreams
@@ -45,6 +36,9 @@ __all__ = ["WorkloadConfig", "WorkloadResult", "WorkloadGenerator"]
 #: Exceptions that abort one request without killing the workload.
 _ABORTABLE = (ConnectionReset, RetryExhausted, HttpError)
 
+#: Inclusive ``(lo, hi)`` bounds for POST body sizes (bytes).
+POST_SIZE_RANGE = (1024, 65536)
+
 
 @dataclass(frozen=True)
 class WorkloadConfig:
@@ -53,25 +47,17 @@ class WorkloadConfig:
     Attributes
     ----------
     num_clients:
-        Concurrent clients (closed loop) or a factor of the total
-        request count (open loop).
+        Concurrent clients.
     requests_per_client:
-        Requests each client issues; total requests is always
-        ``num_clients * requests_per_client`` in both arrival modes.
+        Requests each client issues.
     get_fraction:
         Probability a request is a GET of a random docroot file; the
         rest are POSTs.
     mean_think_time:
         Mean of the exponential think time between a closed-loop
         client's requests (seconds; 0 disables thinking).
-    post_size_range:
-        Inclusive ``(lo, hi)`` bounds for POST body sizes (bytes).
     seed:
         Root seed for every stream the workload draws from.
-    arrival:
-        ``"closed"`` or ``"open"`` — see the module docstring.
-    arrival_rate:
-        Open loop only: mean arrivals per simulated second.
     retry:
         Optional :class:`repro.faults.RetryPolicy`; requests that die
         on a reset/refused connection are re-issued under it.
@@ -81,10 +67,7 @@ class WorkloadConfig:
     requests_per_client: int = 10
     get_fraction: float = 0.8
     mean_think_time: float = 0.01
-    post_size_range: Tuple[int, int] = (1024, 65536)
     seed: int = 0
-    arrival: str = "closed"
-    arrival_rate: float = 200.0
     retry: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -96,19 +79,16 @@ class WorkloadConfig:
             raise ReproError("get_fraction must be in [0, 1]")
         if self.mean_think_time < 0:
             raise ReproError("mean_think_time must be >= 0")
-        lo, hi = self.post_size_range
-        if lo < 0 or hi < lo:
-            raise ReproError(f"bad post_size_range ({lo}, {hi})")
-        if self.arrival not in ("closed", "open"):
-            raise ReproError(
-                f"arrival must be 'closed' or 'open', got {self.arrival!r}")
-        if self.arrival == "open" and self.arrival_rate <= 0:
-            raise ReproError("arrival_rate must be positive")
 
 
 @dataclass
 class WorkloadResult:
-    """Aggregate outcome of one workload run."""
+    """Aggregate outcome of one workload run.
+
+    ``latencies`` holds, per completed request, the final attempt's
+    :attr:`ClientResult.elapsed`, so failed attempts and retry backoff
+    are excluded.
+    """
 
     results: List[ClientResult]
     latencies: Tally
@@ -182,40 +162,33 @@ class WorkloadGenerator:
         aborted: List[str] = []
         start = engine.now
 
-        def one_request(client, rng):
-            """Generator: issue one request from the GET/POST mix,
-            recording its outcome (or its abort)."""
-            if float(rng.uniform()) < cfg.get_fraction:
-                path = paths[int(rng.integers(0, len(paths)))]
-                factory = lambda: client.get(path)
-            else:
-                lo, hi = cfg.post_size_range
-                nbytes = int(rng.integers(lo, hi + 1))
-                factory = lambda: client.post("/uploads", nbytes)
-            try:
-                result = yield from factory()
-            except _ABORTABLE as exc:
-                aborted.append(type(exc).__name__)
-                return
-            results.append(result)
-            latencies.record(result.elapsed)
+        lo, hi = POST_SIZE_RANGE
 
         def client_loop(cid: int):
+            """Generator: think, then issue one request from the GET/POST
+            mix, recording its outcome (or its abort)."""
             rng = self._streams.get(f"client-{cid}")
             client = self.host.client(retrier=self.retrier)
             for _ in range(cfg.requests_per_client):
                 think = float(rng.exponential(cfg.mean_think_time)) if cfg.mean_think_time else 0.0
                 if think > 0:
                     yield engine.timeout(think)
-                yield from one_request(client, rng)
+                if float(rng.uniform()) < cfg.get_fraction:
+                    request = client.get(paths[int(rng.integers(0, len(paths)))])
+                else:
+                    request = client.post("/uploads", int(rng.integers(lo, hi + 1)))
+                try:
+                    result = yield from request
+                except _ABORTABLE as exc:
+                    aborted.append(type(exc).__name__)
+                    continue
+                results.append(result)
+                latencies.record(result.elapsed)
 
-        if cfg.arrival == "closed":
-            procs = [
-                engine.process(client_loop(cid), name=f"client-{cid}")
-                for cid in range(cfg.num_clients)
-            ]
-        else:
-            procs = self._open_arrivals(one_request)
+        procs = [
+            engine.process(client_loop(cid), name=f"client-{cid}")
+            for cid in range(cfg.num_clients)
+        ]
 
         def waiter():
             yield engine.all_of(procs)
@@ -237,29 +210,3 @@ class WorkloadGenerator:
             recovered=retr.recovered.value if retr else 0,
             abort_reasons=aborted,
         )
-
-    def _open_arrivals(self, one_request):
-        """Spawn the open-loop dispatcher; returns the single process a
-        waiter must join (the dispatcher joins every request it fired,
-        so joining it means every response has landed or aborted)."""
-        cfg = self.config
-        engine = self.host.engine
-        total = cfg.num_clients * cfg.requests_per_client
-        arrival_rng = self._streams.get("arrivals")
-        mix_rng = self._streams.get("request-mix")
-
-        def fire(rid: int):
-            client = self.host.client(retrier=self.retrier)
-            yield from one_request(client, mix_rng)
-
-        def dispatcher():
-            # Poisson arrivals: exponential inter-arrival gaps, every
-            # request an independent one-shot client that never thinks.
-            fired = []
-            for rid in range(total):
-                yield engine.timeout(
-                    float(arrival_rng.exponential(1.0 / cfg.arrival_rate)))
-                fired.append(engine.process(fire(rid), name=f"req-{rid}"))
-            yield engine.all_of(fired)
-
-        return [engine.process(dispatcher(), name="workload.arrivals")]

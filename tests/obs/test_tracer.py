@@ -13,7 +13,7 @@ def test_span_times_follow_engine_clock():
     eng = Engine(tracer=tracer)
 
     def proc():
-        span = tracer.begin("outer", "test")
+        span = tracer.span("outer", "test")
         yield eng.timeout(2.0)
         span.end()
 
@@ -89,7 +89,7 @@ def test_complete_rejects_negative_duration():
 def test_double_end_rejected():
     tracer = Tracer()
     Engine(tracer=tracer)
-    span = tracer.begin("op", "test")
+    span = tracer.span("op", "test")
     span.end()
     with pytest.raises(SimulationError):
         span.end()

@@ -178,8 +178,6 @@ def test_webserver_config_validation():
         WebServerConfig(port=0)
     with pytest.raises(ReproError):
         WebServerConfig(port=70000)
-    with pytest.raises(ReproError):
-        WebServerConfig(file_chunk=0)
 
 
 def test_channel_zero_latency(engine):

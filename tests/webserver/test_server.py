@@ -166,8 +166,6 @@ def test_workload_config_validation():
         WorkloadConfig(num_clients=0)
     with pytest.raises(ReproError):
         WorkloadConfig(get_fraction=1.5)
-    with pytest.raises(ReproError):
-        WorkloadConfig(post_size_range=(10, 5))
 
 
 def test_server_stop_refuses_new_connections(host):

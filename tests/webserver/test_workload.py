@@ -1,37 +1,33 @@
-"""Workload generation: arrival processes, retry/abort accounting."""
+"""Workload generation: the closed loop, retry/abort accounting."""
 
 import pytest
 
-from repro.errors import ReproError
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.webserver import (
     HostConfig,
-    WebServerConfig,
     WebServerHost,
     WorkloadConfig,
     WorkloadGenerator,
 )
 
 
-def test_config_validates_arrival_knobs():
-    with pytest.raises(ReproError):
-        WorkloadConfig(arrival="batch")
-    with pytest.raises(ReproError):
-        WorkloadConfig(arrival="open", arrival_rate=0.0)
-    assert WorkloadConfig(arrival="open", arrival_rate=50.0).arrival == "open"
-
-
-def test_closed_loop_issues_every_request():
-    host = WebServerHost(HostConfig())
+@pytest.mark.parametrize("architecture", ["thread", "eventloop"])
+def test_closed_loop_issues_every_request(architecture):
+    host = WebServerHost(HostConfig(architecture=architecture))
     result = WorkloadGenerator(host, WorkloadConfig(
         num_clients=3, requests_per_client=4, seed=5)).run()
     assert result.count == 12
     assert result.attempted == 12
     assert result.aborted == 0
-    assert result.architecture == "thread"
-    assert result.threads_spawned == 12
+    assert result.architecture == architecture
     assert result.connections_accepted == 12
-    assert result.peak_processes >= 2
+    if architecture == "thread":
+        assert result.threads_spawned == 12
+        assert result.peak_processes >= 2
+    else:
+        # One loop process serves every connection; no worker threads.
+        assert result.threads_spawned == 0
+        assert result.peak_processes == 1
     assert result.throughput > 0
     assert result.latencies.count == 12
 
@@ -47,40 +43,6 @@ def test_closed_loop_is_deterministic():
     assert run_once() == run_once()
 
 
-def test_open_loop_poisson_arrivals_complete():
-    host = WebServerHost(HostConfig())
-    result = WorkloadGenerator(host, WorkloadConfig(
-        num_clients=4, requests_per_client=5, seed=3,
-        arrival="open", arrival_rate=400.0)).run()
-    assert result.count == 20
-    assert result.error_count == 0
-    # Open arrivals never think: duration ≈ arrival span + tail latency.
-    assert result.duration > 0
-
-
-def test_open_loop_differs_from_closed_loop():
-    def run(arrival):
-        host = WebServerHost(HostConfig())
-        return WorkloadGenerator(host, WorkloadConfig(
-            num_clients=4, requests_per_client=5, seed=3,
-            arrival=arrival, arrival_rate=400.0)).run()
-
-    closed, opened = run("closed"), run("open")
-    assert closed.count == opened.count == 20
-    assert closed.duration != opened.duration
-
-
-def test_open_loop_on_eventloop_architecture():
-    host = WebServerHost(HostConfig(architecture="eventloop"))
-    result = WorkloadGenerator(host, WorkloadConfig(
-        num_clients=4, requests_per_client=5, seed=3,
-        arrival="open", arrival_rate=400.0)).run()
-    assert result.count == 20
-    assert result.architecture == "eventloop"
-    assert result.threads_spawned == 0
-    assert result.peak_processes == 1
-
-
 def test_client_retry_recovers_dropped_connections():
     plan = FaultPlan(seed=77, specs=(
         FaultSpec(kind="net.drop", target="server", probability=0.2),
@@ -94,6 +56,8 @@ def test_client_retry_recovers_dropped_connections():
     assert result.recovered > 0
     assert result.aborted == 0
     assert result.count == 32
+    # Latency is each request's final attempt, backoff excluded.
+    assert list(result.latencies.values) == [r.elapsed for r in result.results]
 
 
 def test_aborts_counted_not_raised_without_retry():
