@@ -5,6 +5,14 @@ they are dirty) — no payload bytes, since the simulation tracks sizes,
 not contents.  Pages are keyed ``(file_id, page_index)``, evicted LRU,
 and fetched from the device in contiguous batched runs.
 
+Bookkeeping is run-granular: a range operation classifies its pages
+into maximal runs (resident, in flight, absent) with set and dict
+operations over ``range`` objects, and publishes, touches or awaits
+each run in one bulk step, while keeping the per-page LRU order,
+eviction victims, counters and race-detector records of a page-at-a-
+time cache.  The page map and the eviction policy share one key tuple
+per page.
+
 Concurrency: a page being fetched is *in flight*; concurrent demanders
 wait on the same completion event instead of duplicating device
 traffic.  Dirty pages evicted or flushed are written back by an
@@ -16,8 +24,10 @@ caller — mirroring OS write-behind, and producing the paper's
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
+from itertools import filterfalse, repeat
+from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import StorageError
@@ -30,6 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.io.filesystem import Inode
 
 __all__ = ["CacheParams", "CacheStats", "BufferCache", "PageState"]
+
+
+#: Stand-in for a file with no resident or in-flight pages.
+_NONE = MappingProxyType({})
 
 
 class PageState(enum.Enum):
@@ -129,7 +143,8 @@ class BufferCache:
         self._file_pages: Dict[int, set] = {}
         self._dirty_by_file: Dict[int, set] = {}
         self._policy = make_eviction_policy(self.params.eviction)
-        self._inflight: Dict[Tuple[int, int], Event] = {}
+        # file_id -> {page: completion event of the fetch bringing it in}.
+        self._inflight: Dict[int, Dict[int, Event]] = {}
         # Sanitizer annotation for the page map.  Internal operations
         # access it relaxed: the cache's contract is that the map may
         # change across any wait and every consumer must re-validate
@@ -161,7 +176,7 @@ class BufferCache:
         return self._pages.get((inode.file_id, page)) is PageState.DIRTY
 
     def is_inflight(self, inode: "Inode", page: int) -> bool:
-        return (inode.file_id, page) in self._inflight
+        return page in self._inflight.get(inode.file_id, _NONE)
 
     def dirty_pages_of(self, inode: "Inode") -> List[int]:
         return list(self._dirty_by_file.get(inode.file_id, ()))
@@ -183,56 +198,45 @@ class BufferCache:
             raise StorageError(f"npages must be >= 1, got {npages}")
         if _sanitizer.active is not None:
             self._san_pages.read(self.engine, op="access", relaxed=True)
-        pages = self._pages
         fid = inode.file_id
-        if all((fid, p) in pages for p in range(first_page, first_page + npages)):
-            # Fast path: the whole range is resident (the warm
-            # sequential-read case that dominates replay workloads).
-            # Same observable behavior as the general loop below —
-            # per-page policy touches in order, hit accounting, one
-            # delivery timeout, hit-ratio counter — without the
-            # run-tracking generator machinery.
-            on_access = self._policy.on_access
-            for p in range(first_page, first_page + npages):
-                on_access((fid, p))
-            self.stats.hits += npages
-            yield self.engine.timeout(self.params.page_touch_cost * npages)
-            tracer = self.engine.tracer
-            if tracer.enabled:
-                tracer.counter("cache.hit_ratio", "io", self.stats.hit_ratio)
-            return npages, 0
+        end = first_page + npages
+        stats = self.stats
         hits = misses = 0
-        run_start: Optional[int] = None  # start of current absent run
-        waits: List[Event] = []
-
-        def flush_run(upto: int):
-            nonlocal run_start
-            if run_start is not None:
-                yield from self._fetch_run(inode, run_start, upto - run_start)
-                run_start = None
-
-        for page in range(first_page, first_page + npages):
-            key = (inode.file_id, page)
-            if key in self._pages or key in self._inflight:
-                yield from flush_run(page)
-                # Re-check after the fetch: publishing the preceding
-                # run can evict this very page (or complete/fail its
-                # in-flight fetch), so the pre-yield residency test is
-                # stale by the time we are back.
-                if key in self._pages:
-                    self._policy.on_access(key)
-                    self.stats.hits += 1
-                    hits += 1
-                    continue
-                if key in self._inflight:
-                    self.stats.inflight_waits += 1
-                    waits.append(self._inflight[key])
-                    continue
-            if run_start is None:
-                run_start = page
-            self.stats.misses += 1
-            misses += 1
-        yield from flush_run(first_page + npages)
+        waits: Dict[Event, None] = {}  # in-flight fetches, in first-seen order
+        page = first_page
+        resident = self._file_pages.get(fid)
+        if resident is not None and resident.issuperset(range(first_page, end)):
+            # The whole range is resident (the warm sequential-read case
+            # that dominates replay workloads): one hit run, no walk.
+            self._policy.on_access_run(zip(repeat(fid), range(first_page, end)))
+            stats.hits += npages
+            hits = npages
+            page = end
+        while page < end:
+            # Classify the maximal run starting at ``page``.  Fetching
+            # an absent run yields, and publishing it can evict or
+            # complete anything after it, so every run is classified
+            # against the state current when the walk reaches it.
+            resident = self._file_pages.get(fid, _NONE)
+            inflight = self._inflight.get(fid, _NONE)
+            span = range(page, end)
+            if page in resident:
+                stop = next(filterfalse(resident.__contains__, span), end)
+                self._policy.on_access_run(zip(repeat(fid), range(page, stop)))
+                stats.hits += stop - page
+                hits += stop - page
+            elif page in inflight:
+                stop = next(filterfalse(inflight.__contains__, span), end)
+                stop = next(filter(resident.__contains__, range(page, stop)), stop)
+                waits.update(dict.fromkeys(map(inflight.get, range(page, stop))))
+                stats.inflight_waits += stop - page
+            else:
+                stop = next(filter(resident.__contains__, span), end)
+                stop = next(filter(inflight.__contains__, range(page, stop)), stop)
+                stats.misses += stop - page
+                misses += stop - page
+                yield from self._fetch_run(inode, page, stop - page)
+            page = stop
         for ev in waits:
             if not ev.processed:
                 yield ev
@@ -244,7 +248,7 @@ class BufferCache:
         yield self.engine.timeout(self.params.page_touch_cost * npages)
         tracer = self.engine.tracer
         if tracer.enabled:
-            tracer.counter("cache.hit_ratio", "io", self.stats.hit_ratio)
+            tracer.counter("cache.hit_ratio", "io", stats.hit_ratio)
         return hits, misses
 
     def _fetch_run(self, inode: "Inode", first_page: int, npages: int):
@@ -276,8 +280,7 @@ class BufferCache:
                 yield ev
         except StorageError as exc:
             self.stats.fetch_failures += 1
-            for page in range(first_page, first_page + npages):
-                self._inflight.pop((inode.file_id, page), None)
+            self._unregister(inode.file_id, first_page, npages)
             tracer = self.engine.tracer
             if tracer.enabled:
                 tracer.instant("cache.fetch_failed", "io",
@@ -293,9 +296,20 @@ class BufferCache:
 
     def _begin_fetch(self, inode: "Inode", first_page: int, npages: int) -> Event:
         done = self.engine.event()
-        for page in range(first_page, first_page + npages):
-            self._inflight[(inode.file_id, page)] = done
+        inflight = self._inflight.get(inode.file_id)
+        if inflight is None:
+            inflight = self._inflight[inode.file_id] = {}
+        inflight.update(zip(range(first_page, first_page + npages), repeat(done)))
         return done
+
+    def _unregister(self, fid: int, first_page: int, npages: int) -> None:
+        """Drop the in-flight registrations of a landed or failed run."""
+        inflight = self._inflight.get(fid)
+        if inflight is not None:
+            deque(map(inflight.pop, range(first_page, first_page + npages),
+                      repeat(None)), maxlen=0)
+            if not inflight:
+                del self._inflight[fid]
 
     def _issue_reads(self, inode: "Inode", first_page: int, npages: int) -> List[Event]:
         events = []
@@ -306,11 +320,32 @@ class BufferCache:
         return events
 
     def _finish_fetch(self, inode: "Inode", first_page: int, npages: int, done: Event) -> None:
-        for page in range(first_page, first_page + npages):
-            key = (inode.file_id, page)
-            self._inflight.pop(key, None)
-            self._insert(key, PageState.CLEAN)
+        self._unregister(inode.file_id, first_page, npages)
+        self._publish_run(inode.file_id, first_page, npages)
         done.succeed()
+
+    def _publish_run(self, fid: int, first_page: int, npages: int) -> None:
+        """Insert a run of clean pages: one bulk step when the run is
+        wholly absent and fits without eviction, else page by page."""
+        span = range(first_page, first_page + npages)
+        resident = self._file_pages.get(fid)
+        if (len(self._pages) + npages > self.params.capacity_pages
+                or (resident is not None and not resident.isdisjoint(span))):
+            for page in span:
+                self._insert((fid, page), PageState.CLEAN)
+            return
+        if _sanitizer.active is not None:
+            for _ in span:
+                self._san_pages.write(self.engine, op="insert", relaxed=True)
+        # One int object per page, shared by its key and the file index.
+        pages = list(span)
+        keys = list(zip(repeat(fid), pages))
+        self._pages.update(zip(keys, repeat(PageState.CLEAN)))
+        if resident is None:
+            self._file_pages[fid] = set(pages)
+        else:
+            resident.update(pages)
+        self._policy.on_insert_run(keys)
 
     def prefetch(self, inode: "Inode", first_page: int, npages: int) -> int:
         """Issue an *asynchronous* fetch for absent pages in the range.
@@ -321,28 +356,18 @@ class BufferCache:
         """
         if npages < 1:
             return 0
-        max_page = inode.page_count(self.params.page_size)
-        pages = [
-            p
-            for p in range(first_page, first_page + npages)
-            if p < max_page
-            and (inode.file_id, p) not in self._pages
-            and (inode.file_id, p) not in self._inflight
-        ]
+        fid = inode.file_id
+        stop = min(first_page + npages, inode.page_count(self.params.page_size))
+        pages = list(filterfalse(self._file_pages.get(fid, _NONE).__contains__,
+                                 range(first_page, stop)))
+        inflight = self._inflight.get(fid)
+        if inflight is not None:
+            pages = list(filterfalse(inflight.__contains__, pages))
         if not pages:
             return 0
         # Break into contiguous runs and fetch each in the background.
-        runs: List[Tuple[int, int]] = []
-        start = prev = pages[0]
-        for p in pages[1:]:
-            if p == prev + 1:
-                prev = p
-            else:
-                runs.append((start, prev - start + 1))
-                start = prev = p
-        runs.append((start, prev - start + 1))
         tracer = self.engine.tracer
-        for run_start, run_len in runs:
+        for run_start, run_len in _contiguous_runs(pages):
             # Register in-flight *now* so demand reads and repeated
             # prefetch calls see these pages immediately.
             if tracer.enabled:
@@ -375,10 +400,9 @@ class BufferCache:
             needs_rmw = (
                 (page == first_page and partial_head) or (page == last_page and partial_tail)
             ) and page < file_pages
-            if key in self._inflight:
-                ev = self._inflight[key]
-                if not ev.processed:
-                    yield ev
+            ev = self._inflight.get(inode.file_id, _NONE).get(page)
+            if ev is not None and not ev.processed:
+                yield ev
             if key not in self._pages and needs_rmw:
                 yield from self._fetch_run(inode, page, 1)
                 fetched += 1
@@ -535,7 +559,10 @@ def _contiguous_runs(sorted_pages: List[int]) -> List[Tuple[int, int]]:
     runs: List[Tuple[int, int]] = []
     if not sorted_pages:
         return runs
-    start = prev = sorted_pages[0]
+    start = sorted_pages[0]
+    if sorted_pages[-1] - start == len(sorted_pages) - 1:
+        return [(start, len(sorted_pages))]  # one run: no per-page walk
+    prev = start
     for p in sorted_pages[1:]:
         if p == prev + 1:
             prev = p

@@ -8,13 +8,16 @@ The buffer cache delegates victim selection to a policy object:
 * **CLOCK** — second-chance: a reference bit per page, cleared as the
   clock hand sweeps; cheap LRU approximation.
 
-Policies only track *order*; page state stays in the cache.
+Policies only track *order*; page state stays in the cache.  The cache
+reports a run of pages with one ``on_insert_run``/``on_access_run``
+call; the default replays it key by key, and LRU does it in bulk.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Hashable, Tuple
+from collections import OrderedDict, deque
+from itertools import repeat
+from typing import Hashable, Iterable
 
 from repro.errors import StorageError
 
@@ -35,6 +38,16 @@ class EvictionPolicy:
 
     def on_remove(self, key: Hashable) -> None:
         raise NotImplementedError  # pragma: no cover
+
+    def on_insert_run(self, keys: Iterable[Hashable]) -> None:
+        """``on_insert`` for each absent key, in order."""
+        for key in keys:
+            self.on_insert(key)
+
+    def on_access_run(self, keys: Iterable[Hashable]) -> None:
+        """``on_access`` for each resident key, in order."""
+        for key in keys:
+            self.on_access(key)
 
     def victim(self) -> Hashable:
         """Select and remove the next victim key."""
@@ -58,6 +71,12 @@ class LruPolicy(EvictionPolicy):
     def on_access(self, key: Hashable) -> None:
         self._order.move_to_end(key)
 
+    def on_insert_run(self, keys: Iterable[Hashable]) -> None:
+        self._order.update(zip(keys, repeat(None)))
+
+    def on_access_run(self, keys: Iterable[Hashable]) -> None:
+        deque(map(self._order.move_to_end, keys), maxlen=0)
+
     def on_remove(self, key: Hashable) -> None:
         self._order.pop(key, None)
 
@@ -78,6 +97,9 @@ class FifoPolicy(LruPolicy):
 
     def on_access(self, key: Hashable) -> None:
         pass  # insertion order only
+
+    def on_access_run(self, keys: Iterable[Hashable]) -> None:
+        pass
 
 
 class ClockPolicy(EvictionPolicy):

@@ -116,12 +116,6 @@ class Engine:
 
     # -- scheduling internals ----------------------------------------------
 
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: {delay}")
-        self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, 1, event))
-
     def _schedule_call(self, fn: Callable[[], None], delay: float = 0.0) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: {delay}")

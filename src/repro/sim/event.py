@@ -136,9 +136,9 @@ class Timeout(Event):
     """An event that triggers after a fixed simulated delay.
 
     The constructor initializes fields and pushes onto the engine's
-    heap inline (no ``super().__init__`` / ``_schedule_event``
-    indirection): the interpreter's dispatch-quantum accounting makes
-    this the most-constructed object in the whole simulator.  A zero
+    heap inline (no ``super().__init__`` indirection): the
+    interpreter's dispatch-quantum accounting makes this the
+    most-constructed object in the whole simulator.  A zero
     delay — the common "reschedule me" idiom — skips the time
     addition, reusing the engine's current clock value directly.
     """

@@ -31,7 +31,7 @@ class Process(Event):
 
     # ``_san_ctx`` holds the sanitizer's per-process vector-clock
     # context; the slot stays unset unless a detector is active.
-    __slots__ = ("generator", "name", "daemon", "_waiting_on", "_san_ctx")
+    __slots__ = ("generator", "name", "daemon", "_san_ctx")
 
     def __init__(
         self,
@@ -50,7 +50,6 @@ class Process(Event):
         # Daemon processes (e.g. a disk's server loop) may block forever
         # without tripping deadlock detection when the queue drains.
         self.daemon = daemon
-        self._waiting_on: Optional[Event] = None
         if not daemon:
             engine._live_processes += 1
         if _sanitizer.active is not None:
@@ -69,7 +68,6 @@ class Process(Event):
         self._step(None, None)
 
     def _on_event(self, event: Event) -> None:
-        self._waiting_on = None
         if _sanitizer.active is not None:
             _sanitizer.active.on_wakeup(self, event)
         if event.ok:
@@ -114,7 +112,6 @@ class Process(Event):
                 self._retire()
                 self.fail(SimulationError("yielded an event from a different engine"))
                 return
-            self._waiting_on = target
             target.add_callback(self._on_event)
         finally:
             if det is not None:

@@ -9,6 +9,7 @@ deliberate races stay observable.
 """
 
 import os
+from contextlib import contextmanager
 
 import pytest
 
@@ -22,3 +23,21 @@ def _race_detector():
     with sanitized() as det:
         yield det
     assert det.races == [], det.format_report()
+
+
+@contextmanager
+def detector_or_none(enabled: bool):
+    """A fresh race detector, or none at all (shadowing the suite's
+    detector under ``REPRO_SANITIZE=1``, for schedules that race on
+    purpose)."""
+    from repro.sanitizer import runtime, sanitized
+
+    if enabled:
+        with sanitized() as det:
+            yield det
+        return
+    prev, runtime.active = runtime.active, None
+    try:
+        yield None
+    finally:
+        runtime.active = prev

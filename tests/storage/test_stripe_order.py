@@ -13,7 +13,6 @@ the same timestamps, under both arrays; under the race detector they
 must also produce the same summary.
 """
 
-from contextlib import contextmanager
 from typing import List
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -21,11 +20,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.errors import DiskFailedError, MediaError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.sanitizer import runtime as _sanitizer
-from repro.sanitizer import sanitized, shared
+from repro.sanitizer import shared
 from repro.sim import Engine
 from repro.sim.event import Event
 from repro.storage import Disk, DiskGeometry, StripedArray
 from repro.storage.request import IORequest
+
+from tests.conftest import detector_or_none
 
 GEO = DiskGeometry(cylinders=50, heads=2, sectors_per_track=8)
 
@@ -71,25 +72,10 @@ def _outcome(exc: BaseException) -> tuple:
     return type(exc).__name__, str(exc)
 
 
-@contextmanager
-def _detector(enabled: bool):
-    """A fresh race detector, or none at all (shadowing the suite's
-    detector under ``REPRO_SANITIZE=1``: the schedules race on purpose)."""
-    if enabled:
-        with sanitized() as det:
-            yield det
-        return
-    prev, _sanitizer.active = _sanitizer.active, None
-    try:
-        yield None
-    finally:
-        _sanitizer.active = prev
-
-
 def _run(array_cls, scenario, tick_at: float, detector: bool = False,
          specs=()):
     """Run one schedule; returns everything the two arrays must agree on."""
-    with _detector(detector) as det:
+    with detector_or_none(detector) as det:
         log, requests, now = _schedule(array_cls, scenario, tick_at, specs)
     stamps = [(r.lba, r.nblocks, r.submitted_at, r.started_at, r.completed_at)
               for r in requests]
