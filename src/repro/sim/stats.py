@@ -174,7 +174,7 @@ class TimeWeighted:
 
     def record(self, value: float) -> None:
         """The signal becomes ``value`` at the current simulated time."""
-        now = self.engine.now
+        now = self.engine._now
         self._area += self._last_value * (now - self._last_time)
         self._last_time = now
         self._last_value = float(value)

@@ -152,6 +152,10 @@ class Disk:
         self._completions: Dict[int, Tuple[IORequest, OnDone]] = {}
         self._injector = injector
         self.failed = False
+        # Requests waiting in the scheduler (not the one in service),
+        # and the most there have been at once.
+        self.queue_depth = 0
+        self.queue_max_depth = 0
 
         # Statistics (registered with the engine's metrics registry so
         # one snapshot covers every device on the machine).
@@ -168,9 +172,9 @@ class Disk:
                           self.service_times, self.response_times):
             reg.register(collector.name, collector, device=name)
         reg.register(f"{name}.busy", self.busy, device=name)
-        reg.gauge(f"{name}.queue_depth", lambda: len(self.scheduler), device=name)
+        reg.gauge(f"{name}.queue_depth", lambda: self.queue_depth, device=name)
         reg.gauge(f"{name}.queue_max_depth",
-                  lambda: self.scheduler.max_depth, device=name)
+                  lambda: self.queue_max_depth, device=name)
 
         if _sanitizer.active is not None:
             _sanitizer.active.on_spawn(self, f"{name}.arm")
@@ -209,12 +213,12 @@ class Disk:
         request.submitted_at = self.engine._now
         self._completions[request.request_id] = (request, on_done)
         self.scheduler.push(request)
+        depth = self.queue_depth = self.queue_depth + 1
+        if depth > self.queue_max_depth:
+            self.queue_max_depth = depth
         tracer = self.engine.tracer
         if tracer.enabled:
-            tracer.counter(f"{self.name}.queue", "storage",
-                           self.scheduler.note_depth())
-        else:
-            self.scheduler.note_depth()
+            tracer.counter(f"{self.name}.queue", "storage", depth)
         if self._wakeup is not None:
             wake, self._wakeup = self._wakeup, None
             wake.succeed()
@@ -254,8 +258,9 @@ class Disk:
         self.failed = True
         error = DiskFailedError(f"disk {self.name} failed: {reason}")
         # Drain the scheduler so the arm never services stale requests.
-        while not self.scheduler.empty:
+        for _ in range(self.queue_depth):
             self.scheduler.pop(self._head_cylinder)
+        self.queue_depth = 0
         pending = list(self._completions.values())
         self._completions.clear()
         for request, on_done in pending:
@@ -311,14 +316,19 @@ class Disk:
         A sequential continuation pays only controller overhead and
         media transfer; a random request adds seek + rotation.
         """
-        if self.is_sequential(request):
-            return self.params.controller_overhead + self.transfer_time(request.nblocks)
-        target = self.geometry.cylinder_of(request.lba)
+        # is_sequential() and transfer_time(), inlined: this runs once
+        # per request.
+        p = self.params
+        geometry = self.geometry
+        transfer = request.nblocks * geometry.block_size / p.transfer_rate
+        if request.lba == self._last_end_lba:
+            return p.controller_overhead + transfer
+        target = geometry.cylinder_of(request.lba)
         return (
-            self.params.controller_overhead
+            p.controller_overhead
             + self.seek_time(self._head_cylinder, target)
             + self.rotational_latency()
-            + self.transfer_time(request.nblocks)
+            + transfer
         )
 
     # -- the arm -------------------------------------------------------------
@@ -330,20 +340,25 @@ class Disk:
     # simulated timing and event order are unchanged; an exception in a
     # step propagates out of ``Engine.run``.  Under an active race
     # detector every step runs in the arm's own vector-clock context.
+    #
+    # A request costs one frame per transition: ``enqueue``, ``_serve``
+    # (called from the previous ``_complete`` or a wake-up) and
+    # ``_complete``.  The disk counts its own queue depth, so no step
+    # asks the scheduler for its length.
 
     def _arm_start(self) -> None:
         det = _sanitizer.active
         if det is None:
-            self._serve_or_idle()
+            self._serve()
         else:
-            self._sanitized_step(det, None, self._serve_or_idle)
+            self._sanitized_step(det, None, self._serve)
 
     def _on_wake(self, event: Event) -> None:
         det = _sanitizer.active
         if det is None:
-            self._serve_or_idle()
+            self._serve()
         else:
-            self._sanitized_step(det, event, self._serve_or_idle)
+            self._sanitized_step(det, event, self._serve)
 
     def _on_served(self, event: Event) -> None:
         det = _sanitizer.active
@@ -361,23 +376,19 @@ class Disk:
         finally:
             det.leave(prev)
 
-    def _serve_or_idle(self) -> None:
-        # fail_disk() may have drained the queue between a submit's
-        # wake-up and this step; go back to waiting rather than pop.
-        if self.scheduler.empty:
-            self._idle()
-        else:
-            self._serve_next()
-
-    def _idle(self) -> None:
-        wake = self._wakeup = Event(self.engine)
-        wake.callbacks.append(self._on_wake)
-        self.busy.record(0.0)
-
-    def _serve_next(self) -> None:
-        self.busy.record(1.0)
+    def _serve(self) -> None:
+        """Start the next queued request, or go idle on an empty queue."""
         engine = self.engine
+        if not self.queue_depth:
+            # fail_disk() may have drained the queue between a submit's
+            # wake-up and this step; then too, wait for the next one.
+            wake = self._wakeup = Event(engine)
+            wake.callbacks.append(self._on_wake)
+            self.busy.record(0.0)
+            return
+        self.busy.record(1.0)
         request = self.scheduler.pop(self._head_cylinder)
+        self.queue_depth -= 1
         request.started_at = engine._now
         service = self.service_time(request)
         fault = None
@@ -399,10 +410,12 @@ class Disk:
         fault = self._fault
         self._serving = self._fault = None
         end_lba = request.lba + request.nblocks
-        # Head ends at the cylinder holding the request's last block.
-        self._head_cylinder = self.geometry.cylinder_of(end_lba - 1)
+        # Head ends at the cylinder holding the request's last block
+        # (enqueue() checked that block is on the disk).
+        geometry = self.geometry
+        self._head_cylinder = (end_lba - 1) // geometry.blocks_per_cylinder
         self._last_end_lba = end_lba
-        request.completed_at = self.engine._now
+        now = request.completed_at = self.engine._now
 
         # fail_disk() may have settled the request mid-service.
         entry = self._completions.pop(request.request_id, None)
@@ -410,8 +423,30 @@ class Disk:
             if fault is not None and fault[0] == "disk.media_error":
                 self._fail_media(request, entry[1])
             else:
-                self._succeed(request, entry[1])
-        self._serve_or_idle()
+                # Counter.add's checks hold by construction: whole,
+                # non-negative counts.
+                self.requests_completed.value += 1
+                nbytes = request.nblocks * geometry.block_size
+                if request.is_write:
+                    self.bytes_written.value += nbytes
+                else:
+                    self.bytes_read.value += nbytes
+                started = request.started_at
+                self.service_times.record(now - started)
+                self.response_times.record(now - request.submitted_at)
+                tracer = self.engine.tracer
+                if tracer.enabled:
+                    tracer.complete(
+                        f"disk.{'write' if request.is_write else 'read'}",
+                        "storage", started,
+                        device=self.name, lba=request.lba,
+                        nblocks=request.nblocks,
+                        wait_ms=round((started - request.submitted_at) * 1e3, 6),
+                    )
+                    tracer.counter(f"{self.name}.queue", "storage",
+                                   self.queue_depth)
+                entry[1](request, None)
+        self._serve()
 
     def _fail_media(self, request: IORequest, on_done: OnDone) -> None:
         self.media_errors.add()
@@ -429,32 +464,8 @@ class Disk:
             f"{request.lba}+{request.nblocks}"
         ))
 
-    def _succeed(self, request: IORequest, on_done: OnDone) -> None:
-        nbytes = request.nblocks * self.geometry.block_size
-        self.requests_completed.add()
-        if request.is_write:
-            self.bytes_written.add(nbytes)
-        else:
-            self.bytes_read.add(nbytes)
-        service = request.completed_at - request.started_at
-        response = request.completed_at - request.submitted_at
-        self.service_times.record(service)
-        self.response_times.record(response)
-        tracer = self.engine.tracer
-        if tracer.enabled:
-            tracer.complete(
-                f"disk.{'write' if request.is_write else 'read'}",
-                "storage", request.started_at,
-                device=self.name, lba=request.lba,
-                nblocks=request.nblocks,
-                wait_ms=round((request.started_at - request.submitted_at) * 1e3, 6),
-            )
-            tracer.counter(f"{self.name}.queue", "storage",
-                           len(self.scheduler))
-        on_done(request, None)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Disk {self.name} head@{self._head_cylinder} "
-            f"queued={len(self.scheduler)}>"
+            f"queued={self.queue_depth}>"
         )

@@ -38,17 +38,15 @@ __all__ = [
 class DiskScheduler:
     """Abstract base: a queue of requests with a selection policy.
 
-    Queue-depth observability: the driving disk calls
-    :meth:`note_depth` after every push/pop, letting the scheduler
-    keep its own high-water mark (``max_depth``) and pass/registered
-    depth gauges without any timing logic of its own.
+    The driving disk keeps the queue depth and its high-water mark
+    itself (``Disk.queue_depth`` / ``Disk.queue_max_depth``), so a
+    scheduler is just ``push``, ``pop`` and ``len``.
     """
 
     name = "abstract"
 
     def __init__(self, geometry: DiskGeometry) -> None:
         self.geometry = geometry
-        self.max_depth = 0
 
     def push(self, request: IORequest) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -58,13 +56,6 @@ class DiskScheduler:
 
     def __len__(self) -> int:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def note_depth(self) -> int:
-        """Record the current queue depth; returns it."""
-        depth = len(self)
-        if depth > self.max_depth:
-            self.max_depth = depth
-        return depth
 
     @property
     def empty(self) -> bool:

@@ -16,10 +16,31 @@ def make_disk(engine, **kwargs):
 
 
 def test_request_validation():
-    with pytest.raises(DiskError):
+    with pytest.raises(DiskError, match=r"^negative LBA: -1$"):
         IORequest(lba=-1, nblocks=1)
-    with pytest.raises(DiskError):
+    with pytest.raises(DiskError,
+                       match=r"^request must cover >= 1 block, got 0$"):
         IORequest(lba=0, nblocks=0)
+
+
+def test_request_fields_ids_and_slots():
+    a = IORequest(lba=3, nblocks=2)
+    b = IORequest(4, 1, True)
+    assert (a.lba, a.nblocks, a.is_write) == (3, 2, False)
+    assert (b.lba, b.nblocks, b.is_write) == (4, 1, True)
+    assert a.submitted_at is a.started_at is a.completed_at is None
+    assert b.request_id > a.request_id
+    assert IORequest(lba=0, nblocks=1, request_id=7).request_id == 7
+    assert a.end_lba == 5
+    # One object per fragment: no per-instance dict, identity equality.
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(AttributeError):
+        a.tag = "x"
+    assert a != IORequest(lba=3, nblocks=2)
+    with pytest.raises(DiskError, match="not yet serviced"):
+        a.service_time
+    with pytest.raises(DiskError, match="not yet completed"):
+        a.response_time
 
 
 def test_params_validation():
@@ -203,34 +224,23 @@ def test_constructing_a_disk_spawns_no_process(monkeypatch):
 
 
 class _ExplodingScheduler:
-    """FCFS queue whose ``pop`` raises, standing in for any arm bug."""
+    """Queue whose ``pop`` raises, standing in for any arm bug.  The
+    disk counts its own queue depth, so push and pop are all the arm
+    asks of a scheduler."""
 
-    def __init__(self, geometry):
-        from repro.storage.scheduler import FCFSScheduler
-
-        self._inner = FCFSScheduler(geometry)
-        self.max_depth = 0
+    def __init__(self):
+        self._queue = []
 
     def push(self, request):
-        self._inner.push(request)
+        self._queue.append(request)
 
     def pop(self, head_cylinder):
         raise RuntimeError("scheduler exploded")
 
-    def note_depth(self):
-        return self._inner.note_depth()
-
-    @property
-    def empty(self):
-        return self._inner.empty
-
-    def __len__(self):
-        return len(self._inner)
-
 
 def test_exception_in_the_arm_propagates_from_run():
     eng = Engine()
-    d = make_disk(eng, scheduler=_ExplodingScheduler(SMALL_GEO))
+    d = make_disk(eng, scheduler=_ExplodingScheduler())
 
     def client():
         yield d.submit_range(lba=0, nblocks=1)
@@ -394,3 +404,77 @@ def test_out_of_range_lbas_raise_disk_error():
         with pytest.raises(DiskError):
             d.submit_range(lba=lba, nblocks=nblocks)
     assert d.submit_range(lba=total - 4, nblocks=4) is not None
+
+
+# -- the disk-owned queue depth ----------------------------------------------
+
+
+def _depth_gauges(disk):
+    snap = disk.engine.metrics.snapshot()
+    return (snap[f"{disk.name}.queue_depth"]["value"],
+            snap[f"{disk.name}.queue_max_depth"]["value"])
+
+
+def test_queue_depth_counts_waiting_requests_only():
+    eng = Engine()
+    d = make_disk(eng)
+    eng.run()  # the arm goes idle
+    for lba in (0, 40, 80):
+        d.submit_range(lba=lba, nblocks=1)
+    assert (d.queue_depth, d.queue_max_depth) == (3, 3)
+    eng.step()  # the wake-up: the arm takes the first request
+    assert (d.queue_depth, d.queue_max_depth) == (2, 3)
+    assert _depth_gauges(d) == (2, 3)
+    eng.run()
+    assert (d.queue_depth, d.queue_max_depth) == (0, 3)
+    assert len(d.scheduler) == 0
+
+
+def test_fail_disk_mid_service_empties_the_queue_depth():
+    from repro.errors import DiskFailedError
+
+    eng = Engine()
+    d = make_disk(eng)
+    eng.run()
+    events = [d.submit_range(lba=lba, nblocks=1) for lba in (0, 40, 80)]
+    eng.run(until=0.001)  # the first request is in service
+    assert d._serving is not None and d.queue_depth == 2
+    d.fail_disk("test")
+    assert (d.queue_depth, d.queue_max_depth) == (0, 3)
+    assert _depth_gauges(d) == (0, 3)
+    assert len(d.scheduler) == 0
+    eng.run()
+    assert all(not ev.ok and isinstance(ev.value, DiskFailedError)
+               for ev in events)
+    assert d.requests_completed.value == 0
+    assert d.queue_depth == 0
+
+    # Repaired, the disk serves normally and keeps its high-water mark.
+    d.repair()
+    served = d.submit_range(lba=8, nblocks=2)
+    assert d.queue_depth == 1
+    eng.run()
+    assert served.ok and served.value.completed_at is not None
+    assert d.requests_completed.value == 1
+    assert (d.queue_depth, d.queue_max_depth) == (0, 3)
+
+
+def test_media_error_settles_exactly_once():
+    from repro.errors import MediaError
+    from repro.faults import FaultInjector, FaultPlan, FaultSpec
+
+    eng = Engine()
+    spec = FaultSpec(kind="disk.media_error", probability=1.0)
+    injector = FaultInjector(eng, FaultPlan(seed=0, specs=(spec,)))
+    d = Disk(eng, geometry=FAULT_GEO, name="d0", injector=injector)
+    settled = []
+    for lba in (0, 8):
+        d.enqueue(IORequest(lba=lba, nblocks=8),
+                  lambda request, error: settled.append((request.lba, error)))
+    eng.run()
+    assert [lba for lba, _ in settled] == [0, 8]
+    assert all(isinstance(error, MediaError) for _, error in settled)
+    assert d.media_errors.value == 2
+    assert d.requests_completed.value == 0
+    assert d._completions == {}
+    assert (d.queue_depth, d.queue_max_depth) == (0, 2)

@@ -254,3 +254,35 @@ def test_fragments_settle_without_per_fragment_heap_slots():
     # service Timeout; per range: the settle call and the array event.
     assert heap_entries(16) == 4 * 2 + 2
     assert heap_entries(64) == 4 + 16 + 2
+
+
+def test_striped_fragment_call_budget():
+    """Host-independent guard on the arm's per-fragment cost: Python
+    frames entered per fragment of one 64-fragment range, counted with
+    ``sys.setprofile``.  The flat arm makes about 14 (request, enqueue,
+    push, serve, complete, two tallies, the countdown, the busy signal,
+    pop, service time, the Timeout); a layered arm made 28."""
+    import sys
+
+    from tests.conftest import detector_or_none
+
+    with detector_or_none(False):  # the race detector adds its own calls
+        eng = Engine()
+        disks = [Disk(eng, name=f"d{i}") for i in range(4)]
+        arr = StripedArray(eng, disks, stripe_unit=8)
+        eng.run()  # every arm idle: count the steady state
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            done = arr.submit_range(0, 64 * 8)
+            eng.run()
+        finally:
+            sys.setprofile(None)
+    assert len(done.value) == 64
+    assert calls / 64 <= 16, f"{calls / 64:.2f} Python calls per fragment"
