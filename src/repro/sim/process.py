@@ -65,32 +65,35 @@ class Process(Event):
         return self._value is PENDING
 
     def _resume_first(self) -> None:
-        self._step(None, None)
-
-    def _on_event(self, event: Event) -> None:
-        if _sanitizer.active is not None:
-            _sanitizer.active.on_wakeup(self, event)
-        if event.ok:
-            self._step(event.value, None)
-        else:
-            self._step(None, event.value)
+        self._resume(None)
 
     def _retire(self) -> None:
         """Bookkeeping when the generator finishes for any reason."""
         if not self.daemon:
             self.engine._live_processes -= 1
 
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
-        if not self.is_alive:  # pragma: no cover - defensive
-            return
+    def _resume(self, event: Optional[Event]) -> None:
+        """Run the generator to its next yield: once with ``None`` at
+        the start, then as the callback of each event it waits on,
+        sending the event's value in (or throwing its exception).
+
+        One frame per wake-up: the event's ``_ok``/``_value`` slots are
+        read directly, not through the properties.
+        """
         det = _sanitizer.active
+        if det is not None and event is not None:
+            det.on_wakeup(self, event)
+        if self._value is not PENDING:  # pragma: no cover - defensive
+            return
         prev = det.enter(self) if det is not None else None
         try:
             try:
-                if exc is None:
-                    target = self.generator.send(value)
+                if event is None:
+                    target = self.generator.send(None)
+                elif event._ok:
+                    target = self.generator.send(event._value)
                 else:
-                    target = self.generator.throw(exc)
+                    target = self.generator.throw(event._value)
             except StopIteration as stop:
                 self._retire()
                 self.succeed(stop.value)
@@ -112,7 +115,11 @@ class Process(Event):
                 self._retire()
                 self.fail(SimulationError("yielded an event from a different engine"))
                 return
-            target.add_callback(self._on_event)
+            callbacks = target.callbacks
+            if callbacks is not None:
+                callbacks.append(self._resume)
+            else:  # already processed: add_callback defers via the queue
+                target.add_callback(self._resume)
         finally:
             if det is not None:
                 det.leave(prev)
