@@ -280,7 +280,7 @@ class BufferCache:
                 yield ev
         except StorageError as exc:
             self.stats.fetch_failures += 1
-            self._unregister(inode.file_id, first_page, npages)
+            self._unregister(inode.file_id, first_page, npages, done)
             tracer = self.engine.tracer
             if tracer.enabled:
                 tracer.instant("cache.fetch_failed", "io",
@@ -302,14 +302,25 @@ class BufferCache:
         inflight.update(zip(range(first_page, first_page + npages), repeat(done)))
         return done
 
-    def _unregister(self, fid: int, first_page: int, npages: int) -> None:
-        """Drop the in-flight registrations of a landed or failed run."""
+    def _unregister(self, fid: int, first_page: int, npages: int,
+                    done: Event) -> bool:
+        """Drop the in-flight registrations of a landed or failed run.
+
+        Returns False, dropping nothing, when the run no longer holds
+        them: ``invalidate_file`` dropped the file's registrations (it
+        was deleted mid-fetch), and a later fetch may since have
+        registered some of the same pages.  Only the run itself and
+        ``invalidate_file`` remove a registration, so a run holds all of
+        its pages or none, and its first page decides.
+        """
         inflight = self._inflight.get(fid)
-        if inflight is not None:
-            deque(map(inflight.pop, range(first_page, first_page + npages),
-                      repeat(None)), maxlen=0)
-            if not inflight:
-                del self._inflight[fid]
+        if inflight is None or inflight.get(first_page) is not done:
+            return False
+        deque(map(inflight.pop, range(first_page, first_page + npages)),
+              maxlen=0)
+        if not inflight:
+            del self._inflight[fid]
+        return True
 
     def _issue_reads(self, inode: "Inode", first_page: int, npages: int) -> List[Event]:
         events = []
@@ -320,8 +331,10 @@ class BufferCache:
         return events
 
     def _finish_fetch(self, inode: "Inode", first_page: int, npages: int, done: Event) -> None:
-        self._unregister(inode.file_id, first_page, npages)
-        self._publish_run(inode.file_id, first_page, npages)
+        # A run whose file was deleted while it was in flight lands
+        # unpublished: its pages would belong to a dead file.
+        if self._unregister(inode.file_id, first_page, npages, done):
+            self._publish_run(inode.file_id, first_page, npages)
         done.succeed()
 
     def _publish_run(self, fid: int, first_page: int, npages: int) -> None:
@@ -445,7 +458,9 @@ class BufferCache:
 
     def invalidate_file(self, inode: "Inode") -> int:
         """Drop every resident page of ``inode`` (dirty pages are lost —
-        callers flush first).  Returns the number of pages dropped."""
+        callers flush first) and its in-flight registrations, so a fetch
+        landing later publishes nothing.  Returns the number of resident
+        pages dropped."""
         fid = inode.file_id
         if _sanitizer.active is not None:
             self._san_pages.write(self.engine, op="invalidate", relaxed=True)
@@ -455,6 +470,7 @@ class BufferCache:
             self._policy.on_remove(key)
         self._file_pages.pop(fid, None)
         self._dirty_by_file.pop(fid, None)
+        self._inflight.pop(fid, None)
         return len(victims)
 
     def drop_page(self, inode: "Inode", page: int) -> None:

@@ -43,7 +43,8 @@ class PerPageCache(BufferCache):
 
     Every page is classified on its own, every hit touches the policy
     on its own, every in-flight page adds its fetch's event to the wait
-    list, and every fetched page is published by its own ``_insert``.
+    list, and every fetched page still registered to its fetch (not
+    dropped by an invalidate) is published by its own ``_insert``.
     """
 
     def _fetching(self, fid: int, page: int) -> Optional[Event]:
@@ -91,11 +92,14 @@ class PerPageCache(BufferCache):
         return hits, misses
 
     def _finish_fetch(self, inode, first_page, npages, done):
+        # Publish only the pages still registered to this fetch (an
+        # invalidate drops a deleted file's registrations).
         fid = inode.file_id
         inflight = self._inflight.get(fid, {})
         for page in range(first_page, first_page + npages):
-            inflight.pop(page, None)
-            self._insert((fid, page), PageState.CLEAN)
+            if inflight.get(page) is done:
+                del inflight[page]
+                self._insert((fid, page), PageState.CLEAN)
         if fid in self._inflight and not inflight:
             del self._inflight[fid]
         done.succeed()

@@ -269,3 +269,25 @@ def test_inode_page_count():
     assert ino.page_count(4096) == 1
     ino.size_bytes = 4097
     assert ino.page_count(4096) == 2
+
+
+def test_fetch_landing_after_delete_publishes_nothing():
+    """Open starts an asynchronous prefetch; a delete before it lands
+    drops the file's in-flight registrations, so the landing fetch
+    publishes no page for the dead file."""
+    engine = Engine()
+    fs = FileSystem(engine, Disk(engine))
+
+    def create_open_close_delete():
+        yield from fs.create("/a", size_bytes=1 << 20)
+        handle = yield from fs.open("/a")
+        yield from fs.close(handle)
+        yield from fs.delete("/a")
+
+    engine.process(create_open_close_delete())
+    engine.run()
+    fs.check()
+    assert fs.cache.resident_pages == 0
+    assert fs.cache._inflight == {}
+    # The fetch itself still ran and completed.
+    assert fs.device.requests_completed.value > 0

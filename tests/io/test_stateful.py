@@ -100,6 +100,24 @@ class FileSystemMachine(RuleBasedStateMachine):
         self._run(self.fs.delete(path))
         del self.sizes[path]
 
+    @rule(path=paths)
+    def open_and_delete_undrained(self, path):
+        """Open, close and delete in one process: the open's prefetch is
+        still in flight when the file goes (every other rule lets the
+        engine drain between operations)."""
+        if path not in self.sizes:
+            return
+        if path in self.handles:
+            self._run(self.fs.close(self.handles.pop(path)))
+
+        def open_close_delete():
+            handle = yield from self.fs.open(path)
+            yield from self.fs.close(handle)
+            yield from self.fs.delete(path)
+
+        self._run(open_close_delete())
+        del self.sizes[path]
+
     def _ensure_open(self, path):
         handle = self.handles.get(path)
         if handle is None or not handle.open:
