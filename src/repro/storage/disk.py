@@ -304,24 +304,20 @@ class Disk:
         """Media transfer cost for ``nblocks`` consecutive blocks."""
         return nblocks * self.geometry.block_size / self.params.transfer_rate
 
-    def is_sequential(self, request: IORequest) -> bool:
-        """True when ``request`` continues exactly where the previous
-        request on this disk ended (the drive keeps streaming without
-        repositioning — the firmware's sequential-detection path)."""
-        return self._last_end_lba is not None and request.lba == self._last_end_lba
-
     def service_time(self, request: IORequest) -> float:
         """Positioning + transfer cost from the current head position.
 
-        A sequential continuation pays only controller overhead and
+        A sequential continuation — ``request`` starts exactly where
+        the previous request on this disk ended, so the drive keeps
+        streaming without repositioning (the firmware's
+        sequential-detection path) — pays only controller overhead and
         media transfer; a random request adds seek + rotation.
         """
-        # is_sequential() and transfer_time(), inlined: this runs once
-        # per request.
+        # transfer_time(), inlined: this runs once per request.
         p = self.params
         geometry = self.geometry
         transfer = request.nblocks * geometry.block_size / p.transfer_rate
-        if request.lba == self._last_end_lba:
+        if request.lba == self._last_end_lba:  # None: no stream to continue
             return p.controller_overhead + transfer
         target = geometry.cylinder_of(request.lba)
         return (
