@@ -8,9 +8,9 @@ slot, plus the init state and type of every local and argument.
 The flow mirrors the verifier and the template JIT exactly — same
 successor relation, same unconditional handler seeding (stack cleared,
 exception object pushed) — so "reachable" here means *compiled* by
-:mod:`repro.cli.jitcompile`, which is what lets the analysis-backed
-``native_eligible`` gate reason about conv/call safety per reachable
-pc instead of syntactically over the whole body.
+:mod:`repro.cli.jitcompile`.  Unknown ``conv`` kinds and malformed
+call operands on reachable pcs are also rejected by the verifier at
+load; the analysis reports them for bodies that were never verified.
 
 The analysis runs in two phases so every fact reflects the fixpoint,
 not a transient state of the iteration:
@@ -122,8 +122,9 @@ class TypeFacts:
         return [pc for pc, s in enumerate(self.entry_states) if s is not None]
 
     def stack_kinds(self) -> List[Optional[Tuple[Kind, ...]]]:
-        """Per-pc entry stack types (the interpreter's debug-mode
-        contract; attached as ``method.entry_types``)."""
+        """Per-pc entry stack types (None per pc = unreachable); the
+        reference loop in the tests checks the runtime stack against
+        them."""
         return [
             None if s is None else tuple(v.kind for v in s.stack)
             for s in self.entry_states
@@ -358,8 +359,7 @@ def _transfer(
         a = pop()
         kind = _CONV_KINDS.get(ins.operand)
         if kind is None:
-            err(f"unknown conv kind {ins.operand!r} always raises "
-                "ExecutionFault")
+            err(f"unknown conv kind {ins.operand!r} fails verification")
             stack.append(TOP)
         else:
             if not (a.is_numeric or a.confused or a.kind is Kind.BOTTOM):

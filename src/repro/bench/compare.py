@@ -1,14 +1,17 @@
-"""Regression comparison of experiment-result dumps.
+"""Exact regression comparison of experiment-result dumps.
 
-A benchmark repository needs to answer "did this change move the
-numbers?".  ``compare_results`` diffs two JSON dumps produced by
-``python -m repro.bench --json`` and reports per-cell drift beyond a
-tolerance::
+The simulator is deterministic, so any change to an experiment's
+title, columns, rows or notes is a behavioural change.
+``compare_results`` checks two JSON dumps produced by
+``python -m repro.bench --json`` for equality of each experiment's
+canonical JSON (``wall_seconds`` is host time and is left out)::
 
     python -m repro.bench --json before.json
     ... change something ...
     python -m repro.bench --json after.json
-    python -m repro.bench.compare before.json after.json --tolerance 0.05
+    python -m repro.bench.compare before.json after.json
+
+Rows are compared by position, every cell and every note included.
 """
 
 from __future__ import annotations
@@ -25,24 +28,20 @@ __all__ = ["Drift", "compare_results", "load_dump", "main"]
 
 @dataclass(frozen=True)
 class Drift:
-    """One numeric cell that moved beyond tolerance."""
+    """The first difference inside one experiment.
+
+    ``where`` is ``"<presence>"``, ``"title"``, ``"columns"``,
+    ``"row <i> <column>"``, ``"rows"`` (row count), ``"note <i>"`` or
+    ``"notes"`` (note count).
+    """
 
     exp_id: str
-    row_key: Any
-    column: str
-    before: float
-    after: float
-
-    @property
-    def relative(self) -> float:
-        base = max(abs(self.before), 1e-12)
-        return (self.after - self.before) / base
+    where: str
+    before: Any
+    after: Any
 
     def render(self) -> str:
-        return (
-            f"{self.exp_id}[{self.row_key}].{self.column}: "
-            f"{self.before:g} -> {self.after:g} ({self.relative:+.1%})"
-        )
+        return f"{self.exp_id} {self.where}: {self.before!r} -> {self.after!r}"
 
 
 def load_dump(path: str) -> Dict[str, ExperimentResult]:
@@ -58,69 +57,61 @@ def load_dump(path: str) -> Dict[str, ExperimentResult]:
     return out
 
 
+def _canonical(value: Any) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+def _first_difference(exp_id: str, a: dict, b: dict) -> Drift:
+    """Locate the first difference between two unequal experiments."""
+    for key in ("title", "columns"):
+        if _canonical(a[key]) != _canonical(b[key]):
+            return Drift(exp_id, key, a[key], b[key])
+    for i, (ra, rb) in enumerate(zip(a["rows"], b["rows"])):
+        for column, va, vb in zip(a["columns"], ra, rb):
+            if _canonical(va) != _canonical(vb):
+                return Drift(exp_id, f"row {i} {column}", va, vb)
+    if len(a["rows"]) != len(b["rows"]):
+        return Drift(exp_id, "rows", len(a["rows"]), len(b["rows"]))
+    for i, (na, nb) in enumerate(zip(a["notes"], b["notes"])):
+        if na != nb:
+            return Drift(exp_id, f"note {i}", na, nb)
+    return Drift(exp_id, "notes", len(a["notes"]), len(b["notes"]))
+
+
 def compare_results(
     before: Dict[str, ExperimentResult],
     after: Dict[str, ExperimentResult],
-    tolerance: float = 0.05,
 ) -> List[Drift]:
-    """Numeric cells differing by more than ``tolerance`` (relative).
-
-    Rows are keyed by their first column (request number, component
-    name, resource count...); experiments or rows present on only one
-    side are reported as structural drifts with NaN placeholders.
-    """
-    if tolerance < 0:
-        raise BenchmarkError(f"tolerance must be >= 0, got {tolerance}")
+    """One :class:`Drift` per experiment whose canonical JSON differs
+    (or which is present on one side only), in experiment-id order."""
     drifts: List[Drift] = []
     for exp_id in sorted(set(before) | set(after)):
         a = before.get(exp_id)
         b = after.get(exp_id)
         if a is None or b is None:
-            drifts.append(
-                Drift(exp_id, "*", "<presence>", float(a is not None), float(b is not None))
-            )
+            drifts.append(Drift(exp_id, "<presence>", a is not None, b is not None))
             continue
-        a_rows = {row[0]: row for row in a.rows}
-        b_rows = {row[0]: row for row in b.rows}
-        for key in sorted(set(a_rows) | set(b_rows), key=str):
-            ra = a_rows.get(key)
-            rb = b_rows.get(key)
-            if ra is None or rb is None:
-                drifts.append(
-                    Drift(exp_id, key, "<row>", float(ra is not None), float(rb is not None))
-                )
-                continue
-            for idx, column in enumerate(a.columns):
-                if idx == 0 or idx >= len(rb):
-                    continue
-                va, vb = ra[idx], rb[idx]
-                if not (isinstance(va, (int, float)) and isinstance(vb, (int, float))):
-                    continue
-                if va is None or vb is None:
-                    continue
-                base = max(abs(va), 1e-12)
-                if abs(vb - va) / base > tolerance:
-                    drifts.append(Drift(exp_id, key, str(column), float(va), float(vb)))
+        da, db = a.to_dict(), b.to_dict()
+        if _canonical(da) != _canonical(db):
+            drifts.append(_first_difference(exp_id, da, db))
     return drifts
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI: exit 0 if no drift, 1 otherwise."""
+    """CLI: exit 0 if every experiment is identical, 1 otherwise."""
     import argparse
 
     parser = argparse.ArgumentParser(prog="python -m repro.bench.compare")
     parser.add_argument("before")
     parser.add_argument("after")
-    parser.add_argument("--tolerance", type=float, default=0.05,
-                        help="relative drift threshold (default 0.05)")
     args = parser.parse_args(argv)
-    drifts = compare_results(
-        load_dump(args.before), load_dump(args.after), tolerance=args.tolerance
-    )
+    before = load_dump(args.before)
+    drifts = compare_results(before, load_dump(args.after))
     if not drifts:
-        print(f"no drift beyond {args.tolerance:.0%}")
+        print(f"no drift: {len(before)} experiments identical "
+              "(title, columns, rows, notes)")
         return 0
-    print(f"{len(drifts)} drift(s) beyond {args.tolerance:.0%}:")
+    print(f"drift in {len(drifts)} experiment(s); first difference in each:")
     for drift in drifts:
         print(f"  {drift.render()}")
     return 1

@@ -8,7 +8,8 @@ here:
    building components) → the checks in :mod:`repro.cli.assembly`
 3. **Virtual execution system** (loads, verifies, JIT-compiles and
    runs programs) → :mod:`repro.cli.verifier`,
-   :mod:`repro.cli.jit`, :mod:`repro.cli.interpreter`
+   :mod:`repro.cli.jit`, :mod:`repro.cli.jitcompile`,
+   :mod:`repro.cli.interpreter`
 4. **Metadata** → :mod:`repro.cli.metadata`
 
 The benchmarks in :mod:`repro.traces` and :mod:`repro.webserver` write

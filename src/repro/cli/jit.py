@@ -12,23 +12,18 @@ subsequent calls are free.  Concurrent first-calls from several
 managed threads serialize on a per-method compile event, as in the
 real runtime.
 
-Since the fast-execution-core pass, "compiling" also has a wall-clock
-side: once the simulated compile delay has been paid, eligible method
-bodies are template-compiled into Python closures by
-:mod:`repro.cli.jitcompile` and the interpreter dispatches warm calls
-to the compiled code.  Simulated times and charged costs are
-unchanged — the native tier only makes the *simulator* faster.  Set
-``REPRO_JIT_NATIVE=0`` (or pass ``native_enabled=False``) to force
-the pure interpreter tier, e.g. for differential testing or
-before/after wall-clock measurements.  Which bodies are eligible is
-decided by :func:`repro.cli.jitcompile.native_eligible`.
+Once the simulated compile delay has been paid, the method body is
+template-compiled into a Python generator function by
+:mod:`repro.cli.jitcompile`, and every call runs that compiled code.
+The verifier is the only gate: every verified body compiles.  The
+compiled function is the one executor; the simulated times it charges
+are set by the cost parameters, not by how the host runs it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Set, Tuple
 
 from repro.cli.metadata import MethodDef
 from repro.errors import JitError
@@ -58,22 +53,13 @@ class JitParams:
 class JitCompiler:
     """Tracks which methods are compiled and charges compile time."""
 
-    def __init__(
-        self,
-        engine: Engine,
-        params: JitParams | None = None,
-        native_enabled: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, engine: Engine, params: JitParams | None = None) -> None:
         self.engine = engine
         self.params = params or JitParams()
         self._compiled: Set[int] = set()
         self._in_progress: Dict[int, Event] = {}
-        if native_enabled is None:
-            native_enabled = os.environ.get("REPRO_JIT_NATIVE", "1") != "0"
-        self.native_enabled = native_enabled
-        #: (method token, InterpreterParams) → compiled closure, or
-        #: None when the method fell back to the interpreter tier.
-        self._native: Dict[Tuple[int, Any], Optional[Callable]] = {}
+        #: (method token, InterpreterParams) → compiled closure.
+        self._native: Dict[Tuple[int, Any], Callable] = {}
         self.methods_compiled = Counter("jit.methods")
         self.compile_times = Tally("jit.time")
         engine.metrics.register(self.methods_compiled.name, self.methods_compiled)
@@ -116,18 +102,15 @@ class JitCompiler:
         done.succeed()
         return True
 
-    def native_for(self, method: MethodDef, interp_params) -> Optional[Callable]:
+    def native_for(self, method: MethodDef, interp_params) -> Callable:
         """The template-compiled closure for ``method`` under
-        ``interp_params``, or None when the method is ineligible (it
-        then stays on the interpreter tier).
+        ``interp_params``.
 
         Compilation is cached per (method, cost parameters); the cache
         is a wall-clock artifact and deliberately survives
         :meth:`reset` — a simulated cold start re-charges compile
         *time* but need not redo the host-side codegen.
         """
-        if not self.native_enabled:
-            return None
         key = (method.token, interp_params)
         try:
             return self._native[key]

@@ -4,10 +4,10 @@
 the native code recognized by the machine architecture" (paper §1).
 The cost side of that statement lives in :mod:`repro.cli.jit`; this
 module supplies the *code* side: after the simulated compile delay is
-charged, an eligible method body is template-compiled into one Python
+charged, a verified method body is template-compiled into one Python
 generator function — the wall-clock analogue of the real JIT's
-native-code emission.  The interpreter dispatches warm calls to the
-compiled closure instead of re-decoding one opcode at a time.
+native-code emission.  This is the VM's only executor: every call
+runs compiled code, and nothing re-decodes one opcode at a time.
 
 Compilation strategy (classic template JIT, one tier):
 
@@ -23,12 +23,13 @@ Compilation strategy (classic template JIT, one tier):
   Python statement instead of one dispatch round-trip each;
 * locals and arguments are plain Python locals (``l0..``, ``a0..``).
 
-Simulated-time semantics are **bit-identical** to the interpreter
-tier.  The generated code carries the same ``since_yield`` accrual the
-interpreter maintains per instruction, flushed as the same sequence of
-``engine.timeout`` events: quantum flushes of exactly
-``instruction_cost × dispatch_quantum``, partial flushes before every
-call / allocation / return / managed-exception unwind.  Because pure
+Simulated-time semantics are **bit-identical** to a plain
+opcode-dispatch loop, which the tests keep as a reference
+(``tests/cli/oracle.py``).  The generated code carries the same
+``since_yield`` accrual that loop maintains per instruction, flushed
+as the same sequence of ``engine.timeout`` events: quantum flushes of
+exactly ``instruction_cost × dispatch_quantum``, partial flushes before
+every call / allocation / return / managed-exception unwind.  Because pure
 arithmetic neither reads the clock nor schedules events, deferring the
 accrual bookkeeping to fusion boundaries produces the *same* event
 sequence at the *same* simulated times — differential tests in
@@ -39,12 +40,12 @@ durations, instruction counts and event interleavings on every
 Protected regions (``try/catch``) and ``throw`` are compiled too: the
 block-dispatch loop runs inside a host ``try``, a ``_pc`` shadow
 variable records the pc of every statement that can raise a managed
-exception, and the ``except`` arm replays the interpreter's unwind
+exception, and the ``except`` arm replays the reference loop's unwind
 protocol (``handler_for`` lookup, caught-counter, partial flush,
 ``exception_overhead`` charge, stack reset to the exception object).
-Only methods with an unknown ``conv`` kind or malformed call operands
-fall back to the interpreter tier — the simulation's analogue of
-methods a real JIT refuses and leaves to the fallback engine.
+There is no fallback engine: :func:`repro.cli.verifier.verify_method`
+rejects at load whatever this module cannot emit (malformed call
+operands, unknown ``conv`` kinds, non-string ``ldstr`` operands).
 """
 
 from __future__ import annotations
@@ -53,54 +54,14 @@ import linecache
 import re
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.cli.cil import Instruction, Op, STACK_EFFECTS
+from repro.cli.cil import Op, STACK_EFFECTS
 from repro.cli.metadata import MethodDef
-from repro.cli.verifier import _call_effect, _well_formed_call_tuple
+from repro.cli.verifier import _call_effect
 
-__all__ = ["native_eligible", "compile_native", "native_source"]
-
-
-#: Opcodes the template compiler knows how to emit (all of them).
-_SUPPORTED = frozenset(Op)
-
-_CONV_KINDS = {"i4", "int32", "i8", "int64", "r8", "float64"}
+__all__ = ["compile_native", "native_source"]
 
 _I32_MASK = 0xFFFFFFFF
 _I64_MASK = 0xFFFFFFFFFFFFFFFF
-
-
-def _pc_eligible(ins: Instruction) -> bool:
-    """Can the template compiler emit code for this one instruction?"""
-    op = ins.op
-    if op not in _SUPPORTED:
-        return False
-    if op is Op.CONV and ins.operand not in _CONV_KINDS:
-        return False
-    if op in (Op.CALL, Op.CALLINTRINSIC):
-        operand = ins.operand
-        if op is Op.CALL and isinstance(operand, MethodDef):
-            return True
-        if not _well_formed_call_tuple(operand):
-            return False
-    if op is Op.LDSTR and not isinstance(ins.operand, str):
-        return False
-    return True
-
-
-def native_eligible(method: MethodDef) -> bool:
-    """True when ``method`` can be template-compiled.
-
-    Requirements: verified (``max_stack`` recorded), statically
-    well-formed call operands, and known ``conv`` kinds — checked on
-    every instruction, reachable or not.  The compiler itself emits
-    only reachable blocks, so a reachability-aware check could only
-    add methods whose ineligible code is dead; no bundled method is
-    one, and such a method still runs correctly on the interpreter
-    tier.
-    """
-    if method.max_stack is None:
-        return False
-    return all(_pc_eligible(ins) for ins in method.body)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +285,8 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
     if has_handlers:
         # Handler dispatch needs the faulting pc: the block bodies keep
         # a ``_pc`` shadow current at every potentially-throwing
-        # statement, and the except arm below replays the interpreter's
-        # catch protocol.
+        # statement, and the except arm below replays the catch
+        # protocol.
         out.w("try:")
         out.indent += 1
 
@@ -335,7 +296,7 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
 
     def emit_sync(pending: int) -> None:
         """Accrue ``pending`` instructions; flush whole quanta exactly
-        as the interpreter's per-instruction check would."""
+        as a per-instruction check would."""
         if not pending:
             return
         out.w(f"_sy += {pending}; _ex += {pending}")
@@ -346,7 +307,7 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
         out.indent -= 1
 
     def emit_partial_flush() -> None:
-        """The interpreter's ``if since_yield: timeout(...)`` flush."""
+        """The ``if since_yield: timeout(...)`` partial flush."""
         out.w("if _sy:")
         out.indent += 1
         out.w("yield _timeout(_IC * _sy)")
@@ -420,8 +381,8 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
                         f"{stack.materialize(bent)})"
                     ))
                 else:
-                    # Mirrors the interpreter: the zero check (and the
-                    # unwind accounting) happens with the div counted.
+                    # The zero check (and the unwind accounting)
+                    # happens with the div counted.
                     emit_sync(pending)
                     pending = 0
                     track_pc(pc)
@@ -472,7 +433,7 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
                         "expr",
                         f"_wrap_signed(int({a}), {_I64_MASK}, {1 << 63})",
                     )
-                else:  # r8 / float64 (eligibility filtered the rest)
+                else:  # r8 / float64 (the verifier rejects the rest)
                     stack.push("expr", f"float({a})")
             elif op is Op.LDLEN:
                 emit_sync(pending)
@@ -647,7 +608,7 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
                 out.w("continue")
                 closed = True
                 break
-            else:  # pragma: no cover - eligibility filtered these out
+            else:  # pragma: no cover - exhaustive over the opcode set
                 raise AssertionError(f"unsupported opcode {op!r}")
             pc += 1
 
@@ -663,7 +624,7 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
         out.indent -= 1  # inner try
         out.w("except ManagedException as _exc:")
         out.indent += 1
-        # The interpreter's catch protocol: innermost matching handler,
+        # The catch protocol: innermost matching handler,
         # caught-counter, partial flush, exception_overhead, stack
         # cleared to just the exception, transfer to the handler block.
         out.w("_h = _method.handler_for(_pc, _exc.type_name)")
@@ -713,26 +674,20 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
     return "\n".join(out.lines) + "\n", ctx
 
 
-def native_source(method: MethodDef, params) -> Optional[str]:
-    """The generated Python source (None when ineligible) — for tests
+def native_source(method: MethodDef, params) -> str:
+    """The generated Python source for verified ``method`` — for tests
     and the disassembler."""
-    if not native_eligible(method):
-        return None
     source, _ctx = _generate(method, params)
     return source
 
 
-def compile_native(method: MethodDef, params) -> Optional[Callable]:
-    """Compile ``method`` into a Python generator function.
+def compile_native(method: MethodDef, params) -> Callable:
+    """Compile verified ``method`` into a Python generator function.
 
-    Returns ``fn(interp, args, depth)`` or None when the method is not
-    eligible for the template tier (see :func:`native_eligible`).
-    ``params`` is the interpreter's
+    Returns ``fn(interp, args, depth)``.  ``params`` is the interpreter's
     :class:`~repro.cli.interpreter.InterpreterParams`; its cost
     constants are baked into the generated code.
     """
-    if not native_eligible(method):
-        return None
     from repro.cli.interpreter import (  # local import: avoids a cycle
         ManagedArray,
         ManagedException,

@@ -2,8 +2,8 @@
 
 Part of the virtual execution system (paper §1, item 3): before a
 method may be JIT-compiled, the VES proves its CIL body is safe.  The
-simulation's verifier checks the properties that matter for our
-interpreter:
+simulation's verifier checks the properties the template compiler
+(:mod:`repro.cli.jitcompile`) relies on:
 
 * every branch target is a valid instruction index;
 * the evaluation-stack depth is consistent along all control paths and
@@ -13,7 +13,13 @@ interpreter:
 * local and argument indices are in range;
 * execution cannot fall off the end of the body;
 * protected regions are well-formed and every handler entry point is
-  reachable with exactly the exception object on the stack.
+  reachable with exactly the exception object on the stack;
+* every reachable call carries a well-formed operand, every reachable
+  ``conv`` a known kind and every reachable ``ldstr`` a string.
+
+The verifier is the only gate: whatever it accepts, the compiler can
+emit.  Junk on unreachable pcs is allowed, because the compiler emits
+only reachable blocks.
 
 On success the method's ``max_stack`` is recorded (as a real JIT
 would); on failure :class:`~repro.errors.VerificationError` is raised.
@@ -29,10 +35,12 @@ from repro.errors import VerificationError
 
 __all__ = ["verify_method"]
 
+_CONV_KINDS = frozenset({"i4", "int32", "i8", "int64", "r8", "float64"})
+
 
 def _well_formed_call_tuple(operand: object) -> bool:
     """``(name, argc, returns)`` with a non-negative int argc — the
-    shape both the interpreter and the template compiler assume."""
+    shape the template compiler assumes."""
     return (
         isinstance(operand, tuple)
         and len(operand) == 3
@@ -78,13 +86,8 @@ def _call_effect(
     raise AssertionError("not a call instruction")  # pragma: no cover
 
 
-def verify_method(method: MethodDef, record_types: bool = False) -> int:
+def verify_method(method: MethodDef) -> int:
     """Verify ``method``; returns (and records) its max stack depth.
-
-    With ``record_types=True`` the typed abstract interpreter from
-    :mod:`repro.analysis.typeflow` also runs on success and the per-pc
-    entry stack types are attached as ``method.entry_types`` — the
-    interpreter's debug mode checks the runtime stack against them.
 
     Every failure raises :class:`VerificationError` whose message names
     the method, the failing pc and the opcode at that pc.
@@ -175,6 +178,18 @@ def verify_method(method: MethodDef, record_types: bool = False) -> int:
                     f"{method.full_name}@{pc}: {op.value}: "
                     f"unresolved branch label {ins.operand!r}"
                 )
+        elif op is Op.CONV:
+            if not isinstance(ins.operand, str) or ins.operand not in _CONV_KINDS:
+                raise VerificationError(
+                    f"{method.full_name}@{pc}: conv: "
+                    f"unknown conversion kind {ins.operand!r}"
+                )
+        elif op is Op.LDSTR:
+            if not isinstance(ins.operand, str):
+                raise VerificationError(
+                    f"{method.full_name}@{pc}: ldstr: "
+                    f"operand {ins.operand!r} is not a string"
+                )
 
         # Stack effect.
         if op is Op.RET:
@@ -220,8 +235,4 @@ def verify_method(method: MethodDef, record_types: bool = False) -> int:
         flow_to(pc + 1, depth, pc, op)
 
     method.max_stack = max_stack
-    if record_types:
-        from repro.analysis.typeflow import analyze_types  # lazy: no cycle
-
-        method.entry_types = analyze_types(method).stack_kinds()
     return max_stack

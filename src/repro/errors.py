@@ -25,9 +25,7 @@ __all__ = [
     "VerificationError",
     "JitError",
     "ExecutionFault",
-    "StackUnderflow",
     "TypeMismatch",
-    "NullReference",
     "ModelError",
     "TraceError",
     "TraceFormatError",
@@ -128,16 +126,8 @@ class ExecutionFault(CliError):
     """Runtime fault inside the execution engine (managed exception)."""
 
 
-class StackUnderflow(ExecutionFault):
-    """Evaluation stack popped while empty."""
-
-
 class TypeMismatch(ExecutionFault):
     """Operand types do not match the instruction's expectations."""
-
-
-class NullReference(ExecutionFault):
-    """Dereference of a null object reference."""
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """The diagnostic pass suite over whole methods."""
 
+import pytest
+
 from repro.analysis.diagnostics import Diagnostic, Severity, render_json, render_text
 from repro.analysis.passes import analyze_method
 from repro.cli.assembly import MethodBuilder
 from repro.cli.cil import Instruction, Op
 from repro.cli.metadata import ExceptionHandler, MethodDef
 from repro.cli.verifier import verify_method
+from repro.errors import VerificationError
 
 
 def codes(ma):
@@ -126,7 +129,9 @@ def test_type_error_is_error_severity():
         Instruction(Op.CONV, "bogus"),
         Instruction(Op.RET),
     ], returns=True)
-    verify_method(m)
+    # The verifier rejects it at load; the analysis still reports it.
+    with pytest.raises(VerificationError, match="unknown conversion kind"):
+        verify_method(m)
     errs = by_code(analyze_method(m), "type-error")
     assert len(errs) == 1 and errs[0].severity is Severity.ERROR
 

@@ -1,10 +1,11 @@
 """Tests for the regression comparator."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.bench.compare import Drift, compare_results, load_dump, main
+from repro.bench.compare import compare_results, load_dump, main
 from repro.bench.report import ExperimentResult
 from repro.errors import BenchmarkError
 
@@ -24,41 +25,21 @@ def test_no_drift_when_identical():
     assert compare_results(a, b) == []
 
 
-def test_drift_beyond_tolerance_reported():
-    a = {"e1": result(rows=[("a", 1.0)])}
-    b = {"e1": result(rows=[("a", 1.2)])}
-    drifts = compare_results(a, b, tolerance=0.1)
-    assert len(drifts) == 1
-    d = drifts[0]
-    assert d.exp_id == "e1" and d.row_key == "a" and d.column == "value_ms"
-    assert d.relative == pytest.approx(0.2)
-    assert "->" in d.render()
-
-
-def test_drift_within_tolerance_ignored():
-    a = {"e1": result(rows=[("a", 1.0)])}
-    b = {"e1": result(rows=[("a", 1.04)])}
-    assert compare_results(a, b, tolerance=0.05) == []
-
-
 def test_missing_experiment_and_row_are_structural_drifts():
     a = {"e1": result(), "e2": result("e2")}
     b = {"e1": result(rows=[("a", 1.0)])}
     drifts = compare_results(a, b)
-    kinds = {(d.exp_id, d.column) for d in drifts}
-    assert ("e2", "<presence>") in kinds
-    assert ("e1", "<row>") in kinds
+    assert [(d.exp_id, d.where) for d in drifts] == [
+        ("e1", "rows"), ("e2", "<presence>"),
+    ]
 
 
-def test_non_numeric_cells_ignored():
-    a = {"e1": ExperimentResult("e1", "t", ("key", "label"), [("a", "x")])}
-    b = {"e1": ExperimentResult("e1", "t", ("key", "label"), [("a", "y")])}
-    assert compare_results(a, b) == []
-
-
-def test_tolerance_validation():
-    with pytest.raises(BenchmarkError):
-        compare_results({}, {}, tolerance=-1)
+def test_first_differing_cell_is_located():
+    a = {"e1": result(rows=[("a", 1.0), ("a", 2.0)])}
+    b = {"e1": result(rows=[("a", 1.0), ("a", 2.5)])}
+    (drift,) = compare_results(a, b)
+    assert drift.where == "row 1 value_ms"
+    assert drift.render() == "e1 row 1 value_ms: 2.0 -> 2.5"
 
 
 def test_load_dump_and_cli(tmp_path, capsys):
@@ -95,4 +76,48 @@ def test_self_comparison_of_real_dump_is_clean(tmp_path, capsys):
     p = tmp_path / "dump.json"
     bench_main(["tab4", "ext_eviction", "--json", str(p)])
     capsys.readouterr()
-    assert main([str(p), str(p), "--tolerance", "0.0"]) == 0
+    assert main([str(p), str(p)]) == 0
+
+
+# Mutations of the committed report that a keyed, numeric-only diff
+# missed: each must make the comparator exit 1.
+
+FULL_REPORT = Path(__file__).resolve().parents[2] / "results" / "full_report.json"
+
+
+def _mutated_report_exit_code(tmp_path, mutate):
+    data = json.loads(FULL_REPORT.read_text())
+    mutate({entry["exp_id"]: entry for entry in data})
+    p = tmp_path / "mutated.json"
+    p.write_text(json.dumps(data))
+    return main([str(FULL_REPORT), str(p)])
+
+
+def test_shadowed_ext_cil_row_change_exits_1(tmp_path, capsys):
+    """ext_cil has 12 rows but 3 distinct first cells."""
+    def double_first_call(exps):
+        cil = exps["ext_cil"]
+        cil["rows"][0][cil["columns"].index("first_call_ms")] *= 2
+
+    assert _mutated_report_exit_code(tmp_path, double_first_call) == 1
+    assert "ext_cil row 0 first_call_ms" in capsys.readouterr().out
+
+
+def test_one_word_note_change_exits_1(tmp_path, capsys):
+    def reword(exps):
+        notes = exps["tab6"]["notes"]
+        words = notes[0].split(" ")
+        words[-1] = "changed"
+        notes[0] = " ".join(words)
+
+    assert _mutated_report_exit_code(tmp_path, reword) == 1
+    assert "tab6 note 0" in capsys.readouterr().out
+
+
+def test_string_cell_change_outside_first_column_exits_1(tmp_path, capsys):
+    def rename_kernel(exps):
+        cil = exps["ext_cil"]
+        cil["rows"][0][cil["columns"].index("kernel")] = "renamed"
+
+    assert _mutated_report_exit_code(tmp_path, rename_kernel) == 1
+    assert "ext_cil row 0 kernel: 'alloc' -> 'renamed'" in capsys.readouterr().out

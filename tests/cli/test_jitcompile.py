@@ -1,41 +1,45 @@
-"""Differential tests: template-compiled tier vs interpreter tier.
+"""Differential tests: the compiled tier against the reference loop.
 
-The compiled tier must be observationally identical to the
-interpreter on everything the simulation can see: return values,
-instruction counts, exception counters, and — critically — the exact
-sequence of simulated events at the exact simulated times.
+Every call in the VM runs template-compiled code.  It must be
+observationally identical to the opcode-dispatch oracle in
+``tests/cli/oracle.py`` on everything the simulation can see: return
+values, instruction counts, exception counters, and — critically — the
+exact sequence of simulated events at the exact simulated times.  The
+oracle also checks every runtime stack against the static analysis.
 """
 
 import pytest
 
-from repro.cli import CliRuntime, ManagedException, MethodBuilder
+from repro.cli import CliRuntime, InterpreterParams, ManagedException, MethodBuilder
 from repro.cli.cil import Instruction, Op
-from repro.cli.jitcompile import compile_native, native_eligible, native_source
+from repro.cli.jitcompile import compile_native, native_source
 from repro.cli.metadata import MethodDef
-from repro.cli.microbench import KERNELS, run_kernel
+from repro.cli.microbench import KERNELS, build_kernel, run_kernel
 from repro.cli.profiles import VM_PROFILES
 from repro.cli.verifier import verify_method
-from repro.errors import ExecutionFault
 from repro.sim import Engine
+from tests.cli.oracle import oracle_tier
 
 
-def _runtime(native: bool) -> CliRuntime:
-    rt = CliRuntime(Engine())
-    rt.jit.native_enabled = native
-    return rt
+def _both(fn):
+    """``(fn() on the oracle, fn() on the compiled tier)``."""
+    with oracle_tier():
+        reference = fn()
+    return reference, fn()
 
 
-def _run(rt: CliRuntime, method, args=()):
+def _run(method, args=(), rt=None):
+    rt = rt or CliRuntime(Engine())
     return rt.engine.run_process(rt.invoke(method, args))
 
 
-def _drive(rt: CliRuntime, method, args=()):
-    """Drive one invocation by hand, recording every yielded event as
-    ``(type_name, delay)`` — the full simulated-event fingerprint."""
-    # Warm the JIT so the cold-path compile events don't differ by tier
-    # bookkeeping order; both tiers charge them identically anyway.
+def _drive(method, args=()):
+    """Drive one warm invocation by hand on a fresh runtime, recording
+    every yielded event as ``(type_name, delay)`` — the full
+    simulated-event fingerprint — and the outcome."""
+    rt = CliRuntime(Engine())
     try:
-        _run(rt, method, args)
+        _run(method, args, rt)  # warm: compile events are not compared
     except ManagedException:
         pass
     events = []
@@ -56,27 +60,20 @@ def _drive(rt: CliRuntime, method, args=()):
 
 @pytest.mark.parametrize("profile", sorted(VM_PROFILES))
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
-def test_kernel_differential(kernel, profile, monkeypatch):
+def test_kernel_differential(kernel, profile):
     """Identical results AND identical simulated times on every
     ext_cil kernel oracle, under every VM profile."""
-    monkeypatch.setenv("REPRO_JIT_NATIVE", "0")
-    interpreted = run_kernel(kernel, n=120, profile=profile)
-    monkeypatch.setenv("REPRO_JIT_NATIVE", "1")
-    compiled = run_kernel(kernel, n=120, profile=profile)
-    assert compiled == interpreted
+    reference, compiled = _both(lambda: run_kernel(kernel, n=120, profile=profile))
+    assert compiled == reference
     assert compiled.correct
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_kernel_event_sequence_identical(kernel):
     """Not just the totals: the exact event-by-event timeline."""
-    from repro.cli.microbench import build_kernel
-
     method, _expected = build_kernel(kernel)
-    seq_interp, val_interp = _drive(_runtime(False), method, [50])
-    seq_native, val_native = _drive(_runtime(True), method, [50])
-    assert val_native == val_interp
-    assert seq_native == seq_interp
+    reference, compiled = _both(lambda: _drive(method, [50]))
+    assert compiled == reference
 
 
 # ---------------------------------------------------------------------------
@@ -111,27 +108,22 @@ def _thrower():
 
 @pytest.mark.parametrize("arg,expected", [(4, 25), (0, 111)])
 def test_catch_differential(arg, expected):
-    for native in (False, True):
-        rt = _runtime(native)
-        assert _run(rt, _catcher(), [arg]) == expected
-    seq_i, val_i = _drive(_runtime(False), _catcher(), [arg])
-    seq_n, val_n = _drive(_runtime(True), _catcher(), [arg])
-    assert (seq_n, val_n) == (seq_i, val_i)
+    assert _both(lambda: _run(_catcher(), [arg])) == (expected, expected)
+    reference, compiled = _both(lambda: _drive(_catcher(), [arg]))
+    assert compiled == reference
 
 
 def test_throw_and_catch_differential():
-    seq_i, val_i = _drive(_runtime(False), _thrower())
-    seq_n, val_n = _drive(_runtime(True), _thrower())
-    assert val_i == val_n == 7
-    assert seq_n == seq_i
+    reference, compiled = _both(lambda: _drive(_thrower()))
+    assert reference[1] == compiled[1] == 7
+    assert compiled == reference
 
 
 def test_uncaught_throw_differential():
     m = MethodBuilder("t", returns=True).ldstr("boom").throw().build()
-    seq_i, val_i = _drive(_runtime(False), m)
-    seq_n, val_n = _drive(_runtime(True), m)
-    assert val_i == val_n == ("raised", "System.Exception")
-    assert seq_n == seq_i
+    reference, compiled = _both(lambda: _drive(m))
+    assert compiled[1] == ("raised", "System.Exception")
+    assert compiled == reference
 
 
 def test_unhandled_divide_by_zero_differential():
@@ -140,28 +132,31 @@ def test_unhandled_divide_by_zero_differential():
         .arg("x").ldc(1).ldarg("x").div().ret()
         .build()
     )
-    seq_i, val_i = _drive(_runtime(False), m, [0])
-    seq_n, val_n = _drive(_runtime(True), m, [0])
-    assert val_i == val_n == ("raised", "System.DivideByZeroException")
-    assert seq_n == seq_i
+    reference, compiled = _both(lambda: _drive(m, [0]))
+    assert compiled[1] == ("raised", "System.DivideByZeroException")
+    assert compiled == reference
 
 
 def test_exception_counters_match():
-    for native in (False, True):
-        rt = _runtime(native)
-        assert _run(rt, _catcher(), [0]) == 111
-        assert rt.interpreter.exceptions_caught.value == 1
-        rt2 = _runtime(native)
-        assert _run(rt2, _thrower()) == 7
-        assert rt2.interpreter.exceptions_thrown.value == 1
-        assert rt2.interpreter.exceptions_caught.value == 1
+    def counters():
+        rt = CliRuntime(Engine())
+        assert _run(_catcher(), [0], rt) == 111
+        rt2 = CliRuntime(Engine())
+        assert _run(_thrower(), (), rt2) == 7
+        return (
+            rt.interpreter.exceptions_caught.value,
+            rt2.interpreter.exceptions_thrown.value,
+            rt2.interpreter.exceptions_caught.value,
+        )
+
+    assert _both(counters) == ((1, 1, 1), (1, 1, 1))
 
 
 def test_webserver_handlers_all_compile():
     from repro.webserver.server import build_handler_methods
 
     for method in build_handler_methods():
-        assert native_eligible(method), method.full_name
+        assert callable(compile_native(method, InterpreterParams())), method.full_name
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +171,12 @@ def test_statics_differential():
         .ldsfld("Counter.total").ret()
         .build()
     )
-    for native in (False, True):
-        rt = _runtime(native)
-        assert _run(rt, m, [5]) == 5
-        assert _run(rt, m, [3]) == 8
-        assert rt.interpreter.statics["Counter.total"] == 8
+
+    def accumulate():
+        rt = CliRuntime(Engine())
+        return _run(m, [5], rt), _run(m, [3], rt), rt.interpreter.statics["Counter.total"]
+
+    assert _both(accumulate) == ((5, 8, 8), (5, 8, 8))
 
 
 def test_conv_differential():
@@ -190,91 +186,17 @@ def test_conv_differential():
         .build()
     )
     for value in (2**31, -(2**31) - 1, 12.9):
-        results = [_run(_runtime(nat), m, [value]) for nat in (False, True)]
-        assert results[0] == results[1]
+        reference, compiled = _both(lambda: _run(m, [value]))
+        assert compiled == reference
 
 
 # ---------------------------------------------------------------------------
-# Eligibility and the generated artifact
+# The generated artifact
 # ---------------------------------------------------------------------------
 
-def test_unknown_conv_is_ineligible_and_falls_back():
-    body = [
-        Instruction(Op.LDC, 1),
-        Instruction(Op.CONV, "u2"),
-        Instruction(Op.RET),
-    ]
-    m = MethodDef("weird", body, returns=True)
-    verify_method(m)
-    assert not native_eligible(m)
-    assert native_source(m, None) is None
-    assert compile_native(m, _runtime(True).interpreter.params) is None
-    # The interpreter tier still executes it (and faults at runtime).
-    with pytest.raises(ExecutionFault, match="unknown conversion"):
-        _run(_runtime(True), m)
-
-
-def test_unverified_method_is_ineligible():
-    m = MethodBuilder("m", returns=True).ldc(1).ret().build()
-    m.max_stack = None
-    assert not native_eligible(m)
-
-
-@pytest.mark.parametrize("operand", [
-    None,                       # missing operand entirely
-    "just-a-string",            # direct-call operands must be tuples
-    ("OneElement",),            # wrong arity
-    ("A::B", "not-an-int", True),   # argc not an int
-    ("A::B", 1, True, "extra"),     # too long
-])
-def test_malformed_call_tuple_is_ineligible_not_an_error(operand):
-    """Junk call operands must make the gate answer False, never raise:
-    ineligible methods fall back to the interpreter tier."""
-    m = MethodDef("junkcall", [
-        Instruction(Op.CALL, operand),
-        Instruction(Op.RET, None),
-    ])
-    m.max_stack = 1  # pretend-verified so only the operand shape gates
-    assert not native_eligible(m)
-    assert native_source(m, None) is None
-
-
-@pytest.mark.parametrize("kind", ["u2", "i2", "r4", "", None, 42])
-def test_unknown_conv_kinds_are_ineligible_not_errors(kind):
-    m = MethodDef("conv", [
-        Instruction(Op.LDC, 1),
-        Instruction(Op.CONV, kind),
-        Instruction(Op.RET, None),
-    ], returns=True)
-    m.max_stack = 1
-    assert not native_eligible(m)
-
-
-def test_non_string_ldstr_is_ineligible_not_an_error():
-    m = MethodDef("badstr", [
-        Instruction(Op.LDSTR, 123),
-        Instruction(Op.POP, None),
-        Instruction(Op.RET, None),
-    ])
-    m.max_stack = 1
-    assert not native_eligible(m)
-
-
-def test_ineligible_method_still_runs_on_interpreter_tier():
-    """The gate declining is silent: execution proceeds interpreted."""
-    m = MethodDef("fallback", [
-        Instruction(Op.LDC, 40),
-        Instruction(Op.CONV, "u2"),  # gate-ineligible conv kind
-        Instruction(Op.RET, None),
-    ], returns=True)
-    verify_method(m)
-    rt = _runtime(True)
-    assert rt.jit.native_for(m, rt.interpreter.params) is None
-    with pytest.raises(ExecutionFault, match="unknown conversion"):
-        _run(rt, m)
-
-    # Ineligible instructions that are dead code still decline the
-    # gate; the interpreter never reaches them.
+def test_junk_on_unreachable_pcs_compiles():
+    """The verifier checks operands only on reachable pcs, and the
+    compiler emits only reachable blocks, so dead junk is harmless."""
     dead = MethodDef("DeadJunk", [
         Instruction(Op.LDC, 7),            # 0
         Instruction(Op.BR, 6),             # 1 -> ret
@@ -285,34 +207,25 @@ def test_ineligible_method_still_runs_on_interpreter_tier():
         Instruction(Op.RET),               # 6
     ], returns=True)
     verify_method(dead)
-    rt = _runtime(True)
-    assert rt.jit.native_for(dead, rt.interpreter.params) is None
-    assert _run(rt, dead) == 7
+    source = native_source(dead, InterpreterParams())
+    assert source.count("_b == ") == 2  # blocks at pcs 0 and 6 only
+    assert _both(lambda: _run(dead)) == (7, 7)
 
 
 def test_native_source_is_inspectable():
     m = MethodBuilder("m", returns=True).ldc(2).ldc(3).mul().ret().build()
-    rt = _runtime(True)
-    source = native_source(m, rt.interpreter.params)
-    assert source is not None and "def _compiled" in source
-    fn = compile_native(m, rt.interpreter.params)
+    params = InterpreterParams()
+    source = native_source(m, params)
+    assert "def _compiled" in source
+    fn = compile_native(m, params)
     assert fn.__cil_source__ == source
     assert "(2 * 3)" in source  # constants fused at compile time
 
 
 def test_native_cache_reused_per_params():
-    rt = _runtime(True)
+    rt = CliRuntime(Engine())
     m = MethodBuilder("m", returns=True).ldc(1).ret().build()
-    _run(rt, m)
+    _run(m, (), rt)
     fn1 = rt.jit.native_for(m, rt.interpreter.params)
     fn2 = rt.jit.native_for(m, rt.interpreter.params)
     assert fn1 is fn2
-
-
-def test_native_disabled_env(monkeypatch):
-    monkeypatch.setenv("REPRO_JIT_NATIVE", "0")
-    rt = CliRuntime(Engine())
-    assert not rt.jit.native_enabled
-    m = MethodBuilder("m", returns=True).ldc(41).ldc(1).add().ret().build()
-    assert _run(rt, m) == 42
-    assert rt.jit.native_for(m, rt.interpreter.params) is None

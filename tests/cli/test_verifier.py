@@ -1,9 +1,8 @@
 """Regression tests: every VerificationError names the failing pc and
-opcode, and ``record_types`` attaches typed entry facts."""
+opcode, and the verifier rejects whatever the compiler cannot emit."""
 
 import pytest
 
-from repro.analysis.lattice import Kind
 from repro.cli.cil import Instruction, Op
 from repro.cli.metadata import MethodDef
 from repro.cli.verifier import verify_method
@@ -103,18 +102,27 @@ def test_ret_depth_error_keeps_pc():
         verify_method(m)
 
 
-def test_record_types_attaches_entry_types():
-    m = raw("T", [
-        (Op.LDC, 2), (Op.LDC, 3), (Op.ADD, None), (Op.RET, None),
-    ], returns=True)
-    assert m.entry_types is None
-    verify_method(m, record_types=True)
-    assert m.entry_types is not None
-    assert len(m.entry_types) == len(m.body)
-    assert m.entry_types[2] == (Kind.INT32, Kind.INT32)
-
-
-def test_verify_without_record_types_leaves_attribute_none():
-    m = raw("P", [(Op.LDC, 1), (Op.RET, None)], returns=True)
-    verify_method(m)
-    assert m.entry_types is None
+@pytest.mark.parametrize("body,match", [
+    # Malformed call operands.
+    ([(Op.CALL, None), (Op.RET, None)], r"J@0: call: malformed call operand"),
+    ([(Op.CALL, "just-a-string"), (Op.RET, None)], r"J@0: call: malformed"),
+    ([(Op.CALL, ("OneElement",)), (Op.RET, None)], r"J@0: call: malformed"),
+    ([(Op.CALL, ("A::B", "not-an-int", True)), (Op.RET, None)],
+     r"J@0: call: malformed"),
+    ([(Op.CALL, ("A::B", 1, True, "extra")), (Op.RET, None)],
+     r"J@0: call: malformed"),
+    # Unknown conv kinds.
+    *[([(Op.LDC, 1), (Op.CONV, kind), (Op.POP, None), (Op.RET, None)],
+       r"J@1: conv: unknown conversion kind")
+      for kind in ["u2", "i2", "r4", "", None, 42]],
+    # A non-string ldstr operand.
+    ([(Op.LDSTR, 123), (Op.POP, None), (Op.RET, None)],
+     r"J@0: ldstr: operand 123 is not a string"),
+], ids=[
+    "call-none", "call-str", "call-1-tuple", "call-str-argc", "call-4-tuple",
+    "conv-u2", "conv-i2", "conv-r4", "conv-empty", "conv-none", "conv-42",
+    "ldstr-int",
+])
+def test_rejects_what_the_compiler_cannot_emit(body, match):
+    with pytest.raises(VerificationError, match=match):
+        verify_method(raw("J", body))
