@@ -91,7 +91,7 @@ def degraded_mirror() -> None:
     def workload():
         for i in range(60):
             yield array.submit_range((i * 97) % (array.total_blocks - 8), 8)
-        yield engine.timeout(max(0.0, 6.0 - engine.now))
+        yield max(0.0, 6.0 - engine.now)
         copied = yield from array.rebuild(1)
         return copied
 

@@ -192,7 +192,7 @@ def run_ext_degraded(nreads: int = 120, seed: int = 23,
             if do_rebuild:
                 # Wait out the drive swap (the fault window ends at
                 # t=5), then resilver the replacement.
-                yield engine.timeout(max(0.0, 6.0 - engine.now))
+                yield max(0.0, 6.0 - engine.now)
                 copied = yield from array.rebuild(1)
                 return copied
             return 0

@@ -66,7 +66,7 @@ class ManagedHeap:
         p = self.params
         self.gen0_bytes += nbytes
         self.total_allocated.add(nbytes)
-        yield self.engine.timeout(p.alloc_base_cost + p.alloc_cost_per_byte * nbytes)
+        yield p.alloc_base_cost + p.alloc_cost_per_byte * nbytes
         if self.gen0_bytes >= p.gen0_threshold:
             yield from self.collect()
 
@@ -75,7 +75,7 @@ class ManagedHeap:
         p = self.params
         pause = p.pause_base + p.pause_per_byte * self.gen0_bytes
         survivors = int(self.gen0_bytes * p.survival_fraction)
-        yield self.engine.timeout(pause)
+        yield pause
         self.promoted_bytes += survivors
         self.gen0_bytes = 0
         self.collections.add()

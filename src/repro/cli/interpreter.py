@@ -10,8 +10,8 @@ Our VES runs verified method bodies as simulation coroutines:
   (:mod:`repro.cli.jitcompile`), which reads the VM state held here
   (statics, heap, intrinsics, counters);
 * execution charges ``instruction_cost`` per instruction,
-  batched into timeouts every ``dispatch_quantum`` instructions so the
-  event queue is not flooded;
+  batched into one sleep every ``dispatch_quantum`` instructions so
+  the clock is not touched per instruction;
 * ``call`` recurses into managed methods; ``callintrinsic`` enters the
   class library (managed I/O, sockets, timers) whose implementations
   are simulation coroutines registered with the runtime;

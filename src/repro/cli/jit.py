@@ -90,7 +90,7 @@ class JitCompiler:
         self._in_progress[token] = done
         cost = self.compile_cost(method)
         started = self.engine.now
-        yield self.engine.timeout(cost)
+        yield cost
         self._compiled.add(token)
         del self._in_progress[token]
         self.methods_compiled.add()

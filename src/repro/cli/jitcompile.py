@@ -27,7 +27,7 @@ Simulated-time semantics are **bit-identical** to a plain
 opcode-dispatch loop, which the tests keep as a reference
 (``tests/cli/oracle.py``).  The generated code carries the same
 ``since_yield`` accrual that loop maintains per instruction, flushed
-as the same sequence of ``engine.timeout`` events: quantum flushes of
+as the same sequence of sleeps (bare float yields): quantum flushes of
 exactly ``instruction_cost × dispatch_quantum``, partial flushes before
 every call / allocation / return / managed-exception unwind.  Because pure
 arithmetic neither reads the clock nor schedules events, deferring the
@@ -229,17 +229,19 @@ class _Stack:
             out.w(f"{', '.join(targets)} = {', '.join(values)}")
 
 
-def _is_nonzero_number(entry: Tuple[str, str]) -> bool:
-    """True when the entry is a literal numeric constant != 0 (lets the
-    compiler drop the divide-by-zero guard)."""
+def _nonzero_literal(entry: Tuple[str, str]) -> Any:
+    """The entry's value when it is a literal numeric constant != 0
+    (lets the compiler drop the divide-by-zero guard), else ``None``."""
     kind, code = entry
     if kind != "expr":
-        return False
+        return None
     try:
         value = eval(code, {"__builtins__": {}})  # literals only
     except Exception:
-        return False
-    return isinstance(value, (int, float)) and value != 0
+        return None
+    if isinstance(value, (int, float)) and value != 0:
+        return value
+    return None
 
 
 _BINOPS = {
@@ -261,7 +263,6 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
     out = _Writer()
     out.w("def _compiled(interp, args, _depth):")
     out.indent += 1
-    out.w("_timeout = interp.engine.timeout")
     out.w("_statics = interp.statics")
     out.w("_heap_allocate = interp.heap.allocate")
     out.w("_intrinsics = interp.intrinsics")
@@ -302,15 +303,15 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
         out.w(f"_sy += {pending}; _ex += {pending}")
         out.w("while _sy >= _Q:")
         out.indent += 1
-        out.w("yield _timeout(_ICQ)")
+        out.w("yield _ICQ")
         out.w("_sy -= _Q")
         out.indent -= 1
 
     def emit_partial_flush() -> None:
-        """The ``if since_yield: timeout(...)`` partial flush."""
+        """The ``if since_yield: yield cost`` partial flush."""
         out.w("if _sy:")
         out.indent += 1
-        out.w("yield _timeout(_IC * _sy)")
+        out.w("yield _IC * _sy")
         out.w("_sy = 0")
         out.indent -= 1
 
@@ -375,11 +376,23 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
                 fn = "_truncdiv" if op is Op.DIV else "_truncrem"
                 bent = stack.pop()
                 aent = stack.pop()
-                if _is_nonzero_number(bent):
-                    stack.push("expr", (
-                        f"{fn}({stack.materialize(aent)}, "
-                        f"{stack.materialize(bent)})"
-                    ))
+                divisor = _nonzero_literal(bent)
+                if divisor is not None:
+                    a = stack.materialize(aent)
+                    b = stack.materialize(bent)
+                    if divisor.__class__ is int and divisor > 0:
+                        # Truncation and floor agree for a non-negative
+                        # int over a positive one; bools, floats and
+                        # negatives take the helper.  ``a`` is
+                        # evaluated once, into a fresh temp.
+                        t = ctx.temp()
+                        pyop = "//" if op is Op.DIV else "%"
+                        stack.push("expr", (
+                            f"({t} {pyop} {b} if ({t} := {a}).__class__ "
+                            f"is int and {t} >= 0 else {fn}({t}, {b}))"
+                        ))
+                    else:
+                        stack.push("expr", f"{fn}({a}, {b})")
                 else:
                     # The zero check (and the unwind accounting)
                     # happens with the div counted.
@@ -509,7 +522,7 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
                 pending = 0
                 track_pc(pc)
                 emit_partial_flush()
-                out.w("yield _timeout(_CO)")
+                out.w("yield _CO")
                 out.w("_incall = True")
                 out.w(
                     f"_r = yield from interp.invoke("
@@ -539,7 +552,7 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
                 pending = 0
                 track_pc(pc)
                 emit_partial_flush()
-                out.w("yield _timeout(_CO)")
+                out.w("yield _CO")
                 out.w("_incall = True")
                 out.w(f"_r = {fn}({call_args})")
                 out.w("if hasattr(_r, 'send') and hasattr(_r, 'throw'):")
@@ -571,7 +584,7 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
                 out.w(f"{t} = {stack.materialize(entry)}")
                 out.w("interp.exceptions_thrown.add()")
                 emit_partial_flush()
-                out.w("yield _timeout(_EO)")
+                out.w("yield _EO")
                 out.w(f"if isinstance({t}, ManagedException):")
                 out.indent += 1
                 out.w(f"raise {t}")
@@ -636,10 +649,10 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
         out.w("_incall = False")
         out.w("if _sy:")
         out.indent += 1
-        out.w("yield _timeout(_IC * _sy)")
+        out.w("yield _IC * _sy")
         out.w("_sy = 0")
         out.indent -= 1
-        out.w("yield _timeout(_EO)")
+        out.w("yield _EO")
         out.w("s0 = _exc")
         hb = {
             h.handler_start: block_of[h.handler_start]
@@ -655,7 +668,7 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
     out.indent += 1
     out.w("if _sy:")
     out.indent += 1
-    out.w("yield _timeout(_IC * _sy)")
+    out.w("yield _IC * _sy")
     out.indent -= 1
     out.w("interp.instructions_executed.add(_ex)")
     out.w("raise")
@@ -706,10 +719,11 @@ def compile_native(method: MethodDef, params) -> Callable:
     )
     namespace: Dict[str, Any] = {
         "_Q": params.dispatch_quantum,
-        "_IC": params.instruction_cost,
-        "_ICQ": params.instruction_cost * params.dispatch_quantum,
-        "_CO": params.call_overhead,
-        "_EO": params.exception_overhead,
+        # Floats, so every flush is a sleep (see repro.sim.process).
+        "_IC": float(params.instruction_cost),
+        "_ICQ": float(params.instruction_cost * params.dispatch_quantum),
+        "_CO": float(params.call_overhead),
+        "_EO": float(params.exception_overhead),
         "_method": method,
         "ManagedException": ManagedException,
         "ManagedArray": ManagedArray,

@@ -100,7 +100,7 @@ class CliRuntime:
             self.params.assembly_load_base
             + self.params.assembly_load_per_method * assembly.method_count
         )
-        yield self.engine.timeout(cost)
+        yield cost
         self.assemblies.append(assembly)
         return assembly
 

@@ -60,7 +60,7 @@ class ManagedThread:
 
     def _run(self):
         # Thread creation cost lands on the new thread, not the spawner.
-        yield self.runtime.engine.timeout(self.runtime.params.thread_start_overhead)
+        yield self.runtime.params.thread_start_overhead
         if isinstance(self.entry, MethodDef):
             result = yield from self.runtime.interpreter.invoke(self.entry, self.args)
         else:

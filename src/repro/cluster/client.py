@@ -203,8 +203,7 @@ class ClusterClient:
                     raise RetryExhausted(
                         f"write {key!r}: replica(s) {pending} kept failing "
                         f"while admitted", attempts=rounds)
-                yield self.engine.timeout(
-                    self.balancer.config.probe_interval)
+                yield self.balancer.config.probe_interval
             if not succeeded:
                 raise NoReplicasAvailable(
                     f"write {key!r}: no replica acknowledged")

@@ -167,8 +167,7 @@ class ClusterWorkload:
         def dispatcher():
             fired = []
             for rid in range(cfg.requests):
-                yield engine.timeout(
-                    float(arrival_rng.exponential(1.0 / cfg.arrival_rate)))
+                yield float(arrival_rng.exponential(1.0 / cfg.arrival_rate))
                 fired.append(engine.process(one_request(),
                                             name=f"req-{rid}"))
             yield engine.all_of(fired)

@@ -125,13 +125,13 @@ class FaultInjector:
 
     def _fail_disk_at(self, index: int, spec: FaultSpec, disk):
         if spec.start > self.engine.now:
-            yield self.engine.timeout(spec.start - self.engine.now)
+            yield spec.start - self.engine.now
         if disk.failed or not self._budget_left(index, spec):
             return
         disk.fail_disk(reason=f"injected by fault spec #{index}")
         self._fire(index, spec, disk=disk.name, action="fail")
         if spec.end is not None:
-            yield self.engine.timeout(spec.end - self.engine.now)
+            yield spec.end - self.engine.now
             if disk.failed:
                 disk.repair()
                 self._fire(index, spec, disk=disk.name, action="repair")
@@ -159,7 +159,7 @@ class FaultInjector:
 
     def _node_fault_at(self, index: int, spec: FaultSpec, node):
         if spec.start > self.engine.now:
-            yield self.engine.timeout(spec.start - self.engine.now)
+            yield spec.start - self.engine.now
         if not self._budget_left(index, spec):
             return
         if spec.kind == "node.crash":
@@ -168,7 +168,7 @@ class FaultInjector:
             node.crash(reason=f"injected by fault spec #{index}")
             self._fire(index, spec, node=node.name, action="crash")
             if spec.end is not None:
-                yield self.engine.timeout(spec.end - self.engine.now)
+                yield spec.end - self.engine.now
                 if not node.is_up:
                     node.recover()
                     self._fire(index, spec, node=node.name, action="recover")
@@ -178,7 +178,7 @@ class FaultInjector:
             node.partition(reason=f"injected by fault spec #{index}")
             self._fire(index, spec, node=node.name, action="partition")
             if spec.end is not None:
-                yield self.engine.timeout(spec.end - self.engine.now)
+                yield spec.end - self.engine.now
                 if node.is_up and not node.is_reachable:
                     node.heal()
                     self._fire(index, spec, node=node.name, action="heal")

@@ -185,7 +185,7 @@ class Retrier:
                     break
                 delay = policy.backoff(attempt, self.rng)
                 if delay > 0:
-                    yield self.engine.timeout(delay)
+                    yield delay
             else:
                 if attempt > 1:
                     self.recovered.add()

@@ -245,7 +245,7 @@ class BufferCache:
                 # instead of pretending the page arrived.
                 raise ev.value
         # Software delivery cost for every page touched.
-        yield self.engine.timeout(self.params.page_touch_cost * npages)
+        yield self.params.page_touch_cost * npages
         tracer = self.engine.tracer
         if tracer.enabled:
             tracer.counter("cache.hit_ratio", "io", stats.hit_ratio)
@@ -420,7 +420,7 @@ class BufferCache:
                 yield from self._fetch_run(inode, page, 1)
                 fetched += 1
             self._insert(key, PageState.DIRTY)
-        yield self.engine.timeout(self.params.page_touch_cost * npages)
+        yield self.params.page_touch_cost * npages
         return fetched
 
     def flush_file(self, inode: "Inode"):
@@ -433,9 +433,9 @@ class BufferCache:
         self._dirty_by_file.pop(inode.file_id, None)
         if dirty:
             self._writeback_async(inode, dirty)
-            yield self.engine.timeout(self.params.writeback_issue_cost * len(dirty))
+            yield self.params.writeback_issue_cost * len(dirty)
         else:
-            yield self.engine.timeout(0.0)
+            yield 0.0
         return len(dirty)
 
     def sync_file(self, inode: "Inode"):

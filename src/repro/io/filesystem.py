@@ -305,7 +305,7 @@ class FileSystem:
         if size_bytes > inode.size_bytes:
             self._grow_to(inode, size_bytes)
             inode.size_bytes = size_bytes
-        yield self.engine.timeout(self.params.create_overhead)
+        yield self.params.create_overhead
         return inode
 
     def delete(self, path: str):
@@ -316,7 +316,7 @@ class FileSystem:
         self._free_extents.extend(inode.extents)
         del self._files[path]
         del self._by_id[inode.file_id]
-        yield self.engine.timeout(self.params.delete_overhead)
+        yield self.params.delete_overhead
 
     def open(self, path: str, writable: bool = False, create: bool = False):
         """Generator: open a file, returning a :class:`FileHandle`.
@@ -333,7 +333,7 @@ class FileSystem:
         handle = FileHandle(self, inode, writable=writable)
         if self.params.open_prefetch_pages > 0 and inode.size_bytes > 0:
             self.cache.prefetch(inode, 0, self.params.open_prefetch_pages)
-        yield self.engine.timeout(self.params.open_overhead)
+        yield self.params.open_overhead
         self._account("open", start)
         return handle
 
@@ -345,7 +345,7 @@ class FileSystem:
         start = self.engine.now
         handle.open = False
         yield from self.cache.flush_file(handle.inode)
-        yield self.engine.timeout(self.params.close_overhead)
+        yield self.params.close_overhead
         self._account("close", start)
 
     def read(self, handle: FileHandle, nbytes: int, offset: Optional[int] = None):
@@ -370,7 +370,7 @@ class FileSystem:
             npages = last_page - first_page + 1
             yield from self.cache.access(inode, first_page, npages)
             self.prefetcher.on_access(inode, first_page, npages)
-        yield self.engine.timeout(self.params.read_overhead)
+        yield self.params.read_overhead
         if offset is None:
             handle.position = pos + count
         self._account("read", start)
@@ -404,7 +404,7 @@ class FileSystem:
             )
             inode.size_bytes = new_size
             self.prefetcher.on_access(inode, first_page, npages)
-        yield self.engine.timeout(self.params.write_overhead)
+        yield self.params.write_overhead
         if offset is None:
             handle.position = pos + nbytes
         self._account("write", start)
@@ -422,7 +422,7 @@ class FileSystem:
         handle.position = offset
         if handle.inode.size_bytes > 0:
             self.prefetcher.on_seek(handle.inode, offset // self.page_size)
-        yield self.engine.timeout(self.params.seek_overhead)
+        yield self.params.seek_overhead
         self._account("seek", start)
         return offset
 
@@ -442,7 +442,7 @@ class FileSystem:
         del self._files[old_path]
         inode.path = new_path
         self._files[new_path] = inode
-        yield self.engine.timeout(self.params.create_overhead)
+        yield self.params.create_overhead
         return inode
 
     def truncate(self, handle: FileHandle, new_size: int):
@@ -466,7 +466,7 @@ class FileSystem:
         inode.size_bytes = new_size
         if handle.position > new_size:
             handle.position = new_size
-        yield self.engine.timeout(self.params.create_overhead)
+        yield self.params.create_overhead
         return new_size
 
     def glob(self, prefix: str) -> List[str]:

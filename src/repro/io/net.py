@@ -58,12 +58,12 @@ class Network:
             raise SimulationError(f"syn_timeout must be positive, got {syn_timeout}")
         self.engine = engine
         self.bandwidth = bandwidth
-        self.latency = latency
-        self.connect_overhead = connect_overhead
+        self.latency = float(latency)
+        self.connect_overhead = float(connect_overhead)
         self.injector = injector
         #: Time a connect to a blocked (unreachable) endpoint burns
         #: before giving up — an aggressive SYN retransmission budget.
-        self.syn_timeout = syn_timeout
+        self.syn_timeout = float(syn_timeout)
         self._listeners: Dict[Tuple[str, int], "TcpListener"] = {}
         self._blocked: set = set()
 
@@ -117,7 +117,7 @@ class Network:
         """
         key = (host, port)
         if key in self._blocked:
-            yield self.engine.timeout(self.syn_timeout)
+            yield self.syn_timeout
             tracer = self.engine.tracer
             if tracer.enabled:
                 tracer.instant("net.unreachable", "net", host=host, port=port)
@@ -130,7 +130,7 @@ class Network:
             listener._san_state.read(self.engine, op="connect", relaxed=True)
         if listener is None or not listener._listening:
             raise SimulationError(f"connection refused: no listener at {key}")
-        yield self.engine.timeout(2 * self.latency + self.connect_overhead)
+        yield 2 * self.latency + self.connect_overhead
         if (listener.backlog_limit is not None
                 and listener.pending >= listener.backlog_limit):
             # SYN queue overflow: the handshake is dropped and the
@@ -297,7 +297,7 @@ class Socket:
                 f"connection reset by fault injection (socket {self.socket_id})"
             )
         if nbytes == 0:
-            yield self.network.engine.timeout(0.0)
+            yield 0.0
             return 0
         yield from self._outgoing.send(nbytes)
         if self._reset:
@@ -370,10 +370,10 @@ class Socket:
         """Generator: half-close — signal EOF to the peer."""
         if self._closed or self._reset:
             # Closing a torn-down connection is a no-op.
-            yield self.network.engine.timeout(0.0)
+            yield 0.0
             return
         self._closed = True
-        yield self.network.engine.timeout(self.network.latency)
+        yield self.network.latency
         self._deliver_to.put(_EOF)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -54,7 +54,7 @@ class StreamWriter:
             yield from self.stream.write(self._buffered)
             self._buffered = 0
         else:
-            yield self.stream.fs.engine.timeout(0.0)
+            yield 0.0
 
     def close(self):
         """Generator: flush, then close the underlying stream."""

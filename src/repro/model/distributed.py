@@ -114,7 +114,7 @@ class PointToPointFabric:
         if self.nnodes == 1:
             # Nothing to talk to; the burst degenerates to local copy
             # time at link bandwidth (loopback).
-            yield self.engine.timeout(nbytes / self.config.link_bandwidth)
+            yield nbytes / self.config.link_bandwidth
             return
         pattern = self.config.pattern
         if pattern == "ring":

@@ -258,7 +258,7 @@ class ApplicationExecutor:
                     grant = cpu_pool.acquire()
                     yield grant
                     try:
-                        yield engine.timeout(work)
+                        yield work
                     finally:
                         cpu_pool.release(grant)
 

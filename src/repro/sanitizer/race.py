@@ -12,6 +12,8 @@ install when :data:`repro.sanitizer.runtime.active` is set):
   to the event; a waiter joins it on resumption (this one edge covers
   ``Resource`` grant hand-off, ``Channel`` transfers, socket
   send/receive wake-ups, process join, and task completion for free);
+* a process that sleeps in its own frame ticks its clock as a
+  ``Timeout`` trigger and wake-up would, with no event to carry it;
 * ``Store`` carries a clock per *buffered* item, so a ``put`` consumed
   later still orders the producer before the consumer;
 * ``AllOf``/``AnyOf`` accumulate every child's clock, not just the
@@ -313,6 +315,16 @@ class RaceDetector:
         if vc is not None and vc[0] == now:
             join_into(clock, vc[1])
         clock[ctx.tid] += 1
+
+    def on_sleep(self, owner: Any, wake: float) -> None:
+        """``owner`` sleeps in its own frame from now until ``wake``:
+        the ticks of a Timeout's trigger in ``owner`` now and of its
+        wake-up at ``wake``, with no Timeout.  The wake-up's join is
+        left out: it would join ``owner``'s own earlier clock."""
+        ctx = self.context_of(owner)
+        ctx.clock_at(owner.engine._now)[ctx.tid] += 1
+        self.events_tracked += 1
+        ctx.clock_at(wake)[ctx.tid] += 1
 
     def on_condition(self, condition: Any, child: Any) -> None:
         """AllOf/AnyOf observed a child trigger: accumulate the child's

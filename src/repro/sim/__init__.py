@@ -12,13 +12,18 @@ Quick tour::
     eng = Engine()
 
     def worker(eng, results):
-        yield eng.timeout(1.5)
+        yield 1.5                  # sleep 1.5 simulated seconds
         results.append(eng.now)
 
     results = []
     eng.process(worker(eng, results))
     eng.run()
     assert results == [1.5]
+
+A process waits by yielding an :class:`Event` and sleeps by yielding a
+float delay.  A sleep that nothing queued can pre-empt advances the
+clock inside the process's own frame, with no event at all (see
+:mod:`repro.sim.process`).
 
 Determinism: events scheduled for the same timestamp fire in FIFO
 order of scheduling (stable sequence numbers); no wall-clock or

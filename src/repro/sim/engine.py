@@ -10,6 +10,7 @@ experiment deterministic.
 from __future__ import annotations
 
 import heapq
+from math import inf
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
@@ -55,6 +56,11 @@ class Engine:
         self._background: int = 0
         self._live_processes: int = 0
         self._running = False
+        # The latest time a process may sleep to in its own frame (see
+        # Process._resume): the running run()'s bound, inf when it has
+        # none; -inf outside run(), so step() never jumps the clock, and
+        # while an event's callbacks other than its last run.
+        self._horizon: float = -inf
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer.attach(self)
         self.metrics: MetricsRegistry = (
@@ -75,7 +81,11 @@ class Engine:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event that fires ``delay`` simulated seconds from now."""
+        """An event that fires ``delay`` simulated seconds from now.
+
+        For a deadline in an :meth:`any_of` or a callback; a process
+        sleeps by yielding the delay itself (see :mod:`repro.sim.process`).
+        """
         return Timeout(self, delay, value)
 
     def process(
@@ -147,7 +157,11 @@ class Engine:
     # -- main loop ----------------------------------------------------------
 
     def step(self) -> None:
-        """Process exactly one queued entry, advancing the clock to it."""
+        """Process exactly one queued entry, advancing the clock to it.
+
+        Outside :meth:`run` every process sleep takes a queue entry, so
+        one step never moves the clock past the entry it processes.
+        """
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
         when, _seq, kind, payload = heapq.heappop(self._queue)
@@ -172,12 +186,30 @@ class Engine:
                 self._background -= 1
             payload()
 
+    def _run_callbacks(self, event: Event, callbacks: list) -> None:
+        """Run an event's several callbacks.  Those after the first are
+        due now but wait in this list, not in the queue, so a process
+        resumed before the last one must not sleep in its own frame:
+        it could pass them by."""
+        horizon = self._horizon
+        self._horizon = -inf
+        for cb in callbacks[:-1]:
+            cb(event)
+        self._horizon = horizon
+        callbacks[-1](event)
+
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or the clock would pass ``until``.
 
         Returns the final simulated time.  Raises :class:`DeadlockError`
         if the queue empties while processes are still alive (every
-        process is blocked on an event nothing will trigger).
+        process is blocked on an event nothing will trigger), and
+        :class:`SimulationError` if ``until`` is before the clock (the
+        clock never runs backwards; ``until == now`` is a no-op bound).
+
+        A process's sleep that nothing queued can pre-empt, and that
+        ends by ``until``, advances the clock inside the process's own
+        frame (see :meth:`Process._resume`): it never reaches the queue.
 
         The drain loop is inlined (rather than calling :meth:`step`)
         and dispatches on the heap entry's payload tag: this loop is
@@ -187,7 +219,13 @@ class Engine:
         """
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
+        if until is not None:
+            until = float(until)  # the clock stays a float, so sleeps do
+            if until < self._now:
+                raise SimulationError(
+                    f"run(until={until!r}) is before the clock ({self._now!r})")
         self._running = True
+        self._horizon = inf if until is None else until
         run_started = self._now
         queue = self._queue
         heappop = heapq.heappop
@@ -200,8 +238,10 @@ class Engine:
                         callbacks = payload.callbacks
                         payload.callbacks = None  # mark processed
                         if callbacks:
-                            for cb in callbacks:
-                                cb(payload)
+                            if len(callbacks) == 1:
+                                callbacks[0](payload)
+                            else:
+                                self._run_callbacks(payload, callbacks)
                         elif not payload._ok and not isinstance(payload, Process):
                             raise payload.value
                     elif kind == 0:
@@ -226,8 +266,10 @@ class Engine:
                         callbacks = payload.callbacks
                         payload.callbacks = None  # mark processed
                         if callbacks:
-                            for cb in callbacks:
-                                cb(payload)
+                            if len(callbacks) == 1:
+                                callbacks[0](payload)
+                            else:
+                                self._run_callbacks(payload, callbacks)
                         elif not payload._ok and not isinstance(payload, Process):
                             raise payload.value
                     elif kind == 0:
@@ -249,6 +291,7 @@ class Engine:
             return self._now
         finally:
             self._running = False
+            self._horizon = -inf
             if self.tracer.enabled:
                 self.tracer.complete("engine.run", "sim", run_started)
 

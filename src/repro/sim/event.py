@@ -136,11 +136,11 @@ class Timeout(Event):
     """An event that triggers after a fixed simulated delay.
 
     The constructor initializes fields and pushes onto the engine's
-    heap inline (no ``super().__init__`` indirection): the
-    interpreter's dispatch-quantum accounting makes this the
-    most-constructed object in the whole simulator.  A zero
-    delay — the common "reschedule me" idiom — skips the time
-    addition, reusing the engine's current clock value directly.
+    heap inline (no ``super().__init__`` indirection): every disk
+    service and every process sleep that something queued can pre-empt
+    builds one.  A zero delay — the common "reschedule me" idiom —
+    skips the time addition, reusing the engine's current clock value
+    directly.
     """
 
     __slots__ = ("delay",)

@@ -1,11 +1,20 @@
 """Processes: generator coroutines driven by the event engine.
 
 A process wraps a Python generator.  Each value the generator yields
-must be an :class:`~repro.sim.event.Event`; the process suspends until
-that event is processed, then resumes with the event's value (or with
-the event's exception thrown into the generator).  The process itself
-is an event that triggers when the generator returns (value = the
-``StopIteration`` value) or raises.
+is either an :class:`~repro.sim.event.Event` or a float delay in
+simulated seconds:
+
+* ``yield event`` suspends until that event is processed, then resumes
+  with the event's value (or with the event's exception thrown into
+  the generator);
+* ``yield delay`` sleeps that long and resumes with ``None`` — the one
+  way a process sleeps.  When nothing queued can fire first, the clock
+  advances inside the process's own frame, with no event at all; a
+  negative delay raises :class:`~repro.errors.SimulationError` at the
+  yield.
+
+The process itself is an event that triggers when the generator returns
+(value = the ``StopIteration`` value) or raises.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from typing import Any, Generator, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.sanitizer import runtime as _sanitizer
-from repro.sim.event import Event, PENDING
+from repro.sim.event import Event, PENDING, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -73,12 +82,20 @@ class Process(Event):
             self.engine._live_processes -= 1
 
     def _resume(self, event: Optional[Event]) -> None:
-        """Run the generator to its next yield: once with ``None`` at
+        """Run the generator to its next wait: once with ``None`` at
         the start, then as the callback of each event it waits on,
         sending the event's value in (or throwing its exception).
 
         One frame per wake-up: the event's ``_ok``/``_value`` slots are
-        read directly, not through the properties.
+        read directly, not through the properties.  A yielded delay
+        whose wake time nothing pending can pre-empt (the queue is empty
+        or its top is strictly later, and the engine's horizon reaches
+        it: the running ``run()``'s bound, or ``-inf`` while the event
+        that woke this process has callbacks left to run) is slept
+        here: the clock moves and the generator resumes in this frame.  Otherwise the delay becomes a :class:`Timeout`, the
+        same entry ``engine.timeout(delay)`` would have queued.  Strictly
+        later because that Timeout would take the largest sequence
+        number: anything already due at the wake time fires first.
         """
         det = _sanitizer.active
         if det is not None and event is not None:
@@ -86,14 +103,33 @@ class Process(Event):
         if self._value is not PENDING:  # pragma: no cover - defensive
             return
         prev = det.enter(self) if det is not None else None
+        engine = self.engine
+        queue = engine._queue
+        generator = self.generator
         try:
             try:
                 if event is None:
-                    target = self.generator.send(None)
+                    target = generator.send(None)
                 elif event._ok:
-                    target = self.generator.send(event._value)
+                    target = generator.send(event._value)
                 else:
-                    target = self.generator.throw(event._value)
+                    target = generator.throw(event._value)
+                while target.__class__ is float:
+                    if target < 0:
+                        # Where engine.timeout(target) would raise.
+                        target = generator.throw(SimulationError(
+                            f"negative timeout delay: {target!r}"))
+                    else:
+                        wake = engine._now + target
+                        if wake <= engine._horizon and (
+                                not queue or queue[0][0] > wake):
+                            if det is not None:
+                                det.on_sleep(self, wake)
+                            engine._now = wake
+                            target = generator.send(None)
+                        else:
+                            target = Timeout(engine, target)
+                            break
             except StopIteration as stop:
                 self._retire()
                 self.succeed(stop.value)
@@ -111,7 +147,7 @@ class Process(Event):
                 )
                 self.fail(bad)
                 return
-            if target.engine is not self.engine:
+            if target.engine is not engine:
                 self._retire()
                 self.fail(SimulationError("yielded an event from a different engine"))
                 return

@@ -229,12 +229,12 @@ class Channel:
         grant = self._link.acquire()
         yield grant
         try:
-            yield self.engine.timeout(nbytes / self.bandwidth)
+            yield nbytes / self.bandwidth
         finally:
             self._link.release(grant)
         # Propagation delay does not hold the link.
         if self.latency > 0:
-            yield self.engine.timeout(self.latency)
+            yield self.latency
         self.bytes_sent += nbytes
         self.transfers += 1
 

@@ -9,10 +9,11 @@ indistinguishable from thread-per-connection on that axis.
 :class:`TaskLoop` is the missing primitive: it multiplexes any number
 of coroutine *tasks* inside **one** process.  Each task is an ordinary
 simulation generator (it yields :class:`~repro.sim.event.Event`
-instances exactly as a process would); the loop steps every ready task
-until it blocks on an event, parks itself when no task is runnable,
-and is woken by the events its tasks are waiting on.  Ten thousand
-tasks cost ten thousand generators — and a single process.
+instances and sleep delays exactly as a process would); the loop steps
+every ready task until it blocks on an event, parks itself when no
+task is runnable, and is woken by the events its tasks are waiting
+on.  Ten thousand tasks cost ten thousand generators — and a single
+process.
 
 Determinism: tasks become ready in the order their awaited events are
 processed by the engine (the engine's ``(time, seq)`` order), and the
@@ -34,7 +35,7 @@ from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sanitizer import runtime as _sanitizer
-from repro.sim.event import Event
+from repro.sim.event import Event, Timeout
 
 __all__ = ["Task", "TaskLoop"]
 
@@ -184,6 +185,14 @@ class TaskLoop:
                     target = task.generator.send(value)
                 else:
                     target = task.generator.throw(exc)
+                # A delay always takes a Timeout: the other ready tasks
+                # wait in this loop's deque, not in the engine's queue,
+                # so an in-frame clock jump could pass them by.
+                while target.__class__ is float and target < 0:
+                    target = task.generator.throw(SimulationError(
+                        f"negative timeout delay: {target!r}"))
+                if target.__class__ is float:
+                    target = Timeout(self.engine, target)
             except StopIteration as stop:
                 self._finish(task, stop.value, None)
                 return

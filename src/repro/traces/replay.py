@@ -196,8 +196,6 @@ class _ReplaySession:
         self.timings = OpTimings()
         self.per_record: List[RecordTiming] = []
         self.measuring = True
-        # Bound methods hoisted for the per-record dispatch path.
-        self._timeout = engine.timeout
 
     def reset_for_measurement(self) -> None:
         for stream in self.streams.values():
@@ -219,16 +217,15 @@ class _ReplaySession:
         stream = self._stream(sid)
         records = stream.indexed_records
         cursor = stream.cursor = stream.cursor + 1
-        timeout = self._timeout
         if cursor >= len(records):
-            yield timeout(0.0)
+            yield 0.0
             return -1
         _index, record = records[cursor]
         if self.pace and stream._last_wall is not None:
             gap = record.wall_clock - stream._last_wall
-            yield timeout(gap if gap > 0 else 0.0)
+            yield gap if gap > 0 else 0.0
         else:
-            yield timeout(0.0)
+            yield 0.0
         stream._last_wall = record.wall_clock
         return int(record.op)
 

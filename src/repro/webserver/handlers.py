@@ -205,7 +205,7 @@ class RequestHandlers:
         if conn is None:
             # Already aborted (e.g. the connection reset mid-receive and
             # the failure was recorded); nothing left to answer.
-            yield self.engine.timeout(0.0)
+            yield 0.0
             return
         status = conn.error_status or 400
         yield from self._respond(conn, HttpResponse(status))

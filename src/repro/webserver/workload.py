@@ -172,7 +172,7 @@ class WorkloadGenerator:
             for _ in range(cfg.requests_per_client):
                 think = float(rng.exponential(cfg.mean_think_time)) if cfg.mean_think_time else 0.0
                 if think > 0:
-                    yield engine.timeout(think)
+                    yield think
                 if float(rng.uniform()) < cfg.get_fraction:
                     request = client.get(paths[int(rng.integers(0, len(paths)))])
                 else:

@@ -111,7 +111,6 @@ def interpret(interp, method, args, _depth, kinds):
     """Execute verified ``method`` one opcode at a time (a generator,
     like the compiled body)."""
     p = interp.params
-    timeout = interp.engine.timeout
     body = method.body
     arguments = list(args)
     locals_ = [0] * method.local_count
@@ -127,7 +126,7 @@ def interpret(interp, method, args, _depth, kinds):
         executed += 1
         since_yield += 1
         if since_yield >= p.dispatch_quantum:
-            yield timeout(p.instruction_cost * since_yield)
+            yield p.instruction_cost * since_yield
             since_yield = 0
         next_pc = pc + 1
 
@@ -140,7 +139,7 @@ def interpret(interp, method, args, _depth, kinds):
                 s = ins.operand
                 # Flush accrued time, then charge the allocation.
                 if since_yield:
-                    yield timeout(p.instruction_cost * since_yield)
+                    yield p.instruction_cost * since_yield
                     since_yield = 0
                 yield from interp.heap.allocate(2 * len(s))  # UTF-16
                 stack.append(s)
@@ -198,16 +197,16 @@ def interpret(interp, method, args, _depth, kinds):
                     next_pc = ins.operand
             elif op is Op.RET:
                 if since_yield:
-                    yield timeout(p.instruction_cost * since_yield)
+                    yield p.instruction_cost * since_yield
                 interp.instructions_executed.add(executed)
                 return stack.pop() if method.returns else None
             elif op is Op.THROW:
                 value = stack.pop()
                 interp.exceptions_thrown.add()
                 if since_yield:
-                    yield timeout(p.instruction_cost * since_yield)
+                    yield p.instruction_cost * since_yield
                     since_yield = 0
-                yield timeout(p.exception_overhead)
+                yield p.exception_overhead
                 if isinstance(value, ManagedException):
                     raise value
                 raise ManagedException("System.Exception", str(value), payload=value)
@@ -215,9 +214,9 @@ def interpret(interp, method, args, _depth, kinds):
                 callee = interp._resolve_call(ins.operand, method, pc)
                 call_args = [stack.pop() for _ in range(callee.param_count)][::-1]
                 if since_yield:
-                    yield timeout(p.instruction_cost * since_yield)
+                    yield p.instruction_cost * since_yield
                     since_yield = 0
-                yield timeout(p.call_overhead)
+                yield p.call_overhead
                 result = yield from interp.invoke(callee, call_args, _depth + 1)
                 if callee.returns:
                     stack.append(result)
@@ -230,9 +229,9 @@ def interpret(interp, method, args, _depth, kinds):
                     )
                 call_args = [stack.pop() for _ in range(argc)][::-1]
                 if since_yield:
-                    yield timeout(p.instruction_cost * since_yield)
+                    yield p.instruction_cost * since_yield
                     since_yield = 0
-                yield timeout(p.call_overhead)
+                yield p.call_overhead
                 result = fn(*call_args)
                 if hasattr(result, "send") and hasattr(result, "throw"):
                     result = yield from result
@@ -248,7 +247,7 @@ def interpret(interp, method, args, _depth, kinds):
                 elem = ins.operand if isinstance(ins.operand, int) else 8
                 arr = ManagedArray(length, elem)
                 if since_yield:
-                    yield timeout(p.instruction_cost * since_yield)
+                    yield p.instruction_cost * since_yield
                     since_yield = 0
                 yield from interp.heap.allocate(arr.byte_size)
                 stack.append(arr)
@@ -280,16 +279,16 @@ def interpret(interp, method, args, _depth, kinds):
             if handler is None:
                 # Unwind to the caller; account for work done here.
                 if since_yield:
-                    yield timeout(p.instruction_cost * since_yield)
+                    yield p.instruction_cost * since_yield
                 interp.instructions_executed.add(executed)
                 raise
             # Transfer: clear the evaluation stack, push the exception,
             # continue at the handler.
             interp.exceptions_caught.add()
             if since_yield:
-                yield timeout(p.instruction_cost * since_yield)
+                yield p.instruction_cost * since_yield
                 since_yield = 0
-            yield timeout(p.exception_overhead)
+            yield p.exception_overhead
             stack.clear()
             stack.append(exc)
             next_pc = handler.handler_start

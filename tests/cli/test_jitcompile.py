@@ -36,7 +36,8 @@ def _run(method, args=(), rt=None):
 def _drive(method, args=()):
     """Drive one warm invocation by hand on a fresh runtime, recording
     every yielded event as ``(type_name, delay)`` — the full
-    simulated-event fingerprint — and the outcome."""
+    simulated-event fingerprint — and the outcome.  A sleep (a bare
+    float yield) records as ``("float", delay)``."""
     rt = CliRuntime(Engine())
     try:
         _run(method, args, rt)  # warm: compile events are not compared
@@ -47,7 +48,8 @@ def _drive(method, args=()):
     try:
         while True:
             ev = gen.send(None)
-            events.append((type(ev).__name__, getattr(ev, "delay", None)))
+            delay = ev if ev.__class__ is float else getattr(ev, "delay", None)
+            events.append((type(ev).__name__, delay))
     except StopIteration as stop:
         return events, stop.value
     except ManagedException as exc:
@@ -188,6 +190,24 @@ def test_conv_differential():
     for value in (2**31, -(2**31) - 1, 12.9):
         reference, compiled = _both(lambda: _run(m, [value]))
         assert compiled == reference
+
+
+@pytest.mark.parametrize("divisor", [7, -7, 2.5])
+@pytest.mark.parametrize("op", ["div", "rem"])
+def test_literal_divisor_differential(op, divisor):
+    """A positive int literal divisor inlines ``//``/``%`` for a
+    non-negative int dividend; negative, bool and float dividends (and
+    other divisors) take the truncating helper.  Same value, same
+    type, as the oracle."""
+    builder = MethodBuilder("d", returns=True).arg("x").ldarg("x").ldc(divisor)
+    m = getattr(builder, op)().ret().build()
+    inline = "//" if op == "div" else "%"
+    source = native_source(m, InterpreterParams())
+    assert (f" {inline} {divisor} if " in source) == (divisor == 7)
+    for value in (0, 6, 7, 23, -1, -7, -23, True, False, 23.5, -23.5, -0.0):
+        reference, compiled = _both(lambda: _run(m, [value]))
+        assert compiled == reference, value
+        assert type(compiled) is type(reference), value
 
 
 # ---------------------------------------------------------------------------

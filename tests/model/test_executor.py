@@ -208,7 +208,8 @@ def test_striped_run_heap_entries_are_pinned(monkeypatch):
     of heap entries (``Engine._seq``) one small QCRD run pushes.  Each
     disk fragment settles by a direct call from its arm, so one extra
     event hop per fragment would add ``fragments`` entries and fail
-    this on any host."""
+    this on any host.  The 33 CPU bursts that nothing queued can
+    pre-empt sleep in their process's frame and take no entry."""
     from repro.model import executor
 
     engines = []
@@ -227,4 +228,4 @@ def test_striped_run_heap_entries_are_pinned(monkeypatch):
                     if name.endswith(".completed"))
     assert result.makespan == pytest.approx(0.9845618658041327, rel=1e-12)
     assert fragments == 635
-    assert engine._seq == 1210
+    assert engine._seq == 1177

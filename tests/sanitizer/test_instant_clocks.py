@@ -65,6 +65,13 @@ class FullClockDetector(RaceDetector):
             join_into(ctx.clock, vc)
         ctx.clock[ctx.tid] += 1
 
+    def on_sleep(self, owner, wake):
+        # A Timeout's trigger tick and wake-up tick; the wake-up would
+        # join the sleeper's own earlier clock, a no-op.
+        ctx = self.context_of(owner)
+        ctx.clock[ctx.tid] += 2
+        self.events_tracked += 1
+
     def on_condition(self, condition, child):
         vc = getattr(child, "_vc", None)
         if vc:
@@ -221,7 +228,7 @@ class _World:
                 else:
                     self.vars[var].read(eng, op=label, relaxed=relaxed)
             elif kind == "sleep":
-                yield eng.timeout(op[1])
+                yield float(op[1])
             elif kind == "signal":
                 self.signal(op[1])
             elif kind == "wait":

@@ -401,3 +401,18 @@ def test_background_respects_until_bound():
     eng.run()
     assert eng.now == 6.0
     assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+
+def test_run_until_before_the_clock_raises():
+    eng = Engine()
+
+    def sleeper():
+        yield 10.0
+
+    eng.process(sleeper())
+    assert eng.run(until=5.5) == 5.5
+    with pytest.raises(SimulationError, match="before the clock"):
+        eng.run(until=3)
+    assert eng.now == 5.5
+    assert eng.run(until=5.5) == 5.5  # until == now stays legal
+    assert eng.run() == 10.0
