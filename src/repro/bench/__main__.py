@@ -8,7 +8,6 @@
     python -m repro.bench --json results.json   # machine-readable dump
     python -m repro.bench tab1 --trace-out t.json   # Chrome/Perfetto trace
     python -m repro.bench tab1 --trace-jsonl t.jsonl  # JSONL event dump
-    python -m repro.bench --baseline-out BENCH_now.json  # gate snapshot
     python -m repro.bench ext_scale --wallclock-append BENCH_wallclock.jsonl
     python -m repro.bench ext_faults --telemetry-out series.jsonl
     python -m repro.bench ext_cluster --sanitize     # race detector on
@@ -23,8 +22,12 @@ registry on simulated time into a windowed series file (render it with
 ``python -m repro.obs timeline``); sampling never perturbs simulated
 results, and two same-seed runs write byte-identical series.
 
-See docs/observability.md for the trace formats, the baseline schema,
-and the regression gate (``python -m repro.obs gate``);
+Unknown experiment ids and ``--jobs`` below 1 are usage errors (exit 2)
+caught before anything runs.  A ``--json`` dump is checked for drift
+with ``python -m repro.bench.compare results/full_report.json
+<dump>``.
+
+See docs/observability.md for the trace formats and
 docs/performance.md for profiling and the wall-clock workflow.
 """
 
@@ -76,13 +79,6 @@ def main(argv=None) -> int:
         help="record simulation spans and write them as JSON-lines",
     )
     parser.add_argument(
-        "--baseline-out",
-        dest="baseline_out",
-        help="write a machine-readable metric snapshot for the "
-        "regression gate (python -m repro.obs gate); includes an "
-        "informational wall_clock section",
-    )
-    parser.add_argument(
         "--telemetry-out",
         dest="telemetry_out",
         metavar="PATH",
@@ -114,6 +110,11 @@ def main(argv=None) -> int:
         "status 1 if any race is reported (forces --jobs 1)",
     )
     args = parser.parse_args(argv)
+    unknown = [e for e in args.experiments if e not in ALL_EXPERIMENTS]
+    if unknown:
+        parser.error(f"unknown experiment(s): {', '.join(unknown)}")
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
 
     detector = None
     if args.sanitize:
@@ -176,14 +177,12 @@ def main(argv=None) -> int:
 
     blocks = []
     dumps = []
-    results = []
     wall_seconds = {}
     for (result, elapsed), exp_id in zip(timed, exp_ids):
         block = render_table(result) + f"\n  (ran in {elapsed:.2f}s wall)"
         print(block)
         print()
         blocks.append(block)
-        results.append(result)
         wall_seconds[exp_id] = elapsed
         entry = result.to_dict()
         entry["wall_seconds"] = round(elapsed, 3)
@@ -195,15 +194,6 @@ def main(argv=None) -> int:
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as fh:
             json.dump(dumps, fh, indent=2)
-    if args.baseline_out:
-        from repro.obs.report import write_baseline
-
-        doc = write_baseline(args.baseline_out, results,
-                             label=" ".join(exp_ids),
-                             wall_seconds=wall_seconds)
-        n_metrics = sum(len(e["metrics"]) for e in doc["experiments"].values())
-        print(f"wrote baseline for {len(doc['experiments'])} experiments "
-              f"({n_metrics} metrics) to {args.baseline_out}")
     if args.wallclock_append:
         line = {
             "date": time.strftime("%Y-%m-%d"),  # det: allow - wall-clock log timestamp

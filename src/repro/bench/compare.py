@@ -12,6 +12,12 @@ canonical JSON (``wall_seconds`` is host time and is left out)::
     python -m repro.bench.compare before.json after.json
 
 Rows are compared by position, every cell and every note included.
+The committed golden dump is ``results/full_report.json``; CI compares
+a fresh sweep against it.
+
+Exit status: 0 when every experiment is identical, 1 on drift, 2 on
+bad input (an unreadable or malformed dump, or one that lists an
+experiment twice).
 """
 
 from __future__ import annotations
@@ -45,14 +51,29 @@ class Drift:
 
 
 def load_dump(path: str) -> Dict[str, ExperimentResult]:
-    """Load a ``--json`` dump into {exp_id: ExperimentResult}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    """Load a ``--json`` dump into {exp_id: ExperimentResult}.
+
+    Raises :class:`BenchmarkError` if the file cannot be read or
+    parsed, is not a list of experiment dumps, or repeats an
+    ``exp_id`` (a later entry would silently shadow an earlier one).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise BenchmarkError(f"{path}: cannot load dump ({exc})") from None
     if not isinstance(data, list):
         raise BenchmarkError(f"{path}: expected a list of experiment dumps")
     out = {}
     for entry in data:
-        result = ExperimentResult.from_dict(entry)
+        try:
+            result = ExperimentResult.from_dict(entry)
+        except (KeyError, TypeError) as exc:
+            raise BenchmarkError(
+                f"{path}: malformed experiment dump ({exc!r})") from None
+        if result.exp_id in out:
+            raise BenchmarkError(f"{path}: experiment {result.exp_id!r} "
+                                 "appears more than once")
         out[result.exp_id] = result
     return out
 
@@ -98,15 +119,22 @@ def compare_results(
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI: exit 0 if every experiment is identical, 1 otherwise."""
+    """CLI: exit 0 if every experiment is identical, 1 on drift, 2 on
+    bad input."""
     import argparse
+    import sys
 
     parser = argparse.ArgumentParser(prog="python -m repro.bench.compare")
     parser.add_argument("before")
     parser.add_argument("after")
     args = parser.parse_args(argv)
-    before = load_dump(args.before)
-    drifts = compare_results(before, load_dump(args.after))
+    try:
+        before = load_dump(args.before)
+        after = load_dump(args.after)
+    except BenchmarkError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    drifts = compare_results(before, after)
     if not drifts:
         print(f"no drift: {len(before)} experiments identical "
               "(title, columns, rows, notes)")

@@ -59,7 +59,7 @@ def _run_telemetry_fault_window(seed: int, telemetry) -> None:
 
     This scenario exists purely for the time axis — its results feed
     the telemetry stream, never the experiment rows (the committed
-    ``BENCH_seed.json`` statistics must stay byte-identical).  Media
+    ``results/full_report.json`` rows must stay byte-identical).  Media
     errors are armed only inside :data:`_TELEMETRY_FAULT_WINDOW`, so
     the series shows clean windows, a degraded burst with a firing
     alert, and recovery after the window closes.

@@ -5,9 +5,9 @@ and shares no state with its siblings, so the suite is embarrassingly
 parallel.  Workers return each result as its ``to_dict()`` form plus
 the wall seconds spent; the parent reconstructs
 :class:`~repro.bench.report.ExperimentResult` objects and reorders them
-to match the requested sequence, so rendered reports, JSON dumps, and
-baseline snapshots are byte-identical to a serial run (simulated
-metrics are deterministic; only ``wall_seconds`` varies run to run).
+to match the requested sequence, so rendered reports and JSON dumps
+are byte-identical to a serial run (simulated metrics are
+deterministic; only ``wall_seconds`` varies run to run).
 
 ``--profile DIR`` works in both modes: each experiment runs under
 :mod:`cProfile` and dumps ``DIR/<exp_id>.pstats`` for

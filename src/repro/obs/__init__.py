@@ -15,9 +15,7 @@ subsystem rather than per-module ad-hoc counters:
 * :mod:`repro.obs.analysis` / :mod:`repro.obs.report` —
   :func:`analyze` turns a trace into self/total rollups, a per-layer
   critical path, percentiles, utilization and a directly-follows
-  graph; ``python -m repro.obs report`` renders it, and
-  ``python -m repro.obs gate`` compares two bench baseline snapshots
-  and fails on regression.
+  graph; ``python -m repro.obs report`` renders it.
 
 Turn the whole stack on with one line::
 
@@ -61,15 +59,9 @@ from repro.obs.timeseries import (
     metric_layer,
 )
 from repro.obs.report import (
-    GateFinding,
     analysis_to_dict,
-    build_baseline,
-    gate_compare,
-    load_baseline,
-    render_gate_report,
     render_timeline_report,
     render_trace_report,
-    write_baseline,
 )
 
 __all__ = [
@@ -101,10 +93,4 @@ __all__ = [
     "analysis_to_dict",
     "render_timeline_report",
     "render_trace_report",
-    "build_baseline",
-    "write_baseline",
-    "load_baseline",
-    "gate_compare",
-    "GateFinding",
-    "render_gate_report",
 ]

@@ -1,6 +1,6 @@
-"""Performance reports and the bench regression gate.
+"""Performance reports over traces and telemetry series.
 
-Two faces on top of :mod:`repro.obs.analysis`:
+Two renderers on top of :mod:`repro.obs.analysis`:
 
 * :func:`render_trace_report` — the human-readable text report behind
   ``python -m repro.obs report <trace.jsonl>``: span rollup with self
@@ -8,45 +8,26 @@ Two faces on top of :mod:`repro.obs.analysis`:
   attribution, counter/utilization summaries, and the
   directly-follows graph of I/O operations.
 
-* the **baseline/gate workflow** — ``python -m repro.bench ...
-  --baseline-out BENCH_<name>.json`` snapshots every experiment's key
-  metrics (mean/min/max and histogram-derived percentiles per numeric
-  column) into a versioned JSON document; ``python -m repro.obs gate
-  --baseline A.json --candidate B.json --threshold 10%`` compares two
-  snapshots and exits nonzero when any metric *regresses* beyond the
-  threshold.  Each metric carries a direction (``lower_is_better``
-  for latencies, ``higher_is_better`` for speedups/hit ratios), so an
-  improvement never fails the gate — it is reported, not punished.
+* :func:`render_timeline_report` — the time-resolved report behind
+  ``python -m repro.obs timeline <series.jsonl>``: per-series
+  sparklines over simulated time and the alert transitions.
 
-The committed ``BENCH_seed.json`` is the repo's reference snapshot;
-CI regenerates a candidate and runs the gate against it.
+Regressions in simulated results are caught by the exact comparator,
+:mod:`repro.bench.compare`, against ``results/full_report.json``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import BenchmarkError
-from repro.obs.analysis import QUANTILES, TraceAnalysis, percentiles
+from repro.obs.analysis import TraceAnalysis
 
 __all__ = [
     "render_trace_report",
     "analysis_to_dict",
     "render_timeline_report",
     "sparkline",
-    "BASELINE_SCHEMA",
-    "BASELINE_VERSION",
-    "metric_direction",
-    "result_metrics",
-    "build_baseline",
-    "write_baseline",
-    "load_baseline",
-    "GateFinding",
-    "gate_compare",
-    "render_gate_report",
-    "parse_threshold",
 ]
 
 _MS = 1e3
@@ -456,280 +437,3 @@ def render_timeline_report(records: Sequence[dict], top: int = 20,
                if value is not None else "(no data)")
         )
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Baseline snapshots
-# ---------------------------------------------------------------------------
-
-BASELINE_SCHEMA = "repro.bench.baseline"
-BASELINE_VERSION = 1
-
-#: Input-parameter columns that are never performance metrics.
-_NON_METRIC_COLUMNS = {"data_size_bytes", "predicted"}
-
-#: Substrings marking a metric where *larger* is the good direction.
-_HIGHER_IS_BETTER = ("speedup", "throughput", "hit_ratio", "hits")
-
-
-def metric_direction(column: str) -> str:
-    """``higher_is_better`` or ``lower_is_better`` for a column name."""
-    lowered = column.lower()
-    if any(tag in lowered for tag in _HIGHER_IS_BETTER):
-        return "higher_is_better"
-    return "lower_is_better"
-
-
-def result_metrics(result: Any) -> Dict[str, Dict[str, Any]]:
-    """Key metrics of one :class:`~repro.bench.report.ExperimentResult`.
-
-    Every numeric column except the row key (first column), the
-    published ``paper_*`` references, and known input parameters
-    becomes one metric: ``{column: {count, mean, min, max, p50, p90,
-    p99, direction}}``.  Columns with no numeric cells are skipped.
-    """
-    out: Dict[str, Dict[str, Any]] = {}
-    for idx, column in enumerate(result.columns):
-        name = str(column)
-        if idx == 0 or name.startswith("paper_") or name in _NON_METRIC_COLUMNS:
-            continue
-        values = [
-            float(row[idx]) for row in result.rows
-            if idx < len(row) and isinstance(row[idx], (int, float))
-            and not isinstance(row[idx], bool)
-        ]
-        if not values:
-            continue
-        pct = percentiles(values)
-        out[name] = {
-            "count": len(values),
-            "mean": sum(values) / len(values),
-            "min": min(values),
-            "max": max(values),
-            **{f"p{q}": pct[q] for q in QUANTILES},
-            "direction": metric_direction(name),
-        }
-    return out
-
-
-def build_baseline(
-    results: Iterable[Any],
-    label: str = "",
-    wall_seconds: Optional[Dict[str, float]] = None,
-) -> dict:
-    """Versioned, machine-readable snapshot of many experiment results.
-
-    ``wall_seconds`` maps experiment id → host wall-clock seconds for
-    the run that produced it.  It lands in a top-level ``wall_clock``
-    section, *outside* ``experiments`` — informational by default, so
-    the simulated-metric gate never fails on a noisy host.  Pass
-    ``wall_threshold`` to :func:`gate_compare` to opt in to gating it.
-    """
-    experiments: Dict[str, dict] = {}
-    for result in results:
-        metrics = result_metrics(result)
-        if not metrics:
-            continue
-        experiments[result.exp_id] = {
-            "title": result.title,
-            "metrics": metrics,
-        }
-    doc = {
-        "schema": BASELINE_SCHEMA,
-        "version": BASELINE_VERSION,
-        "label": label,
-        "experiments": experiments,
-    }
-    if wall_seconds:
-        doc["wall_clock"] = {
-            exp_id: round(float(seconds), 3)
-            for exp_id, seconds in sorted(wall_seconds.items())
-        }
-    return doc
-
-
-def write_baseline(
-    path: str,
-    results: Iterable[Any],
-    label: str = "",
-    wall_seconds: Optional[Dict[str, float]] = None,
-) -> dict:
-    """Build and write a baseline; returns the document."""
-    doc = build_baseline(results, label=label, wall_seconds=wall_seconds)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return doc
-
-
-def load_baseline(path: str) -> dict:
-    """Load and validate a baseline document."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise BenchmarkError(f"{path}: cannot load baseline ({exc})") from None
-    if not isinstance(doc, dict) or doc.get("schema") != BASELINE_SCHEMA:
-        raise BenchmarkError(f"{path}: not a {BASELINE_SCHEMA} document")
-    if doc.get("version") != BASELINE_VERSION:
-        raise BenchmarkError(
-            f"{path}: baseline version {doc.get('version')!r} unsupported "
-            f"(expected {BASELINE_VERSION})"
-        )
-    if not isinstance(doc.get("experiments"), dict):
-        raise BenchmarkError(f"{path}: baseline has no experiments table")
-    return doc
-
-
-# ---------------------------------------------------------------------------
-# Regression gate
-# ---------------------------------------------------------------------------
-
-#: Statistics compared by the gate, in report order.
-_GATE_STATS = ("mean", "p99")
-
-
-@dataclass(frozen=True)
-class GateFinding:
-    """One compared metric statistic."""
-
-    exp_id: str
-    metric: str
-    stat: str  # "mean" | "p99" | "<presence>"
-    baseline: Optional[float]
-    candidate: Optional[float]
-    direction: str
-    regression: bool
-
-    @property
-    def delta_rel(self) -> Optional[float]:
-        if self.baseline is None or self.candidate is None:
-            return None
-        base = max(abs(self.baseline), 1e-12)
-        return (self.candidate - self.baseline) / base
-
-    def render(self) -> str:
-        tag = "REGRESSION" if self.regression else "ok"
-        if self.delta_rel is None:
-            return (f"{tag:<10} {self.exp_id}.{self.metric} [{self.stat}] "
-                    f"missing on one side")
-        return (
-            f"{tag:<10} {self.exp_id}.{self.metric} [{self.stat}] "
-            f"{self.baseline:.6g} -> {self.candidate:.6g} "
-            f"({self.delta_rel:+.1%}, {self.direction})"
-        )
-
-
-def gate_compare(
-    baseline: dict,
-    candidate: dict,
-    threshold: float = 0.10,
-    wall_threshold: Optional[float] = None,
-) -> List[GateFinding]:
-    """Compare two baseline documents metric by metric.
-
-    A metric statistic regresses when it moves beyond ``threshold``
-    (relative) in the metric's *bad* direction — up for
-    ``lower_is_better``, down for ``higher_is_better``.  Experiments
-    or metrics present in the baseline but missing from the candidate
-    are structural regressions; metrics new in the candidate are
-    ignored (they have nothing to regress from).
-
-    The ``wall_clock`` section is informational and skipped by
-    default; passing ``wall_threshold`` opts in to comparing it (its
-    entries never produce ``<presence>`` findings — wall numbers are
-    host-dependent and may legitimately be absent).
-    """
-    if threshold < 0:
-        raise BenchmarkError(f"threshold must be >= 0, got {threshold}")
-    if wall_threshold is not None and wall_threshold < 0:
-        raise BenchmarkError(
-            f"wall threshold must be >= 0, got {wall_threshold}"
-        )
-    findings: List[GateFinding] = []
-    base_exps = baseline["experiments"]
-    cand_exps = candidate["experiments"]
-    for exp_id in sorted(base_exps):
-        base_metrics = base_exps[exp_id].get("metrics", {})
-        cand_entry = cand_exps.get(exp_id)
-        if cand_entry is None:
-            findings.append(GateFinding(
-                exp_id, "*", "<presence>", 1.0, None,
-                "lower_is_better", True,
-            ))
-            continue
-        cand_metrics = cand_entry.get("metrics", {})
-        for metric in sorted(base_metrics):
-            base_row = base_metrics[metric]
-            cand_row = cand_metrics.get(metric)
-            direction = base_row.get("direction", "lower_is_better")
-            if cand_row is None:
-                findings.append(GateFinding(
-                    exp_id, metric, "<presence>", 1.0, None, direction, True,
-                ))
-                continue
-            for stat in _GATE_STATS:
-                bval = base_row.get(stat)
-                cval = cand_row.get(stat)
-                if bval is None or cval is None:
-                    continue
-                base_mag = max(abs(float(bval)), 1e-12)
-                delta = (float(cval) - float(bval)) / base_mag
-                worse = delta > threshold if direction == "lower_is_better" \
-                    else delta < -threshold
-                findings.append(GateFinding(
-                    exp_id, metric, stat, float(bval), float(cval),
-                    direction, worse,
-                ))
-    if wall_threshold is not None:
-        base_wall = baseline.get("wall_clock", {})
-        cand_wall = candidate.get("wall_clock", {})
-        for exp_id in sorted(base_wall):
-            bval = base_wall[exp_id]
-            cval = cand_wall.get(exp_id)
-            if cval is None:
-                continue
-            base_mag = max(abs(float(bval)), 1e-12)
-            delta = (float(cval) - float(bval)) / base_mag
-            findings.append(GateFinding(
-                exp_id, "wall_seconds", "wall", float(bval), float(cval),
-                "lower_is_better", delta > wall_threshold,
-            ))
-    return findings
-
-
-def render_gate_report(findings: Sequence[GateFinding],
-                       threshold: float, verbose: bool = False) -> str:
-    """Per-metric comparison table; regressions always shown, clean
-    rows only with ``verbose``."""
-    regressions = [f for f in findings if f.regression]
-    moved = [f for f in findings
-             if not f.regression and f.delta_rel is not None
-             and abs(f.delta_rel) > threshold]
-    lines = [
-        f"bench regression gate: {len(findings)} comparisons, "
-        f"{len(regressions)} regression(s) beyond {threshold:.0%}"
-    ]
-    for finding in regressions:
-        lines.append("  " + finding.render())
-    if moved:
-        lines.append(f"improvements/neutral moves beyond {threshold:.0%} "
-                     "(not gated):")
-        for finding in moved:
-            lines.append("  " + finding.render())
-    if verbose:
-        for finding in findings:
-            if not finding.regression and finding not in moved:
-                lines.append("  " + finding.render())
-    return "\n".join(lines)
-
-
-def parse_threshold(text: str) -> float:
-    """``"10%"`` → 0.10, ``"0.1"`` → 0.1 (both spellings accepted)."""
-    raw = text.strip()
-    try:
-        if raw.endswith("%"):
-            return float(raw[:-1]) / 100.0
-        return float(raw)
-    except ValueError:
-        raise BenchmarkError(f"bad threshold {text!r}") from None

@@ -1,4 +1,4 @@
-"""Tests for the regression comparator."""
+"""Tests for the exact regression comparator and the committed report."""
 
 import json
 from pathlib import Path
@@ -68,6 +68,32 @@ def test_load_dump_rejects_non_list(tmp_path):
         load_dump(str(p))
 
 
+def test_unreadable_dump_exits_2(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps([result().to_dict()]))
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("{not json")
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps([{"exp_id": "e1"}]))
+    for bad in (tmp_path / "missing.json", garbage, malformed):
+        with pytest.raises(BenchmarkError):
+            load_dump(str(bad))
+        assert main([str(good), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert "error" in captured.err and "drift" not in captured.out
+
+
+def test_duplicate_experiment_in_dump_exits_2(tmp_path, capsys):
+    """A repeated exp_id would let the second entry shadow the first."""
+    p = tmp_path / "dup.json"
+    p.write_text(json.dumps([result().to_dict(),
+                             result(rows=[("a", 9.0)]).to_dict()]))
+    with pytest.raises(BenchmarkError, match="more than once"):
+        load_dump(str(p))
+    assert main([str(p), str(p)]) == 2
+    assert "'e1' appears more than once" in capsys.readouterr().err
+
+
 def test_self_comparison_of_real_dump_is_clean(tmp_path, capsys):
     """A real harness dump compared against itself shows zero drift —
     end-to-end determinism of the whole pipeline."""
@@ -83,6 +109,21 @@ def test_self_comparison_of_real_dump_is_clean(tmp_path, capsys):
 # missed: each must make the comparator exit 1.
 
 FULL_REPORT = Path(__file__).resolve().parents[2] / "results" / "full_report.json"
+
+#: The experiments that take well under a second together.
+CHEAP = ["tab1", "tab2", "tab3", "tab4", "tab5", "tab6", "fig2", "fig3",
+         "ext_vm", "ext_eviction", "ext_degraded", "ext_cil", "ext_faults",
+         "ext_prefetch", "ext_scheduler", "ext_comm"]
+
+
+def test_cheap_experiments_match_committed_report():
+    """A fresh run of every cheap experiment equals its committed rows,
+    columns, title and notes exactly."""
+    from repro.bench.experiments import run_experiment
+
+    golden = load_dump(str(FULL_REPORT))
+    fresh = {exp_id: run_experiment(exp_id) for exp_id in CHEAP}
+    assert compare_results({e: golden[e] for e in CHEAP}, fresh) == []
 
 
 def _mutated_report_exit_code(tmp_path, mutate):

@@ -104,6 +104,21 @@ def test_main_module_runs_a_cheap_subset(capsys):
     assert "Cholesky" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["tab1", "nope"], "unknown experiment(s): nope"),
+    (["tab1", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+])
+def test_main_rejects_bad_arguments_before_running(argv, message, capsys):
+    from repro.bench.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no table was printed
+    assert message in captured.err
+
+
 def test_ext_arch_structure_and_memory_proxy():
     from repro.bench.experiments.arch import run_ext_arch
 

@@ -1,37 +1,9 @@
-"""The trace report, baseline snapshots, and the regression gate."""
+"""The trace report: rendered sections and the ``repro.obs report`` CLI."""
 
-import copy
-import json
-
-import pytest
-
-from repro.bench.report import ExperimentResult
-from repro.errors import BenchmarkError
-from repro.obs import Tracer, analyze, build_baseline, gate_compare, write_jsonl
+from repro.obs import Tracer, analyze, write_jsonl
 from repro.obs.__main__ import main as obs_main
-from repro.obs.report import (
-    load_baseline,
-    metric_direction,
-    parse_threshold,
-    render_gate_report,
-    render_trace_report,
-    result_metrics,
-    write_baseline,
-)
+from repro.obs.report import render_trace_report
 
-
-def _result():
-    return ExperimentResult(
-        exp_id="tabX",
-        title="synthetic",
-        columns=("op", "data_size_bytes", "measured_ms", "paper_ms", "speedup"),
-        rows=[("read", 4096, 1.0, 0.9, 2.0),
-              ("open", 4096, 3.0, 2.5, 4.0),
-              ("close", 4096, 5.0, 4.8, 6.0)],
-    )
-
-
-# -- trace report -----------------------------------------------------------
 
 def test_render_trace_report_sections(tmp_path):
     from repro.bench.experiments.tab5_tab6_webserver import run_tab6
@@ -64,212 +36,3 @@ def test_report_cli_on_bench_trace(tmp_path, capsys):
 def test_report_cli_missing_file_exits_2(tmp_path, capsys):
     assert obs_main(["report", str(tmp_path / "nope.jsonl")]) == 2
     assert "error" in capsys.readouterr().err
-
-
-# -- baseline snapshots ------------------------------------------------------
-
-def test_result_metrics_selects_and_characterizes_columns():
-    metrics = result_metrics(_result())
-    # Key column, paper_* and size columns are excluded.
-    assert set(metrics) == {"measured_ms", "speedup"}
-    m = metrics["measured_ms"]
-    assert m["count"] == 3
-    assert m["mean"] == pytest.approx(3.0)
-    assert m["min"] == 1.0 and m["max"] == 5.0
-    assert m["p50"] <= m["p90"] <= m["p99"] <= 5.0
-    assert m["direction"] == "lower_is_better"
-    assert metrics["speedup"]["direction"] == "higher_is_better"
-
-
-def test_metric_direction_heuristics():
-    assert metric_direction("read_ms") == "lower_is_better"
-    assert metric_direction("cold_misses") == "lower_is_better"
-    assert metric_direction("speedup") == "higher_is_better"
-    assert metric_direction("hit_ratio") == "higher_is_better"
-
-
-def test_write_and_load_baseline_roundtrip(tmp_path):
-    path = tmp_path / "BENCH_x.json"
-    doc = write_baseline(str(path), [_result()], label="unit")
-    loaded = load_baseline(str(path))
-    assert loaded == doc
-    assert loaded["schema"] == "repro.bench.baseline"
-    assert loaded["version"] == 1
-    assert "tabX" in loaded["experiments"]
-
-
-def test_load_baseline_rejects_garbage(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{\"schema\": \"something-else\"}")
-    with pytest.raises(BenchmarkError):
-        load_baseline(str(bad))
-    missing = tmp_path / "missing.json"
-    with pytest.raises(BenchmarkError):
-        load_baseline(str(missing))
-
-
-def test_bench_cli_baseline_out(tmp_path, capsys):
-    from repro.bench.__main__ import main as bench_main
-
-    path = tmp_path / "BENCH_now.json"
-    assert bench_main(["tab1", "--baseline-out", str(path)]) == 0
-    doc = load_baseline(str(path))
-    assert set(doc["experiments"]) == {"tab1"}
-    assert "measured_ms" in doc["experiments"]["tab1"]["metrics"]
-
-
-# -- regression gate ---------------------------------------------------------
-
-def _baseline():
-    return build_baseline([_result()], label="a")
-
-
-def test_gate_identical_baselines_pass():
-    findings = gate_compare(_baseline(), _baseline(), threshold=0.10)
-    assert findings and not any(f.regression for f in findings)
-
-
-def test_gate_flags_synthetic_2x_slowdown():
-    slow = copy.deepcopy(_baseline())
-    metric = slow["experiments"]["tabX"]["metrics"]["measured_ms"]
-    for stat in ("mean", "min", "max", "p50", "p90", "p99"):
-        metric[stat] *= 2.0
-    findings = gate_compare(_baseline(), slow, threshold=0.10)
-    bad = [f for f in findings if f.regression]
-    assert {(f.metric, f.stat) for f in bad} == {
-        ("measured_ms", "mean"), ("measured_ms", "p99"),
-    }
-    assert all(f.delta_rel == pytest.approx(1.0) for f in bad)
-
-
-def test_gate_direction_awareness():
-    # A 2x *speedup drop* regresses; a 2x speedup gain does not.
-    worse = copy.deepcopy(_baseline())
-    worse["experiments"]["tabX"]["metrics"]["speedup"]["mean"] /= 2.0
-    assert any(f.regression for f in gate_compare(_baseline(), worse))
-    better = copy.deepcopy(_baseline())
-    better["experiments"]["tabX"]["metrics"]["speedup"]["mean"] *= 2.0
-    findings = gate_compare(_baseline(), better)
-    assert not any(f.regression for f in findings)
-    # A latency *improvement* is not a regression either.
-    faster = copy.deepcopy(_baseline())
-    faster["experiments"]["tabX"]["metrics"]["measured_ms"]["mean"] /= 2.0
-    assert not any(f.regression for f in gate_compare(_baseline(), faster))
-
-
-def test_gate_missing_experiment_is_structural_regression():
-    empty = build_baseline([])
-    findings = gate_compare(_baseline(), empty)
-    assert any(f.regression and f.stat == "<presence>" for f in findings)
-    # New experiments in the candidate are not failures.
-    assert not any(f.regression for f in gate_compare(empty, _baseline()))
-
-
-def test_gate_report_and_threshold_parsing():
-    findings = gate_compare(_baseline(), _baseline(), threshold=0.10)
-    text = render_gate_report(findings, 0.10)
-    assert "0 regression(s)" in text
-    assert parse_threshold("10%") == pytest.approx(0.10)
-    assert parse_threshold("0.25") == pytest.approx(0.25)
-    with pytest.raises(BenchmarkError):
-        parse_threshold("lots")
-    with pytest.raises(BenchmarkError):
-        gate_compare(_baseline(), _baseline(), threshold=-1)
-
-
-def test_gate_cli_exit_codes(tmp_path, capsys):
-    base = tmp_path / "a.json"
-    write_baseline(str(base), [_result()])
-    same = tmp_path / "b.json"
-    write_baseline(str(same), [_result()])
-    assert obs_main(["gate", "--baseline", str(base),
-                     "--candidate", str(same)]) == 0
-
-    slow_doc = json.loads(base.read_text())
-    for metric in slow_doc["experiments"]["tabX"]["metrics"].values():
-        if metric["direction"] == "lower_is_better":
-            for stat in ("mean", "min", "max", "p50", "p90", "p99"):
-                metric[stat] *= 2.0
-    slow = tmp_path / "slow.json"
-    slow.write_text(json.dumps(slow_doc))
-    assert obs_main(["gate", "--baseline", str(base),
-                     "--candidate", str(slow), "--threshold", "10%"]) == 1
-    assert "REGRESSION" in capsys.readouterr().out
-
-    assert obs_main(["gate", "--baseline", str(tmp_path / "none.json"),
-                     "--candidate", str(base)]) == 2
-
-
-def test_committed_seed_baseline_is_valid_and_current_tree_passes_gate():
-    """BENCH_seed.json loads, and a freshly measured subset matches it
-    within the gate threshold (the CI contract, in-process)."""
-    from pathlib import Path
-
-    from repro.bench.experiments.tables_traces import run_tab1
-
-    seed_path = Path(__file__).resolve().parents[2] / "BENCH_seed.json"
-    seed = load_baseline(str(seed_path))
-    assert "tab1" in seed["experiments"]
-    fresh = build_baseline([run_tab1()])
-    subset = {
-        "schema": seed["schema"], "version": seed["version"], "label": "",
-        "experiments": {"tab1": seed["experiments"]["tab1"]},
-    }
-    findings = gate_compare(subset, fresh, threshold=0.10)
-    assert findings and not any(f.regression for f in findings)
-
-
-# -- wall-clock section ------------------------------------------------------
-
-def _wall_baseline(seconds):
-    return build_baseline([_result()], label="a",
-                          wall_seconds={"tabX": seconds})
-
-
-def test_baseline_records_wall_clock_section():
-    doc = _wall_baseline(1.2345678)
-    assert doc["wall_clock"] == {"tabX": 1.235}
-    # Informational only: never inside the gated experiments table.
-    assert "wall_clock" not in doc["experiments"]
-
-
-def test_baseline_omits_empty_wall_clock():
-    assert "wall_clock" not in build_baseline([_result()])
-
-
-def test_gate_ignores_wall_clock_by_default():
-    findings = gate_compare(_wall_baseline(1.0), _wall_baseline(100.0),
-                            threshold=0.10)
-    assert not any(f.regression for f in findings)
-    assert not any(f.stat == "wall" for f in findings)
-
-
-def test_gate_wall_threshold_opt_in():
-    findings = gate_compare(_wall_baseline(1.0), _wall_baseline(2.0),
-                            threshold=0.10, wall_threshold=0.5)
-    wall = [f for f in findings if f.stat == "wall"]
-    assert len(wall) == 1 and wall[0].regression
-    assert wall[0].metric == "wall_seconds"
-    ok = gate_compare(_wall_baseline(1.0), _wall_baseline(1.2),
-                      threshold=0.10, wall_threshold=0.5)
-    assert not any(f.regression for f in ok if f.stat == "wall")
-
-
-def test_gate_wall_missing_candidate_not_structural():
-    with_wall = _wall_baseline(1.0)
-    without = build_baseline([_result()], label="a")
-    findings = gate_compare(with_wall, without,
-                            threshold=0.10, wall_threshold=0.5)
-    assert not any(f.regression for f in findings)
-
-
-def test_gate_cli_wall_threshold(tmp_path, capsys):
-    fast = tmp_path / "fast.json"
-    slow = tmp_path / "slow.json"
-    fast.write_text(json.dumps(_wall_baseline(1.0)))
-    slow.write_text(json.dumps(_wall_baseline(10.0)))
-    assert obs_main(["gate", "--baseline", str(fast),
-                     "--candidate", str(slow)]) == 0
-    assert obs_main(["gate", "--baseline", str(fast),
-                     "--candidate", str(slow),
-                     "--wall-threshold", "50%"]) == 1

@@ -38,6 +38,26 @@ def test_lint_catches_bad_import(tmp_path):
     assert "NoSuchThing" in problems[0]
 
 
+def test_lint_catches_stale_cli_flag(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "```bash\n"
+        "python -m repro.bench tab1 --json a.json --baseline b.json\n"
+        "python -m repro.obs report t.jsonl \\\n"
+        "    --top 5 --wall-threshold 50%   # --not-a-flag\n"
+        "```\n"
+        "Then `python -m repro.obs timeline s.jsonl --width 40` draws it.\n"
+    )
+    problems = check_docs.check_cli_flags(
+        doc, doc.read_text(), check_docs.REPO_ROOT / "src")
+    assert [p.split(": ", 1)[1] for p in problems] == [
+        "'python -m repro.bench' has no option '--baseline'",
+        "'python -m repro.obs' has no option '--wall-threshold'",
+    ]
+    assert problems[0].startswith(f"{doc}:2:")
+    assert problems[1].startswith(f"{doc}:3:")
+
+
 def test_lint_ignores_non_python_fences(tmp_path):
     doc = tmp_path / "doc.md"
     doc.write_text("```text\nfrom repro.nowhere import X\n```\n")

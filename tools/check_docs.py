@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs lint: keep the Markdown honest.
 
-Three checks over ``README.md``, ``docs/*.md`` and the other top-level
+Four checks over ``README.md``, ``docs/*.md`` and the other top-level
 Markdown files:
 
 1. **Links** — every relative (intra-repo) Markdown link target must
@@ -16,6 +16,12 @@ Markdown files:
    ``docs/*.md`` page, so no subsystem ships undocumented.  (This is
    the lint that would have caught ``repro.webserver`` having no page
    for its first twenty PRs.)
+4. **CLI flags** — every ``--flag`` in a ``python -m repro.<mod> ...``
+   command must appear as a quoted string in that module's
+   ``__main__.py`` (or ``<mod>.py``), so docs cannot keep showing an
+   option that was removed.  A command ends at a backtick, a ``#``
+   comment, ``&&``, ``|`` or ``;``; a trailing backslash continues it
+   on the next line.
 
 Run directly (``python tools/check_docs.py``) or via the test suite
 (``tests/test_docs_lint.py``).  Exit status 0 = clean.
@@ -47,6 +53,8 @@ _FENCE_RE = re.compile(r"^```(\w*)\s*$")
 _IMPORT_RE = re.compile(
     r"^\s*(?:from\s+(repro[\w.]*)\s+import\s+([\w.,\s()]+)|import\s+(repro[\w.]*))"
 )
+_COMMAND_RE = re.compile(r"python -m (repro(?:\.\w+)*)([^`#&|;]*)")
+_FLAG_RE = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
 
 
 def iter_links(text: str) -> Iterator[Tuple[int, str]]:
@@ -127,6 +135,49 @@ def check_imports(doc: Path, text: str) -> List[str]:
     return problems
 
 
+def iter_cli_flags(text: str) -> Iterator[Tuple[int, str, str]]:
+    """Yield ``(lineno, module, flag)`` for each ``--flag`` of each
+    ``python -m repro.<mod>`` command in ``text``."""
+    lines = text.splitlines()
+    lineno = 0
+    while lineno < len(lines):
+        start = lineno + 1
+        line = lines[lineno]
+        while line.endswith("\\") and lineno + 1 < len(lines):
+            lineno += 1
+            line = line[:-1] + " " + lines[lineno]
+        lineno += 1
+        for command in _COMMAND_RE.finditer(line):
+            args = command.group(2).split("python -m", 1)[0]
+            for flag in _FLAG_RE.findall(args):
+                yield start, command.group(1), flag
+
+
+def module_source(src_root: Path, module: str) -> Path:
+    """The file that parses ``python -m <module>``'s arguments."""
+    base = src_root.joinpath(*module.split("."))
+    package_main = base / "__main__.py"
+    return package_main if package_main.exists() else base.with_suffix(".py")
+
+
+def check_cli_flags(doc: Path, text: str, src_root: Path) -> List[str]:
+    problems = []
+    sources = {}
+    for lineno, module, flag in iter_cli_flags(text):
+        if module not in sources:
+            path = module_source(src_root, module)
+            sources[module] = (path.read_text(encoding="utf-8")
+                               if path.exists() else None)
+        source = sources[module]
+        if source is None:
+            problems.append(f"{_rel(doc)}:{lineno}: no CLI module for "
+                            f"'python -m {module}'")
+        elif f'"{flag}"' not in source and f"'{flag}'" not in source:
+            problems.append(f"{_rel(doc)}:{lineno}: 'python -m {module}' "
+                            f"has no option {flag!r}")
+    return problems
+
+
 def top_level_packages(src_root: Path) -> List[str]:
     """Top-level package names under ``{src_root}/repro`` (directories
     containing an ``__init__.py``)."""
@@ -172,6 +223,7 @@ def run_checks() -> List[str]:
         text = doc.read_text(encoding="utf-8")
         problems.extend(check_links(doc, text))
         problems.extend(check_imports(doc, text))
+        problems.extend(check_cli_flags(doc, text, src))
     problems.extend(
         check_package_coverage(REPO_ROOT / "src", REPO_ROOT / "docs")
     )
