@@ -22,8 +22,9 @@ registry on simulated time into a windowed series file (render it with
 ``python -m repro.obs timeline``); sampling never perturbs simulated
 results, and two same-seed runs write byte-identical series.
 
-Unknown experiment ids and ``--jobs`` below 1 are usage errors (exit 2)
-caught before anything runs.  A ``--json`` dump is checked for drift
+Unknown experiment ids, ``--jobs`` below 1 and a
+``--telemetry-interval-ms`` that is not positive are usage errors
+(exit 2) caught before anything runs.  A ``--json`` dump is checked for drift
 with ``python -m repro.bench.compare results/full_report.json
 <dump>``.
 
@@ -115,6 +116,9 @@ def main(argv=None) -> int:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if not args.telemetry_interval_ms > 0:  # also rejects NaN
+        parser.error("--telemetry-interval-ms must be > 0, got "
+                     f"{args.telemetry_interval_ms:g}")
 
     detector = None
     if args.sanitize:

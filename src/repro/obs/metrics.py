@@ -12,7 +12,11 @@ one plain dict, ready for JSON.
 
 Every :class:`~repro.sim.engine.Engine` owns a registry
 (``engine.metrics``); components register at construction, so the
-catalogue is always complete without any per-event cost.
+catalogue is always complete without any per-event cost.  A component
+that brings its collectors up to date lazily (a disk that commits
+requests at enqueue records each one when it is next looked at) also
+registers a *settler*, which every read through the registry runs
+first (:meth:`MetricsRegistry.settle`).
 
 The registry dispatches on *structure*, not type, so it accepts any
 object quacking like one of the standard collectors (and dataclasses
@@ -42,6 +46,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[str, Any] = {}
         self._labels: Dict[str, Dict[str, Any]] = {}
+        self._settlers: List[Callable[[], None]] = []
 
     # -- registration -----------------------------------------------------------
 
@@ -65,6 +70,16 @@ class MetricsRegistry:
         if not callable(fn):
             raise SimulationError(f"gauge {name!r} needs a callable, got {fn!r}")
         return self.register(name, fn, **labels)
+
+    def add_settler(self, fn: Callable[[], None]) -> None:
+        """Register ``fn()`` to run before every read of the registry,
+        so collectors that lag the clock catch up first."""
+        self._settlers.append(fn)
+
+    def settle(self) -> None:
+        """Bring every lazily updated collector up to the current time."""
+        for fn in self._settlers:
+            fn()
 
     # -- queries ---------------------------------------------------------------
 
@@ -96,6 +111,7 @@ class MetricsRegistry:
         ``value``) plus type-specific fields; empty tallies report
         ``count: 0`` with ``None`` statistics rather than raising.
         """
+        self.settle()
         out: Dict[str, dict] = {}
         for name, collector in self._metrics.items():
             entry = _summarize(collector)

@@ -109,7 +109,7 @@ class TelemetryConfig:
     labels: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
+        if not self.interval > 0:  # also rejects NaN
             raise SimulationError(
                 f"telemetry interval must be > 0 sim-seconds, "
                 f"got {self.interval}"
@@ -209,11 +209,13 @@ class TelemetrySampler:
         """Scrape one window now; returns ``{metric: window_stats}``.
 
         Called automatically by the background tick; callable directly
-        for event-aligned extra windows.  Reads collectors only — a
-        scrape never mutates simulation state.
+        for event-aligned extra windows.  Reads collectors only (after
+        letting lazily updated ones catch up to the clock) — a scrape
+        never mutates simulation state.
         """
         t0, t1 = self._last_t or 0.0, self.engine.now
         registry = self.engine.metrics
+        registry.settle()
         window_stats: Dict[str, Dict[str, Any]] = {}
         samples: List[Dict[str, Any]] = []
         for name in sorted(registry.names()):

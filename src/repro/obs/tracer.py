@@ -197,7 +197,7 @@ class NullTracer:
         pass
 
     def counter(self, name: str, category: str, value: float,
-                tid: int = 0) -> None:
+                tid: int = 0, at: Optional[float] = None) -> None:
         pass
 
     def __len__(self) -> int:
@@ -335,11 +335,13 @@ class Tracer:
         ))
 
     def counter(self, name: str, category: str, value: float,
-                tid: int = 0) -> None:
-        """Record one sample of a numeric series (e.g. queue depth)."""
+                tid: int = 0, at: Optional[float] = None) -> None:
+        """Record one sample of a numeric series (e.g. queue depth),
+        taken now or, for a component that records lazily, ``at`` an
+        earlier time."""
         if not self.wants(category):
             return
-        now = self.now
+        now = self.now if at is None else at
         self._next_id += 1
         self.events.append(TraceEvent(
             kind="counter", name=name, category=category, start=now,

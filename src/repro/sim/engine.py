@@ -5,6 +5,15 @@ The engine owns simulated time.  It never consults the wall clock;
 ``(time, seq)`` with a monotonic sequence counter makes same-time
 events fire in the order they were scheduled, which keeps every
 experiment deterministic.
+
+Most entries take a fresh seq when pushed.  A *commitment* (a disk
+request whose finish was fixed when it was queued) is pushed with the
+seq it took back then, so a completion ranks among same-instant
+entries by when its request was queued, wherever it is queued.  Code
+that keeps such not-yet-reached positions outside the heap compares
+them with ``(engine._now, engine._cur_seq)``, the position of the
+entry running now: ``(t, seq)`` has been reached iff ``t < _now`` or
+``t == _now and seq <= _cur_seq``.
 """
 
 from __future__ import annotations
@@ -46,10 +55,16 @@ class Engine:
         # Heap items: (time, seq, kind, payload).  ``kind`` is a payload
         # tag — 1 for an Event whose callbacks should run, 0 for a bare
         # callable, 2 for a *background* callable (see
-        # :meth:`schedule_background`) — so the drain loop dispatches on
-        # an int compare instead of isinstance.  seq is unique, so kind
-        # never takes part in heap ordering.
+        # :meth:`schedule_background`), 3 for a commitment (see
+        # :meth:`_push_commitment`) — so the drain loop dispatches on an
+        # int compare instead of isinstance.  (time, seq) is unique, so
+        # kind never takes part in heap ordering.
         self._queue: List[Tuple[float, int, int, Any]] = []
+        # The seq of the entry running now; between entries (outside
+        # run(), or while a process sleeps in its own frame) the newest
+        # seq taken, so every position queued so far counts as reached
+        # at the current time and every later one does not.
+        self._cur_seq: int = 0
         # Background entries currently queued; when every remaining
         # queue entry is background, they are discarded unrun so they
         # never extend a run past its last foreground event.
@@ -132,6 +147,18 @@ class Engine:
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, self._seq, 0, fn))
 
+    def _push_commitment(self, payload: Any, when: float, seq: int) -> None:
+        """Queue ``payload.fire()`` at ``(when, seq)``, a seq the caller
+        took earlier (when it fixed ``when``).
+
+        The entry fires only while ``payload.due == when``: a payload
+        that moved its due time (pushing itself again, with the same
+        seq) or dropped it (``due = None``) lets this entry lapse, and a
+        lapsed entry is discarded **without advancing the clock**, as
+        if it had never been queued.
+        """
+        heapq.heappush(self._queue, (when, seq, 3, payload))
+
     def schedule_background(self, fn: Callable[[], None], delay: float = 0.0) -> None:
         """Schedule ``fn`` as a *background* call ``delay`` seconds from now.
 
@@ -164,10 +191,13 @@ class Engine:
         """
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        when, _seq, kind, payload = heapq.heappop(self._queue)
+        when, seq, kind, payload = heapq.heappop(self._queue)
         if when < self._now:  # pragma: no cover - heap invariant
             raise SimulationError("time went backwards")
+        if kind == 3 and payload.due != when:
+            return  # a lapsed commitment: the clock stays put
         self._now = when
+        self._cur_seq = seq
         if kind == 1:
             callbacks = payload.callbacks
             payload.callbacks = None  # mark processed
@@ -178,6 +208,8 @@ class Engine:
             # surface rather than swallow (mirrors SimPy semantics).
             elif not payload._ok and not isinstance(payload, Process):
                 raise payload.value
+        elif kind == 3:
+            payload.fire()
         else:
             # step() is explicit single-stepping: background calls run
             # unconditionally here (the only-background discard rule
@@ -232,9 +264,10 @@ class Engine:
         try:
             if until is None:
                 while queue:  # unbounded drain: no per-event bound check
-                    when, _seq, kind, payload = heappop(queue)
+                    when, seq, kind, payload = heappop(queue)
                     if kind == 1:
                         self._now = when
+                        self._cur_seq = seq
                         callbacks = payload.callbacks
                         payload.callbacks = None  # mark processed
                         if callbacks:
@@ -246,7 +279,13 @@ class Engine:
                             raise payload.value
                     elif kind == 0:
                         self._now = when
+                        self._cur_seq = seq
                         payload()
+                    elif kind == 3:
+                        if payload.due == when:  # else lapsed: skip it
+                            self._now = when
+                            self._cur_seq = seq
+                            payload.fire()
                     else:
                         # Background call: discarded (clock untouched)
                         # when nothing but background work remains.
@@ -254,15 +293,17 @@ class Engine:
                         if len(queue) == self._background:
                             continue
                         self._now = when
+                        self._cur_seq = seq
                         payload()
             else:
                 while queue:
                     if queue[0][0] > until:
                         self._now = until
                         return self._now
-                    when, _seq, kind, payload = heappop(queue)
+                    when, seq, kind, payload = heappop(queue)
                     if kind == 1:
                         self._now = when
+                        self._cur_seq = seq
                         callbacks = payload.callbacks
                         payload.callbacks = None  # mark processed
                         if callbacks:
@@ -274,12 +315,19 @@ class Engine:
                             raise payload.value
                     elif kind == 0:
                         self._now = when
+                        self._cur_seq = seq
                         payload()
+                    elif kind == 3:
+                        if payload.due == when:  # else lapsed: skip it
+                            self._now = when
+                            self._cur_seq = seq
+                            payload.fire()
                     else:
                         self._background -= 1
                         if len(queue) == self._background:
                             continue
                         self._now = when
+                        self._cur_seq = seq
                         payload()
             if self._live_processes > 0:
                 raise DeadlockError(
@@ -292,6 +340,7 @@ class Engine:
         finally:
             self._running = False
             self._horizon = -inf
+            self._cur_seq = self._seq
             if self.tracer.enabled:
                 self.tracer.complete("engine.run", "sim", run_started)
 

@@ -126,6 +126,9 @@ class Process(Event):
                             if det is not None:
                                 det.on_sleep(self, wake)
                             engine._now = wake
+                            # Where the wake-up's Timeout would have run:
+                            # after everything queued so far.
+                            engine._cur_seq = engine._seq
                             target = generator.send(None)
                         else:
                             target = Timeout(engine, target)

@@ -172,9 +172,12 @@ class TimeWeighted:
         self._area = 0.0
         self._max = float(initial)
 
-    def record(self, value: float) -> None:
-        """The signal becomes ``value`` at the current simulated time."""
-        now = self.engine._now
+    def record(self, value: float, at: Optional[float] = None) -> None:
+        """The signal becomes ``value`` at the current simulated time, or
+        ``at`` an earlier one no earlier than the last recorded change
+        (how a component that records lazily replays the changes it
+        owes, in order)."""
+        now = self.engine._now if at is None else at
         self._area += self._last_value * (now - self._last_time)
         self._last_time = now
         self._last_value = float(value)

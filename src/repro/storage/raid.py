@@ -8,7 +8,10 @@ The address map is the standard RAID-0 layout: logical blocks are
 grouped into stripe units of ``stripe_unit`` blocks; consecutive units
 rotate round-robin across member disks.  A logical request splits into
 at most one contiguous physical request per (disk, stripe-unit run)
-and completes when every fragment has.
+and completes when every fragment has.  Over members that commit FCFS
+service at enqueue (see :mod:`repro.storage.disk`) every fragment's
+finish is known at submit, so the whole range takes one heap entry, at
+its latest fragment's finish.
 
 :class:`MirroredArray` is the resilience counterpart: every block lives
 on every member, reads rotate across in-sync members and fail over when
@@ -23,7 +26,7 @@ would silently mis-map blocks, so it raises :class:`DiskError` instead.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import DiskError, DiskFailedError, MediaError
 from repro.sanitizer import runtime as _sanitizer
@@ -50,6 +53,112 @@ def _validate_members(disks: Sequence[Disk], kind: str) -> None:
         )
 
 
+class _CommittedRange:
+    """One striped range over committing disks: its heap entry, at the
+    latest fragment finish, settles the whole range (see
+    :meth:`Engine._push_commitment`)."""
+
+    __slots__ = ("engine", "disks", "first", "requests", "done", "seq",
+                 "due", "failed", "lost")
+
+    def __init__(self, engine: Engine, disks: List[Disk], first: int,
+                 requests: List[IORequest], done: Event, seq: int) -> None:
+        self.engine = engine
+        self.disks = disks      # the array's members
+        self.first = first      # the member holding the first fragment
+        self.requests = requests
+        self.done = done
+        self.seq = seq
+        self.failed = False
+        # Fragments a failure settled (it stamped them itself).
+        self.lost: List[IORequest] = []
+
+    def members(self) -> Iterator[Disk]:
+        """Each member the range touches, once."""
+        disks = self.disks
+        ndisks = len(disks)
+        first = self.first
+        for k in range(min(len(self.requests), ndisks)):
+            yield disks[(first + k) % ndisks]
+
+    def fire(self) -> None:
+        for disk in self.members():
+            disk._catch_up()
+        det = _sanitizer.active
+        if det is not None:
+            self._stamp(det)
+        if not self.failed:
+            done, requests = self.done, self.requests
+            self.engine._schedule_call(lambda: done.succeed(requests))
+
+    def _stamp(self, det) -> None:
+        """Each fragment that finished normally triggers in its arm's
+        context, accumulated into the range's event if it finished now
+        (an earlier finish's clock would not reach a waiter now)."""
+        engine = self.engine
+        now = engine._now
+        done = self.done
+        disks = self.disks
+        ndisks = len(disks)
+        for k, request in enumerate(self.requests):
+            if request in self.lost:
+                continue
+            prev = det.enter(disks[(self.first + k) % ndisks])
+            try:
+                stamp = Event(engine)
+                det.on_trigger(stamp)
+            finally:
+                det.leave(prev)
+            if request._finish == now and not done.triggered:
+                det.on_condition(done, stamp)
+
+    def settle(self, request: IORequest, error: Exception) -> None:
+        """A member failed with ``request`` unfinished (in the failing
+        context): the first such failure fails the range."""
+        engine = self.engine
+        done = self.done
+        det = _sanitizer.active
+        if det is not None:
+            # As a fragment settled by its arm: once the failure has
+            # triggered the range's event, a late fragment's clock joins
+            # from a slot of its own, so a waiter already queued at this
+            # instant misses it.
+            stamp = Event(engine)
+            det.on_trigger(stamp)
+            if done.triggered:
+                engine._schedule_call(lambda: det.on_condition(done, stamp))
+            else:
+                det.on_condition(done, stamp)
+        self.lost.append(request)
+        if self.failed:
+            return
+        self.failed = True
+        engine._schedule_call(lambda: done.fail(error))
+
+    def retime(self) -> None:
+        """After a failure: fire at the latest finish still to come (a
+        request in service ends its transfer), or never."""
+        engine = self.engine
+        for disk in self.members():
+            disk._catch_up()
+        now, cur, seq = engine._now, engine._cur_seq, self.seq
+        due = None
+        for request in self.requests:
+            at = request._finish
+            if at is not None and (at > now or (at == now and seq > cur)) \
+                    and (due is None or at > due):
+                due = at
+        if due == self.due:
+            return
+        self.due = due
+        if due is not None:
+            engine._push_commitment(self, due, seq)
+        else:
+            det = _sanitizer.active
+            if det is not None:
+                self._stamp(det)
+
+
 class StripedArray:
     """RAID-0 over homogeneous member disks.
 
@@ -65,6 +174,7 @@ class StripedArray:
         self.engine = engine
         self.disks: List[Disk] = list(disks)
         self.stripe_unit = stripe_unit
+        self._committed = all(disk._committed for disk in self.disks)
 
     # -- device interface ----------------------------------------------------
 
@@ -92,33 +202,40 @@ class StripedArray:
     def split(self, lba: int, nblocks: int) -> List[Tuple[int, int, int]]:
         """Split a logical range into ``(disk_index, physical_lba, nblocks)``
         fragments, each contiguous on its member disk."""
+        self._check_range(lba, nblocks)
+        return list(self._fragments(lba, nblocks))
+
+    def _check_range(self, lba: int, nblocks: int) -> None:
         if nblocks < 1:
             raise DiskError(f"nblocks must be >= 1, got {nblocks}")
         end = lba + nblocks
         if lba < 0 or end > self.total_blocks:
             raise DiskError(f"range [{lba}, {end}) out of array bounds")
+
+    def _fragments(self, lba: int, nblocks: int) -> Iterator[Tuple[int, int, int]]:
+        """The stripe map walk behind :meth:`split`, for a checked range."""
+        end = lba + nblocks
         ndisks = len(self.disks)
         if ndisks == 1:
             # Consecutive stripe units share the one disk and are
             # physically contiguous: the range is a single fragment.
-            return [(0, lba, nblocks)]
+            yield 0, lba, nblocks
+            return
         # With two or more disks consecutive units land on different
         # members, so every stripe-unit run is its own fragment.
         unit = self.stripe_unit
         unit_index, offset = divmod(lba, unit)
         physical_unit, disk_index = divmod(unit_index, ndisks)
-        fragments: List[Tuple[int, int, int]] = []
         block = lba
         while block < end:
             run = min(end - block, unit - offset)
-            fragments.append((disk_index, physical_unit * unit + offset, run))
+            yield disk_index, physical_unit * unit + offset, run
             block += run
             offset = 0
             disk_index += 1
             if disk_index == ndisks:
                 disk_index = 0
                 physical_unit += 1
-        return fragments
 
     def submit_range(self, lba: int, nblocks: int, is_write: bool = False) -> Event:
         """Submit a logical range; the event succeeds with the list of
@@ -128,16 +245,37 @@ class StripedArray:
         range touching an offline member raises
         :class:`~repro.errors.DiskFailedError` before any fragment is
         queued."""
-        fragments = self.split(lba, nblocks)
+        self._check_range(lba, nblocks)
         disks = self.disks
-        for disk, _, _ in fragments:
-            if disks[disk].failed:
-                raise DiskFailedError(f"disk {disks[disk].name} is offline")
+        ndisks = len(disks)
+        # The members the range touches: consecutive ones (mod ndisks)
+        # from the first unit's, one per stripe unit.
+        unit = self.stripe_unit
+        first_unit = lba // unit
+        touched = (lba + nblocks - 1) // unit - first_unit + 1
+        for k in range(min(touched, ndisks)):
+            disk = disks[(first_unit + k) % ndisks]
+            if disk.failed:
+                raise DiskFailedError(f"disk {disk.name} is offline")
         engine = self.engine
         done = Event(engine)
-        requests = [IORequest(lba=phys, nblocks=run, is_write=is_write)
-                    for _, phys, run in fragments]
-        remaining = len(requests)
+        requests: List[IORequest] = []
+        if self._committed:
+            seq = engine._seq = engine._seq + 1
+            first = first_unit % ndisks
+            landing = _CommittedRange(engine, disks, first, requests, done, seq)
+            due = -1.0
+            for disk, phys, run in self._fragments(lba, nblocks):
+                request = IORequest(phys, run, is_write)
+                finish = disks[disk]._commit(request, seq, landing)
+                if finish > due:
+                    due = finish
+                requests.append(request)
+            landing.due = due
+            engine._push_commitment(landing, due, seq)
+            return done
+
+        remaining = 0
 
         # Each fragment settles by a direct call from its disk's arm; only
         # the call that decides the range (the last to land, or the first
@@ -169,7 +307,10 @@ class StripedArray:
             if remaining == 0:
                 engine._schedule_call(lambda: done.succeed(requests))
 
-        for (disk, _, _), request in zip(fragments, requests):
+        for disk, phys, run in self._fragments(lba, nblocks):
+            request = IORequest(phys, run, is_write)
+            requests.append(request)
+            remaining += 1
             disks[disk].enqueue(request, land)
         return done
 

@@ -34,10 +34,19 @@ class IORequest:
     submitted_at / started_at / completed_at:
         Simulated timestamps filled in by the disk as the request moves
         through the queue; ``None`` until reached.
+    seq:
+        The engine sequence number the disk took when the request was
+        queued (``None`` until then).  The request's completion ranks
+        among same-instant heap entries by it.
     """
 
+    # A committing disk's bookkeeping (see repro.storage.disk): the
+    # start and finish it fixed at enqueue (``_finish`` is None once a
+    # failure cancelled the request), and what settles the request
+    # while it is in flight (None once settled).
     __slots__ = ("lba", "nblocks", "is_write", "request_id",
-                 "submitted_at", "started_at", "completed_at")
+                 "submitted_at", "started_at", "completed_at", "seq",
+                 "_start", "_finish", "_owner")
 
     def __init__(
         self,
@@ -62,6 +71,8 @@ class IORequest:
         self.submitted_at = submitted_at
         self.started_at = started_at
         self.completed_at = completed_at
+        self.seq = None
+        self._owner = None
 
     @property
     def end_lba(self) -> int:

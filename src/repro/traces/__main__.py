@@ -3,13 +3,16 @@
     python -m repro.traces generate dmine -o dmine.umdt
     python -m repro.traces info dmine.umdt
     python -m repro.traces replay dmine.umdt [--cold] [--policy adaptive]
+
+A trace file that cannot be read or written, or is not a valid trace,
+is a usage error: one ``error:`` line and exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 
+from repro.errors import TraceError
 from repro.traces import (
     APPLICATIONS,
     IOOp,
@@ -33,7 +36,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_info(args: argparse.Namespace) -> int:
     from repro.traces.analysis import summarize
 
-    header, records = read_trace(args.trace)
+    header, records = args.loaded
     print(f"trace          : {args.trace}")
     print(f"processes      : {header.num_processes}")
     print(f"files          : {header.num_files}")
@@ -55,7 +58,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    header, records = read_trace(args.trace)
+    header, records = args.loaded
     cfg = ReplayConfig(warmup=not args.cold, prefetch_policy=args.policy)
     result = TraceReplayer(cfg).replay(header, records, args.trace)
     print(f"replayed {len(records)} records in {result.total_time:.4f} "
@@ -91,6 +94,15 @@ def main(argv=None) -> int:
     rep.set_defaults(func=_cmd_replay)
 
     args = parser.parse_args(argv)
+    if args.command == "generate":
+        try:
+            return args.func(args)  # its only I/O is writing the trace
+        except OSError as exc:
+            parser.error(str(exc))
+    try:
+        args.loaded = read_trace(args.trace)
+    except (OSError, TraceError) as exc:
+        parser.error(str(exc))
     return args.func(args)
 
 

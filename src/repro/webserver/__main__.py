@@ -8,6 +8,9 @@
 ``--telemetry-out`` samples the server's metrics registry on simulated
 time into a windowed series file (render with ``python -m repro.obs
 timeline``); sampling never changes the simulated results.
+
+A setting the configuration rejects (``--clients 0``, a negative think
+time, ...) is a usage error: one ``error:`` line and exit status 2.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 
 from repro.cli.profiles import VM_PROFILES
+from repro.errors import ReproError
 from repro.webserver import (
     HostConfig,
     WebServerHost,
@@ -51,27 +55,31 @@ def main(argv=None) -> int:
                         "milliseconds (default 100)")
     args = parser.parse_args(argv)
 
-    host = WebServerHost(HostConfig(vm_profile=args.profile,
-                                    architecture=args.architecture))
-    telemetry = None
-    sampler = None
-    if args.telemetry_out:
-        from repro.obs import Telemetry, TelemetryConfig
+    from repro.obs import Telemetry, TelemetryConfig
 
-        telemetry = Telemetry(TelemetryConfig(
-            interval=args.telemetry_interval_ms * 1e-3))
-        sampler = telemetry.attach(
-            host.engine, architecture=args.architecture, node="server-0")
-    result = WorkloadGenerator(
-        host,
-        WorkloadConfig(
+    try:
+        host_config = HostConfig(vm_profile=args.profile,
+                                 architecture=args.architecture)
+        workload_config = WorkloadConfig(
             num_clients=args.clients,
             requests_per_client=args.requests,
             get_fraction=args.get_fraction,
             mean_think_time=args.think_ms * 1e-3,
             seed=args.seed,
-        ),
-    ).run()
+        )
+        telemetry_config = TelemetryConfig(
+            interval=args.telemetry_interval_ms * 1e-3)
+    except ReproError as exc:
+        parser.error(str(exc))
+
+    host = WebServerHost(host_config)
+    telemetry = None
+    sampler = None
+    if args.telemetry_out:
+        telemetry = Telemetry(telemetry_config)
+        sampler = telemetry.attach(
+            host.engine, architecture=args.architecture, node="server-0")
+    result = WorkloadGenerator(host, workload_config).run()
     if sampler is not None:
         sampler.finish()
 

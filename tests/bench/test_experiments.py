@@ -107,6 +107,11 @@ def test_main_module_runs_a_cheap_subset(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["tab1", "nope"], "unknown experiment(s): nope"),
     (["tab1", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+    (["tab1", "--telemetry-interval-ms", "0"],
+     "--telemetry-interval-ms must be > 0, got 0"),
+    (["ext_faults", "--telemetry-out", "unused.jsonl",
+      "--telemetry-interval-ms", "-5"],
+     "--telemetry-interval-ms must be > 0, got -5"),
 ])
 def test_main_rejects_bad_arguments_before_running(argv, message, capsys):
     from repro.bench.__main__ import main

@@ -205,11 +205,12 @@ def test_synthetic_params_validation():
 
 def test_striped_run_heap_entries_are_pinned(monkeypatch):
     """Host-independent guard on the striped I/O path: the exact number
-    of heap entries (``Engine._seq``) one small QCRD run pushes.  Each
-    disk fragment settles by a direct call from its arm, so one extra
-    event hop per fragment would add ``fragments`` entries and fail
-    this on any host.  The 33 CPU bursts that nothing queued can
-    pre-empt sleep in their process's frame and take no entry."""
+    of heap entries (``Engine._seq``) one small QCRD run pushes.  The
+    nodes' striped disks commit FCFS service at enqueue, so a burst
+    takes one entry for all its fragments; one entry per fragment would
+    add ``fragments`` entries and fail this on any host.  The 33 CPU
+    bursts that nothing queued can pre-empt sleep in their process's
+    frame and take no entry."""
     from repro.model import executor
 
     engines = []
@@ -228,4 +229,4 @@ def test_striped_run_heap_entries_are_pinned(monkeypatch):
                     if name.endswith(".completed"))
     assert result.makespan == pytest.approx(0.9845618658041327, rel=1e-12)
     assert fragments == 635
-    assert engine._seq == 1177
+    assert engine._seq == 267

@@ -1,0 +1,403 @@
+"""Committed FCFS service: the same schedule as the FCFS arm.
+
+A disk with the FCFS scheduler and no fault injector fixes each
+request's service when it is queued and records it lazily; the arm
+decides each request when its service starts.  An injector with an
+empty plan draws no fault but keeps a disk on its arm, which makes the
+arm the oracle here.  Random schedules of same-instant requesters (on
+striped ranges and on single disks), a ticker that reads every disk's
+registry entries at completion instants (a few zero-delay hops in), and
+an optional ``fail_disk`` of one or two disks (with an optional
+repair) must leave the same log, the same request stamps, the same
+disk statistics and the same clock under both, and under the race
+detector the same races.  Requesters may start at a completion instant
+(their wake-up queued before the failer's), the ticker sleeps by
+yielding delays (which may pass in its own frame) and ranges may
+continue where the previous one ended, so ties at a completion
+instant, sleeps over committed finishes and streaming all occur.
+"""
+
+from typing import List
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.errors import DiskFailedError
+from repro.faults import FaultInjector, FaultPlan
+from repro.sanitizer import shared
+from repro.sim import Engine
+from repro.storage import Disk, DiskGeometry, StripedArray
+from repro.storage.request import IORequest
+
+from tests.conftest import detector_or_none
+
+GEO = DiskGeometry(cylinders=50, heads=2, sectors_per_track=8)
+
+#: Registry entries the ticker reads, per disk.
+READ = ("completed", "bytes_read", "bytes_written", "queue_depth",
+        "queue_max_depth")
+
+
+def _run(arm: bool, scenario, tick_at: List[float], detector: bool = False):
+    """Run one schedule; returns everything the two services must
+    agree on."""
+    with detector_or_none(detector) as det:
+        outcome = _schedule(arm, scenario, tick_at)
+        races = None if det is None else [
+            (race.var_name.split("#")[0], race.time, race.first.describe(),
+             race.second.describe()) for race in det.races]
+    return outcome + (races,)
+
+
+def _schedule(arm, scenario, tick_at):
+    ndisks, unit, requesters, singles, hops, fault = scenario
+    engine = Engine()
+    injector = FaultInjector(engine, FaultPlan()) if arm else None
+    disks = [Disk(engine, geometry=GEO, name=f"d{i}", injector=injector)
+             for i in range(ndisks)]
+    assert all(disk._committed is not arm for disk in disks)
+    requests: List[IORequest] = []
+    for disk in disks:
+        if arm:
+            def recording(request, on_done, _enqueue=disk.enqueue):
+                _enqueue(request, on_done)
+                requests.append(request)
+            disk.enqueue = recording
+        else:
+            def recording(request, seq, owner, _commit=disk._commit):
+                finish = _commit(request, seq, owner)
+                requests.append(request)
+                return finish
+            disk._commit = recording
+    array = StripedArray(engine, disks, stripe_unit=unit)
+    log = []
+    var = shared("committed.order")
+
+    def outcome(submit, name):
+        try:
+            done = submit()
+        except DiskFailedError as exc:
+            log.append((engine.now, name, "raised", str(exc)))
+            return
+        try:
+            value = yield done
+        except DiskFailedError as exc:
+            log.append((engine.now, name, "failed", str(exc)))
+        else:
+            if isinstance(value, IORequest):
+                value = [value]
+            log.append((engine.now, name,
+                        tuple((r.lba, r.nblocks) for r in value)))
+        var.write(engine)
+
+    def ranges_of(ranges, total):
+        lba = 0
+        for start, nblocks, write in ranges:
+            if start is not None:  # else: continue where the last ended
+                lba = start
+            lba %= total
+            nblocks = min(nblocks, total - lba)
+            yield lba, nblocks, write
+            lba += nblocks
+
+    def requester(name, start_at, ranges):
+        if start_at:
+            yield engine.timeout(start_at)
+        for lba, nblocks, write in ranges_of(ranges, array.total_blocks):
+            yield from outcome(
+                lambda: array.submit_range(lba, nblocks, write), name)
+
+    def single(name, index, ranges):
+        disk = disks[index % ndisks]
+        for lba, nblocks, write in ranges_of(ranges, GEO.total_blocks):
+            yield from outcome(lambda: disk.submit(
+                IORequest(lba=lba, nblocks=nblocks, is_write=write)), name)
+
+    def ticker():
+        for hop, at in enumerate(tick_at):
+            yield max(0.0, at - engine.now)  # 0.0: a zero-delay hop
+            snap = engine.metrics.snapshot()
+            log.append((engine.now, "ticker", hop, tuple(
+                snap[f"{disk.name}.{key}"].get("value")
+                for disk in disks for key in READ)))
+            var.write(engine)
+
+    def failer(indexes, at, hops, repair_after):
+        yield engine.timeout(at)
+        for index in indexes:
+            for _ in range(hops):  # land between same-instant heap entries
+                yield engine.timeout(0)
+            log.append((engine.now, "failer", index))
+            var.write(engine)  # before the failure: fragments carry it
+            disks[index].fail_disk("test")
+        if repair_after is not None:
+            yield engine.timeout(repair_after)
+            for index in indexes:
+                disks[index].repair()
+                log.append((engine.now, "repaired", index))
+                # Served from wherever the failure left the head.
+                yield from outcome(lambda: disks[index].submit(
+                    IORequest(lba=index * 64, nblocks=8)), "repaired")
+
+    for i, (start_at, ranges) in enumerate(requesters):
+        engine.process(requester(f"r{i}", start_at, ranges))
+    for i, (index, ranges) in enumerate(singles):
+        engine.process(single(f"s{i}", index, ranges))
+    engine.process(ticker())
+    if fault is not None:
+        engine.process(failer(*fault))
+    engine.run()
+    stamps = [(r.lba, r.nblocks, r.submitted_at, r.started_at, r.completed_at)
+              for r in requests]
+    stats = [(d.requests_completed.value, d.bytes_read.value,
+              d.bytes_written.value, d.service_times.values,
+              d.response_times.values, d.busy.integral(), d.busy.current,
+              d.queue_depth, d.queue_max_depth, d.head_cylinder)
+             for d in disks]
+    return log, stamps, stats, engine.now
+
+
+def _completion_instants(scenario) -> List[float]:
+    """Every instant a request completes, from a run without faults
+    where every requester starts at once."""
+    ndisks, unit, requesters, singles, hops, _ = scenario
+    plain = [(0.0, ranges) for _, ranges in requesters]
+    _, stamps, _, _, _ = _run(
+        True, (ndisks, unit, plain, singles, hops, None), [])
+    return sorted({0.0} | {s[4] for s in stamps if s[4] is not None})
+
+
+_range = st.tuples(st.one_of(st.none(), st.integers(0, 10_000)),
+                   st.integers(1, 96), st.booleans())
+_scenario = st.tuples(
+    st.integers(1, 4),                                    # disks
+    st.integers(1, 24),                                   # stripe unit
+    st.lists(st.lists(_range, min_size=1, max_size=3),    # striped
+             min_size=0, max_size=3),
+    st.lists(st.tuples(st.integers(0, 3),                 # single-disk
+                       st.lists(_range, min_size=1, max_size=3)),
+             min_size=0, max_size=2),
+    st.integers(1, 4),                                    # ticker reads
+)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_scenario, st.booleans(), st.data())
+def test_committed_fcfs_matches_the_arm(scenario, fail, data):
+    ndisks, unit, requesters, singles, hops = scenario
+    instants = _completion_instants(
+        (ndisks, unit, [(0.0, r) for r in requesters], singles, hops, None))
+    requesters = [(data.draw(st.sampled_from(instants)), ranges)
+                  for ranges in requesters]
+    # The ticker's instants: repeats are zero-delay hops, and a later
+    # instant is a sleep queued mid-run that ends on a completion.
+    tick_at = sorted(data.draw(st.lists(st.sampled_from(instants),
+                                        min_size=hops, max_size=hops)))
+    fault = None
+    if fail:
+        # Strike at a completion instant (a few zero-delay hops in) or
+        # halfway to the next one; maybe repair a completion gap later.
+        indexes = data.draw(st.lists(st.integers(0, ndisks - 1),
+                                     min_size=1, max_size=2, unique=True))
+        at = data.draw(st.sampled_from(instants))
+        if at != instants[-1] and data.draw(st.booleans()):
+            at = (at + instants[instants.index(at) + 1]) / 2
+        fail_hops = data.draw(st.integers(0, 3))
+        repair_after = data.draw(st.sampled_from(
+            [None, 0.0] + [t - at for t in instants if t > at][:3]))
+        fault = (indexes, at, fail_hops, repair_after)
+    scenario = (ndisks, unit, requesters, singles, hops, fault)
+
+    assert _run(False, scenario, tick_at) == _run(True, scenario, tick_at)
+    committed = _run(False, scenario, tick_at, detector=True)
+    assert committed == _run(True, scenario, tick_at, detector=True)
+
+
+def test_second_failure_at_an_instant_joins_the_range_late():
+    """Two members fail at one instant, a zero-delay hop apart: the first
+    failure has already triggered the range's event when the second
+    settles its fragment, so the second failer's write races the
+    waiter's, on the committed range as on the arm."""
+    ranges = [(0.0, [(0, 32, False)])]
+    at = _completion_instants((2, 4, ranges, [], 0, None))[1]
+    scenario = (2, 4, ranges, [], 0, ([0, 1], at, 1, None))
+    committed = _run(False, scenario, [], detector=True)
+    assert committed == _run(True, scenario, [], detector=True)
+    log, _, _, _, races = committed
+    assert log == [(at, "failer", 0), (at, "failer", 1),
+                   (at, "r0", "failed", "disk d0 failed: test")]
+    assert [(first.split(" in ")[1], second.split(" in ")[1])
+            for _, _, first, second in races] == [
+        ("[main > failer]", "[main > requester]")]
+
+
+def _fail_and_repair(arm: bool, first_lba: int, second_lba: int,
+                     fail_at: float):
+    """One request queued at t=0.01; the disk fails at ``fail_at`` and is
+    repaired at once; a second request follows at once.  Returns both
+    requests' stamps or outcomes."""
+    engine = Engine()
+    injector = FaultInjector(engine, FaultPlan()) if arm else None
+    disk = Disk(engine, geometry=GEO, name="d0", injector=injector)
+    first = IORequest(lba=first_lba, nblocks=8)
+    log = []
+
+    def client():
+        yield engine.timeout(0.01)
+        try:
+            yield disk.submit(first)
+        except DiskFailedError:
+            pass
+        log.append(("first", first.started_at, first.completed_at))
+
+    def failer():
+        yield engine.timeout(fail_at)  # queued after the client's wake-up
+        disk.fail_disk("test")
+        disk.repair()
+        second = yield disk.submit(IORequest(lba=second_lba, nblocks=8))
+        log.append(("second", second.started_at, second.completed_at))
+
+    engine.process(client())
+    engine.process(failer())
+    engine.run()
+    log.append(("first", first.started_at, first.completed_at))
+    return log, disk.head_cylinder, engine.now
+
+
+def test_failure_before_a_queued_request_starts_keeps_the_head():
+    """The request queued at the failure's instant, but not yet started,
+    never moves the head: the next request seeks from where the head
+    was."""
+    far = GEO.blocks_per_cylinder * 40
+    committed = _fail_and_repair(False, far, 0, 0.01)
+    assert committed == _fail_and_repair(True, far, 0, 0.01)
+    log, head, _ = committed
+    assert log[0] == log[-1] == ("first", None, None) and head == 0
+
+
+def test_failure_mid_transfer_streams_on_after_repair():
+    """The request in service when the disk fails still ends its
+    transfer; a request that continues it after the repair streams
+    without repositioning."""
+    committed = _fail_and_repair(False, 80, 88, 0.0101)
+    assert committed == _fail_and_repair(True, 80, 88, 0.0101)
+    log, _, _ = committed
+    # Failed mid-transfer: the client saw no finish, the transfer ended.
+    assert log[0] == ("first", 0.01, None)
+    (_, started, finished), = [e for e in log if e[0] == "second"]
+    assert started == log[-1][2]  # queued behind the failed transfer
+    disk = Disk(Engine(), geometry=GEO)
+    assert finished - started == pytest.approx(
+        disk.params.controller_overhead + disk.transfer_time(8))
+
+
+def _queued_at_a_finish(arm: bool, finish: float):
+    """P is queued at t=0 and finishes at ``finish``; a client whose
+    wake-up was queued before P submits R at that instant, and a reader
+    whose wake-up was queued after P reads the disk there too."""
+    engine = Engine()
+    injector = FaultInjector(engine, FaultPlan()) if arm else None
+    disk = Disk(engine, geometry=GEO, name="d0", injector=injector)
+    seen = []
+
+    def client():
+        yield engine.timeout(finish)
+        yield disk.submit(IORequest(lba=400, nblocks=8))
+
+    def starter():
+        done = disk.submit(IORequest(lba=0, nblocks=8))
+        yield engine.timeout(finish)  # queued after P
+        seen.append((engine.now, disk.queue_depth, disk.busy.current,
+                     disk.requests_completed.value))
+        yield done
+
+    engine.process(client())
+    engine.process(starter())
+    engine.run()
+    return seen, engine.now
+
+
+def test_request_queued_behind_a_finish_at_its_instant_starts_there():
+    """R, queued at the instant P finishes but before P's completion ran,
+    starts at P's completion, as the arm would pop it there: a reader
+    after that completion sees R in service, not waiting."""
+    finish = Disk(Engine(), geometry=GEO).service_time(
+        IORequest(lba=0, nblocks=8))
+    committed = _queued_at_a_finish(False, finish)
+    assert committed == _queued_at_a_finish(True, finish)
+    assert committed[0] == [(finish, 0, 1.0, 1)]
+
+
+def _idle_gap_inside_a_range(arm: bool):
+    """d1 is busy with a far request, so a two-disk range lands on d0
+    long before it ends on d1; d0 goes idle and serves a request queued
+    in that gap, before the range's one completion entry records the
+    fragment."""
+    engine = Engine()
+    injector = FaultInjector(engine, FaultPlan()) if arm else None
+    disks = [Disk(engine, geometry=GEO, name=f"d{i}", injector=injector)
+             for i in range(2)]
+    array = StripedArray(engine, disks, stripe_unit=4)
+    far = GEO.blocks_per_cylinder * 45
+
+    def ranges():
+        first = disks[1].submit(IORequest(lba=far, nblocks=8))
+        done = array.submit_range(0, 8)
+        yield done
+        yield first
+
+    def gap():
+        yield 0.005  # d0's fragment has landed; the range has not
+        yield disks[0].submit(IORequest(lba=40, nblocks=8))
+
+    engine.process(ranges())
+    engine.process(gap())
+    engine.run()
+    return [(d.busy.integral(), d.busy.mean(), d.service_times.values,
+             d.response_times.values) for d in disks], engine.now
+
+
+def test_idle_gap_between_a_fragment_and_its_range_end_is_idle():
+    committed = _idle_gap_inside_a_range(False)
+    assert committed == _idle_gap_inside_a_range(True)
+    (busy_d0, _, service_d0, _), _ = committed[0]
+    assert busy_d0 == pytest.approx(sum(service_d0))  # idle in the gap
+
+
+def _traced_ranges(arm: bool):
+    from repro.obs import Tracer
+
+    tracer = Tracer()
+    engine = Engine(tracer=tracer)
+    injector = FaultInjector(engine, FaultPlan()) if arm else None
+    disks = [Disk(engine, geometry=GEO, name=f"d{i}", injector=injector)
+             for i in range(3)]
+    array = StripedArray(engine, disks, stripe_unit=4)
+
+    def requester(ranges):
+        for lba, nblocks in ranges:
+            yield array.submit_range(lba, nblocks)
+
+    engine.process(requester([(0, 40), (40, 8), (300, 30)]))
+    engine.process(requester([(500, 20), (12, 4)]))
+    engine.run()
+    spans = sorted((e.name, e.start, e.end, tuple(sorted(e.attrs.items())))
+                   for e in tracer.spans("storage"))
+    queues = {}
+    for event in tracer.events:
+        if event.kind == "counter":
+            queues.setdefault(event.name, []).append(
+                (event.start, event.attrs["value"]))
+    return spans, queues
+
+
+def test_traced_spans_and_queue_samples_match_the_arm():
+    """Committed spans carry the arm's start, end and wait, though they
+    are recorded when the range's entry fires; each disk's queue-depth
+    samples are the arm's, in time order."""
+    spans, queues = _traced_ranges(False)
+    assert (spans, queues) == _traced_ranges(True)
+    assert len(spans) == 10 + 2 + 8 + 5 + 1
+    for samples in queues.values():
+        assert samples == sorted(samples, key=lambda sample: sample[0])

@@ -415,9 +415,25 @@ def _depth_gauges(disk):
             snap[f"{disk.name}.queue_max_depth"]["value"])
 
 
+def make_arm_disk(engine, **kwargs):
+    """A disk served by its arm: a fault injector, even one with an
+    empty plan, makes the disk decide each request at service time."""
+    from repro.faults import FaultInjector, FaultPlan
+
+    return make_disk(engine, injector=FaultInjector(engine, FaultPlan()),
+                     **kwargs)
+
+
+def test_fcfs_disk_commits_and_other_disks_keep_the_arm():
+    eng = Engine()
+    assert make_disk(eng)._committed
+    assert not make_disk(eng, scheduler="sstf")._committed
+    assert not make_arm_disk(eng)._committed
+
+
 def test_queue_depth_counts_waiting_requests_only():
     eng = Engine()
-    d = make_disk(eng)
+    d = make_arm_disk(eng)
     eng.run()  # the arm goes idle
     for lba in (0, 40, 80):
         d.submit_range(lba=lba, nblocks=1)
@@ -430,15 +446,48 @@ def test_queue_depth_counts_waiting_requests_only():
     assert len(d.scheduler) == 0
 
 
-def test_fail_disk_mid_service_empties_the_queue_depth():
-    from repro.errors import DiskFailedError
-
+def test_committed_queue_depth_counts_waiting_requests_only():
+    """On a committing disk the first request leaves the queue once the
+    clock passes the position it was queued at, as the arm's wake-up
+    would take it; each later one at its predecessor's finish."""
     eng = Engine()
     d = make_disk(eng)
     eng.run()
+    requests = [IORequest(lba=lba, nblocks=1) for lba in (0, 40, 80)]
+    events = [d.submit(request) for request in requests]
+    assert (d.queue_depth, d.queue_max_depth) == (3, 3)
+    assert _depth_gauges(d) == (3, 3)
+    eng.run(until=0.0)  # past the enqueue: the first request is served
+    assert (d.queue_depth, d.queue_max_depth) == (2, 3)
+    assert _depth_gauges(d) == (2, 3)
+    assert not events[0].triggered and d.busy.current == 1.0
+    while not events[0].triggered:  # the first's finish: the second starts
+        eng.step()
+    assert (d.queue_depth, d.queue_max_depth) == (1, 3)
+    assert requests[1].started_at == requests[0].completed_at == eng.now
+    assert d.requests_completed.value == 1
+    eng.run()
+    assert (d.queue_depth, d.queue_max_depth) == (0, 3)
+    assert len(d.scheduler) == 0
+
+
+def test_fail_disk_mid_service_empties_the_queue_depth():
+    _fail_mid_service(make_disk)
+
+
+def test_arm_fail_disk_mid_service_empties_the_queue_depth():
+    _fail_mid_service(make_arm_disk)
+
+
+def _fail_mid_service(make):
+    from repro.errors import DiskFailedError
+
+    eng = Engine()
+    d = make(eng)
+    eng.run()
     events = [d.submit_range(lba=lba, nblocks=1) for lba in (0, 40, 80)]
     eng.run(until=0.001)  # the first request is in service
-    assert d._serving is not None and d.queue_depth == 2
+    assert d.busy.current == 1.0 and d.queue_depth == 2
     d.fail_disk("test")
     assert (d.queue_depth, d.queue_max_depth) == (0, 3)
     assert _depth_gauges(d) == (0, 3)

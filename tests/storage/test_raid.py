@@ -239,10 +239,17 @@ def test_submit_to_degraded_stripe_queues_nothing():
 
 def test_fragments_settle_without_per_fragment_heap_slots():
     """A range costs one heap slot to settle (plus the array event),
-    whatever its fragment count; the disk arms' own slots are unchanged."""
-    def heap_entries(nblocks):
+    whatever its fragment count.  Over committing disks the range's
+    completion is its only other slot; over arms each fragment still
+    takes its own."""
+    from repro.faults import FaultInjector, FaultPlan
+
+    def heap_entries(nblocks, arm=False):
         eng = Engine()
-        arr = make_array(eng, ndisks=4, stripe_unit=4)
+        injector = FaultInjector(eng, FaultPlan()) if arm else None
+        disks = [Disk(eng, geometry=GEO, name=f"d{i}", injector=injector)
+                 for i in range(4)]
+        arr = StripedArray(eng, disks, stripe_unit=4)
         eng.run()
         start = eng._seq
         done = arr.submit_range(0, nblocks)
@@ -250,18 +257,21 @@ def test_fragments_settle_without_per_fragment_heap_slots():
         assert len(done.value) == nblocks // 4
         return eng._seq - start
 
-    # Per fragment: a wake-up (first fragment on an idle disk) and a
-    # service Timeout; per range: the settle call and the array event.
-    assert heap_entries(16) == 4 * 2 + 2
-    assert heap_entries(64) == 4 + 16 + 2
+    # The range's completion, the settle call and the array event.
+    assert heap_entries(16) == heap_entries(64) == 3
+    # Per fragment on an arm: an enqueue seq (its service event's) and
+    # a wake-up for the first fragment on an idle disk.
+    assert heap_entries(16, arm=True) == 4 * 2 + 2
+    assert heap_entries(64, arm=True) == 4 + 16 + 2
 
 
 def test_striped_fragment_call_budget():
-    """Host-independent guard on the arm's per-fragment cost: Python
-    frames entered per fragment of one 64-fragment range, counted with
-    ``sys.setprofile``.  The flat arm makes about 14 (request, enqueue,
-    push, serve, complete, two tallies, the countdown, the busy signal,
-    pop, service time, the Timeout); a layered arm made 28."""
+    """Host-independent guard on the striped path's per-fragment cost:
+    Python frames entered per fragment of one 64-fragment range, counted
+    with ``sys.setprofile``.  Committed service makes about 6.7 (the
+    stripe walk, the request, the commit, its service time, the
+    catch-up and the busy signal's records); the flat arm made about
+    14 and a layered arm 28."""
     import sys
 
     from tests.conftest import detector_or_none
@@ -285,4 +295,4 @@ def test_striped_fragment_call_budget():
         finally:
             sys.setprofile(None)
     assert len(done.value) == 64
-    assert calls / 64 <= 16, f"{calls / 64:.2f} Python calls per fragment"
+    assert calls / 64 <= 7, f"{calls / 64:.2f} Python calls per fragment"

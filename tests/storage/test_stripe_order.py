@@ -94,10 +94,20 @@ def _schedule(array_cls, scenario, tick_at, specs):
                   injector=injector) for i in range(ndisks)]
     requests: List[IORequest] = []
     for disk in disks:
-        def recording(request, on_done, _enqueue=disk.enqueue):
-            _enqueue(request, on_done)
-            requests.append(request)
-        disk.enqueue = recording
+        # Every request a disk queues: through enqueue on an arm, and
+        # through _commit (the way in enqueue and a striped range share)
+        # on a committing disk.
+        if disk._committed:
+            def recording(request, seq, owner, _commit=disk._commit):
+                finish = _commit(request, seq, owner)
+                requests.append(request)
+                return finish
+            disk._commit = recording
+        else:
+            def recording(request, on_done, _enqueue=disk.enqueue):
+                _enqueue(request, on_done)
+                requests.append(request)
+            disk.enqueue = recording
     array = array_cls(engine, disks, stripe_unit=unit)
     log = []
     var = shared("stripe.order")
@@ -197,9 +207,10 @@ def test_late_fragment_after_failure_keeps_its_own_slot():
     media = (FaultSpec(kind="disk.media_error", target="d0", start=0.0,
                        probability=1.0, max_hits=1),)
     at = _completion_instants((2, 4, "fcfs", [[(0, 32)]], 1, None))[1]
-    # d0's first fragment fails the range at ``at``; the failer, two
-    # zero-delay hops in, runs after that failure's heap slot.
-    scenario = (2, 4, "fcfs", [[(0, 32)]], 1, ("fail", 1, at, 2))
+    # d0's first fragment fails the range at ``at``; the failer, one
+    # zero-delay hop in, runs after that failure's heap slot (the
+    # completion ranks by its enqueue seq, ahead of the failer's hop).
+    scenario = (2, 4, "fcfs", [[(0, 32)]], 1, ("fail", 1, at, 1))
     results = [_run(array_cls, scenario, 0.0, detector=True, specs=media)
                for array_cls in (EventGatherArray, StripedArray)]
     assert results[0] == results[1]

@@ -43,3 +43,26 @@ def test_replay_warm_and_cold(tmp_path, capsys):
 def test_unknown_application_rejected():
     with pytest.raises(SystemExit):
         main(["generate", "not-an-app"])
+
+
+@pytest.mark.parametrize("command", ["info", "replay"])
+def test_unreadable_trace_is_a_usage_error(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tmp_path / "nope.umdt")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "nope.umdt" in err
+
+    bad = tmp_path / "bad.umdt"
+    bad.write_bytes(b"garbage")
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(bad)])
+    assert exc.value.code == 2
+    assert "error: truncated trace header" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "cholesky", "-o", str(tmp_path / "no" / "x.umdt")])
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err

@@ -32,3 +32,16 @@ def test_deterministic_for_seed(capsys):
     main(["--clients", "2", "--requests", "3", "--seed", "9"])
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--clients", "0"], "error: num_clients must be >= 1"),
+    (["--telemetry-interval-ms", "-1"], "error: telemetry interval must be > 0"),
+])
+def test_rejected_settings_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing ran
+    assert message in captured.err
