@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 __all__ = [
     "PRAGMA",
+    "ParseFinding",
     "SHARED_ATTRS",
     "StaleReadFinding",
     "lint_file",
@@ -109,6 +110,20 @@ class StaleReadFinding:
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.message}"
+
+
+class ParseFinding(StaleReadFinding):
+    """A module the lint could not parse: still a finding, so the run
+    fails rather than passing a file it never read."""
+
+    def __init__(self, path: Path, error: SyntaxError) -> None:
+        super().__init__(path, error.lineno or 0, 0, "<syntax>",
+                         "<syntax error>", error.lineno or 0, "parse")
+        self.error = error.msg
+
+    @property
+    def message(self) -> str:
+        return f"cannot parse: {self.error}"
 
 
 def _dotted(node: ast.AST) -> str:
@@ -293,10 +308,7 @@ def lint_source(source: str, path: Path) -> List[StaleReadFinding]:
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
-        finding = StaleReadFinding(path, exc.lineno or 0, 0, "<syntax>",
-                                   "<syntax error>", exc.lineno or 0,
-                                   "parse")
-        return [finding]
+        return [ParseFinding(path, exc)]
     allowed = {
         i
         for i, text in enumerate(source.splitlines(), start=1)

@@ -206,8 +206,12 @@ def read_jsonl(path: str) -> List[TraceEvent]:
             if not line:
                 continue
             try:
-                events.append(TraceEvent.from_dict(json.loads(line)))
-            except (ValueError, KeyError) as exc:
+                data = json.loads(line)
+                if not isinstance(data, dict):
+                    raise ValueError(
+                        f"expected a JSON object, got {type(data).__name__}")
+                events.append(TraceEvent.from_dict(data))
+            except (ValueError, KeyError, TypeError) as exc:
                 raise SimulationError(
                     f"{path}:{lineno}: malformed trace line ({exc})"
                 ) from None

@@ -3,11 +3,11 @@
 Three complementary checkers, one package:
 
 * :mod:`repro.sanitizer.race` — a happens-before race detector.
-  Vector clocks ride the engine's own synchronization edges (process
+  Each context logs the engine's own synchronization edges (process
   spawn/join, event trigger, resource hand-off, store item flow, task
-  wake-ups); hot shared structures are annotated with :func:`shared`
-  and report conflicting same-timestamp accesses from unordered
-  contexts.  All hooks are dormant unless a detector is installed via
+  wake-ups) received at the current instant; hot shared structures
+  are annotated with :func:`shared`, and a conflicting same-timestamp
+  pair walks the log to learn whether its contexts are ordered.  All hooks are dormant unless a detector is installed via
   :func:`enable` / :func:`sanitized` — the disabled cost is one module
   attribute load and an ``is None`` test, so benchmark results are
   byte-identical with the sanitizer off.

@@ -2,26 +2,29 @@
 
 Every unit of concurrency on the engine — the root scheduling context,
 each :class:`~repro.sim.process.Process`, each
-:class:`~repro.sim.taskloop.Task` — gets a :class:`Context` carrying a
-vector clock.  The instrumented kernel primitives thread
-happens-before edges through the clocks (see the hooks the sim modules
-install when :data:`repro.sanitizer.runtime.active` is set):
+:class:`~repro.sim.taskloop.Task` — gets a :class:`Context`: an integer
+epoch and a log of the happens-before edges it received at one instant.
+The instrumented kernel primitives (the hooks the sim modules call when
+:data:`repro.sanitizer.runtime.active` is set) each append one edge or
+stamp one ``(context, epoch)`` node; none copies or joins a clock:
 
-* process/task spawn forks the spawner's clock;
-* ``Event.succeed``/``fail`` attaches the triggering context's clock
-  to the event; a waiter joins it on resumption (this one edge covers
-  ``Resource`` grant hand-off, ``Channel`` transfers, socket
-  send/receive wake-ups, process join, and task completion for free);
-* a process that sleeps in its own frame ticks its clock as a
+* process/task spawn gives the child an edge to the spawner's node;
+* ``Event.succeed``/``fail`` stamps the event with the triggering
+  context's node, and a waiter logs an edge to it on resumption (this
+  one edge covers ``Resource`` grant hand-off, ``Channel`` transfers,
+  socket send/receive wake-ups, process join, and task completion);
+* a process that sleeps in its own frame ticks its epoch as a
   ``Timeout`` trigger and wake-up would, with no event to carry it;
-* ``Store`` carries a clock per *buffered* item, so a ``put`` consumed
+* ``Store`` keeps a stamp per *buffered* item, so a ``put`` consumed
   later still orders the producer before the consumer;
-* ``AllOf``/``AnyOf`` accumulate every child's clock, not just the
+* ``AllOf``/``AnyOf`` accumulate every child's stamp, not just the
   last one's.
 
-Data accesses are declared with the :func:`shared` annotation API:
-hot shared structures (BufferCache page maps, the balancer's admitted
-and in-sync sets, listener lifecycle state) call
+Every send and receive ticks the epoch, and an edge counts from the
+epoch it was received at, so node ``(c, x)`` knows exactly what ``c``
+had done and received up to epoch ``x``.  Data accesses are declared
+with :func:`shared`: hot shared structures (BufferCache page maps, the
+balancer's admitted and in-sync sets, listener lifecycle state) call
 ``var.read(engine, op)`` / ``var.write(engine, op)`` at their access
 points.
 
@@ -37,33 +40,19 @@ refactor silently changes.  ``relaxed=True`` marks control-plane
 observations (health probes, backoff peeks) that are correct under
 either order by design — every relaxed site should say why.
 
-**Instant-scoped clocks.**  Because only same-instant pairs are ever
-compared, clocks carry only same-instant knowledge.  A context's clock
-is tagged with the instant it was last used at; on first use at a
-different instant it drops every entry but its own component (which
-never goes backwards).  Every clock sent along an edge — an event's
-``_vc``, an ``AllOf``/``AnyOf`` accumulator, a buffered ``Store``
-item's clock — is stamped with the instant it was taken at, and a
-join at instant ``now`` applies it only if it was stamped at ``now``;
-a forked child starts scoped to its spawner's instant.  This is exact,
-not an approximation: every send ticks the sender, so an access's
-``(tid, epoch)`` reaches another context only through edges made at
-or after the access's instant, and a chain ordering two accesses at
-instant ``T`` therefore runs only through edges made at ``T`` — all
-of which are kept.  Entries from earlier instants can only ever
-confirm orderings the kept ones already decide (a scoped clock never
-exceeds the unscoped one), so races and counters are those of clocks
-that keep everything, at a few entries per clock instead of one per
-context the run ever spawned.
-
-An instant is a simulated time.  The root context is shared by every
-engine a detector watches, so it is rescoped whenever it moves to an
-engine at another time.  That stays exact because ``engine.run()``
-finishes every instant it reaches.  The one way to lose an edge is to
-leave an engine mid-instant (driver code between runs, or a pause
-between ``step()`` calls) after the root context took a buffered
-``Store`` item there, use the root in another engine at another time,
-and then come back and send from the root at the first instant.
+**Lazy happens-before.**  Only such a pair asks whether its first
+access ``(p, e)`` is ordered before the current context: the answer
+walks the logs backwards from the current node, memoized per
+``(context, epoch)``, and is yes iff it reaches some ``(p, x)`` with
+``x >= e``.  A log holds one instant's edges (the first edge at another
+instant starts a new one), and a stamp made at another instant is not
+logged.  That is exact — the verdicts of vector clocks that keep
+everything — because a chain ordering two accesses at instant ``T``
+runs only through edges made at ``T``.  The one way to lose an edge is
+to leave an engine mid-instant after the root context (shared by every
+engine) took a buffered ``Store`` item there, let the root receive in
+another engine at another time, and come back.  ``docs/static-analysis.md``
+gives the argument in full.
 
 The detector is purely observational: it never schedules events and
 never draws randomness, so simulated metrics are byte-identical with
@@ -77,16 +66,10 @@ from collections import deque
 from contextlib import contextmanager
 from os.path import basename
 from sys import _getframe
-from typing import Any, Iterator, List, Optional, Set, Tuple
+from types import CodeType
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.sanitizer import runtime
-from repro.sanitizer.vectorclock import (
-    Clock,
-    fork_clock,
-    happened_before,
-    join_into,
-    joined,
-)
 
 __all__ = [
     "Access",
@@ -100,10 +83,12 @@ __all__ = [
     "shared",
 ]
 
-#: Context ids are unique across *all* detectors in a process, so a
-#: clock entry from a retired detector can never alias a live context.
-_tids = itertools.count(1)
 _serials = itertools.count(1)
+
+#: A stamp is ``(instant, context, epoch)`` for one node, or
+#: ``(instant, None, [stamp, ...])`` for several.  Stamps are never
+#: mutated once made: an accumulation builds a new one.
+Stamp = Tuple[Any, ...]
 
 
 def _context_label(owner: Any) -> str:
@@ -115,55 +100,65 @@ def _context_label(owner: Any) -> str:
 class Context:
     """One concurrency context (root scheduler, process, or task).
 
-    ``at`` is the instant ``clock`` is scoped to.  A fork is a send, so
-    a child starts scoped to its spawner's instant: if the spawner has
-    not been used at the spawn instant yet, it has nothing there to
-    pass on.
+    ``epoch`` ticks at every send and receive.  ``edges`` holds
+    ``(tag, stamp)`` pairs in rising tag order, all received at instant
+    ``at``: an edge takes effect from epoch ``tag`` on.  A spawned
+    context starts with one edge, to its spawner's node, at the spawn
+    instant ``now``.  ``memo`` is the last reachability answer:
+    ``(instant, epoch, {context: latest epoch reached})``.
     """
 
-    __slots__ = ("det", "tid", "name", "path", "clock", "at")
+    __slots__ = ("det", "name", "path", "epoch", "at", "edges", "memo")
 
-    def __init__(self, det: "RaceDetector", tid: int, name: str,
-                 parent: Optional["Context"]) -> None:
+    def __init__(self, det: "RaceDetector", name: str,
+                 parent: Optional["Context"],
+                 now: Optional[float] = None) -> None:
         self.det = det
-        self.tid = tid
         self.name = name
-        self.path: Tuple[str, ...] = (
-            parent.path + (name,) if parent is not None else (name,))
-        self.clock = fork_clock(parent.clock if parent is not None else None,
-                                tid)
-        self.at = parent.at if parent is not None else None
-        if parent is not None:
-            parent.clock[parent.tid] += 1
-
-    def clock_at(self, now: float) -> Clock:
-        """The clock scoped to instant ``now``: first use at a new
-        instant drops every entry but the context's own component."""
-        if self.at != now:
-            self.clock = {self.tid: self.clock[self.tid]}
+        self.epoch = 1
+        self.memo: Optional[tuple] = None
+        if parent is None:
+            self.path: Tuple[str, ...] = (name,)
+            self.at: Optional[float] = None
+            self.edges: Optional[List[Tuple[int, Stamp]]] = None
+        else:
+            self.path = parent.path + (name,)
             self.at = now
-        return self.clock
+            self.edges = [(1, (now, parent, parent.epoch))]
+            parent.epoch += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Context {' > '.join(self.path)} tid={self.tid}>"
+        return f"<Context {' > '.join(self.path)} epoch={self.epoch}>"
 
 
 class Access:
-    """One recorded access to a :class:`SharedVar`."""
+    """One recorded access to a :class:`SharedVar`.
 
-    __slots__ = ("time", "tid", "epoch", "write", "relaxed", "op", "path",
-                 "site")
+    Keeps the accessing code object and line; ``site`` and ``path``
+    are built only when a race is reported.
+    """
 
-    def __init__(self, time: float, tid: int, epoch: int, write: bool,
-                 relaxed: bool, op: str, path: str, site: str) -> None:
+    __slots__ = ("time", "ctx", "epoch", "write", "relaxed", "op", "code",
+                 "line")
+
+    def __init__(self, time: float, ctx: Context, epoch: int, write: bool,
+                 relaxed: bool, op: str, code: CodeType, line: int) -> None:
         self.time = time
-        self.tid = tid
+        self.ctx = ctx
         self.epoch = epoch
         self.write = write
         self.relaxed = relaxed
         self.op = op
-        self.path = path
-        self.site = site
+        self.code = code
+        self.line = line
+
+    @property
+    def site(self) -> str:
+        return f"{basename(self.code.co_filename)}:{self.line}"
+
+    @property
+    def path(self) -> str:
+        return " > ".join(self.ctx.path)
 
     def describe(self) -> str:
         kind = "write" if self.write else "read"
@@ -204,32 +199,32 @@ class SharedVar:
     enabled both calls cost one global load and a compare.
     """
 
-    __slots__ = ("name", "serial", "_det", "_time", "_accesses")
+    __slots__ = ("name", "serial", "_det", "_time", "_accesses", "_writes")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.serial = next(_serials)
         self._det: Optional["RaceDetector"] = None
         self._time = -1.0
+        # This instant's accesses, and its writes alone.
         self._accesses: List[Access] = []
+        self._writes: List[Access] = []
 
     def read(self, engine: Any, op: str = "read",
              relaxed: bool = False) -> None:
         det = runtime.active
         if det is not None:
             frame = _getframe(1)
-            det.record(
-                self, engine, False, relaxed, op,
-                f"{basename(frame.f_code.co_filename)}:{frame.f_lineno}")
+            det.record(self, engine, False, relaxed, op, frame.f_code,
+                       frame.f_lineno)
 
     def write(self, engine: Any, op: str = "write",
               relaxed: bool = False) -> None:
         det = runtime.active
         if det is not None:
             frame = _getframe(1)
-            det.record(
-                self, engine, True, relaxed, op,
-                f"{basename(frame.f_code.co_filename)}:{frame.f_lineno}")
+            det.record(self, engine, True, relaxed, op, frame.f_code,
+                       frame.f_lineno)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SharedVar {self.name}#{self.serial}>"
@@ -240,8 +235,21 @@ def shared(name: str) -> SharedVar:
     return SharedVar(name)
 
 
+def _receive(ctx: Context, stamp: Optional[Stamp], now: float) -> None:
+    """``ctx`` receives ``stamp`` at ``now``: one edge if the stamp was
+    made at this instant, then a tick."""
+    epoch = ctx.epoch + 1
+    if stamp is not None and stamp[0] == now:
+        if ctx.at == now:
+            ctx.edges.append((epoch, stamp))
+        else:
+            ctx.at = now
+            ctx.edges = [(epoch, stamp)]
+    ctx.epoch = epoch
+
+
 class RaceDetector:
-    """Vector-clock race detector over annotated shared accesses.
+    """Happens-before race detector over annotated shared accesses.
 
     Attributes
     ----------
@@ -253,28 +261,36 @@ class RaceDetector:
     """
 
     def __init__(self) -> None:
-        self.root = Context(self, next(_tids), "main", None)
+        self.root = Context(self, "main", None)
         self._current = self.root
         self.races: List[RaceReport] = []
         self.accesses = 0
         self.events_tracked = 0
+        #: Conditions holding an accumulated stamp, not yet triggered.
+        self._accumulating = 0
         self._seen: Set[tuple] = set()
 
     # -- context management (hooks from Process, TaskLoop, Disk) ------------
 
-    def context_of(self, owner: Any, name: Optional[str] = None) -> Context:
-        """The owner's context, forked from the current one on first
-        sight (covers objects created before the detector was enabled)."""
+    def context_of(self, owner: Any, name: Optional[str] = None,
+                   now: Optional[float] = None) -> Context:
+        """The owner's context, spawned from the current one at ``now``
+        (default: the owner's engine's clock) on first sight; this
+        covers objects created before the detector was enabled."""
         ctx = getattr(owner, "_san_ctx", None)
         if ctx is None or ctx.det is not self:
-            ctx = Context(self, next(_tids), name or _context_label(owner),
-                          self._current)
+            if now is None:
+                now = getattr(getattr(owner, "engine", None), "_now", None)
+            ctx = Context(self, name or _context_label(owner), self._current,
+                          now)
             owner._san_ctx = ctx
         return ctx
 
-    def on_spawn(self, owner: Any, name: Optional[str] = None) -> None:
-        """A process/task was created in the current context."""
-        self.context_of(owner, name)
+    def on_spawn(self, owner: Any, name: Optional[str] = None,
+                 now: Optional[float] = None) -> None:
+        """A process/task was created at ``now`` in the current
+        context."""
+        self.context_of(owner, name, now)
 
     def enter(self, owner: Any) -> Context:
         """Switch the current context to ``owner``'s; returns the
@@ -286,109 +302,120 @@ class RaceDetector:
     def leave(self, prev: Context) -> None:
         self._current = prev
 
+    def resume(self, owner: Any, event: Any) -> Context:
+        """``owner`` runs, woken by ``event`` (``None`` for a start):
+        :meth:`on_wakeup` and :meth:`enter` in one call.  Returns the
+        previous current context, which the caller restores."""
+        prev = self._current
+        now = None if event is None else event.engine._now
+        ctx = getattr(owner, "_san_ctx", None)
+        if ctx is None or ctx.det is not self:
+            ctx = self.context_of(owner, now=now)
+        if event is not None:
+            # _receive, inlined: this runs on every process wake-up.
+            epoch = ctx.epoch + 1
+            stamp = getattr(event, "_vc", None)
+            if stamp is not None and stamp[0] == now:
+                if ctx.at == now:
+                    ctx.edges.append((epoch, stamp))
+                else:
+                    ctx.at = now
+                    ctx.edges = [(epoch, stamp)]
+            ctx.epoch = epoch
+        self._current = ctx
+        return prev
+
     # -- happens-before edges (hooks from Event/Store) ---------------------
 
     def on_trigger(self, event: Any) -> None:
         """``succeed``/``fail`` in the current context: stamp the event
-        with the sender's clock (joined over any child clocks
-        accumulated at this instant), then tick the sender."""
+        with the sender's node (with any child stamps accumulated at
+        this instant), then tick the sender."""
         cur = self._current
         now = event.engine._now
-        # clock_at's fast path inlined: this runs on every event trigger.
-        clock = cur.clock if cur.at == now else cur.clock_at(now)
-        vc = clock.copy()
-        prior = getattr(event, "_vc", None)
-        if prior is not None and prior[0] == now:
-            join_into(vc, prior[1])
-        event._vc = (now, vc)
-        clock[cur.tid] += 1
+        epoch = cur.epoch
+        # Only a condition holding an accumulation has a stamp before
+        # its trigger; while none does, skip the attribute probe.
+        prior = getattr(event, "_vc", None) if self._accumulating else None
+        if prior is None:
+            event._vc = (now, cur, epoch)
+        else:
+            self._accumulating -= 1
+            event._vc = ((now, None, [prior, (now, cur, epoch)])
+                         if prior[0] == now else (now, cur, epoch))
+        cur.epoch = epoch + 1
         self.events_tracked += 1
 
     def on_wakeup(self, owner: Any, event: Any) -> None:
         """``owner`` (process/task) resumes because ``event`` was
-        processed: join the trigger's clock if it was sent at this
-        instant."""
-        ctx = self.context_of(owner)
+        processed: an edge to the trigger's stamp if it was made at
+        this instant."""
         now = event.engine._now
-        clock = ctx.clock if ctx.at == now else ctx.clock_at(now)
-        vc = getattr(event, "_vc", None)
-        if vc is not None and vc[0] == now:
-            join_into(clock, vc[1])
-        clock[ctx.tid] += 1
+        _receive(self.context_of(owner, now=now), getattr(event, "_vc", None),
+                 now)
 
     def on_sleep(self, owner: Any, wake: float) -> None:
         """``owner`` sleeps in its own frame from now until ``wake``:
         the ticks of a Timeout's trigger in ``owner`` now and of its
-        wake-up at ``wake``, with no Timeout.  The wake-up's join is
-        left out: it would join ``owner``'s own earlier clock."""
-        ctx = self.context_of(owner)
-        ctx.clock_at(owner.engine._now)[ctx.tid] += 1
+        wake-up at ``wake``, with no Timeout.  The wake-up's edge is
+        left out: its stamp is from an earlier instant."""
+        owner._san_ctx.epoch += 2  # resume() made it this detector's
         self.events_tracked += 1
-        ctx.clock_at(wake)[ctx.tid] += 1
 
     def on_condition(self, condition: Any, child: Any) -> None:
         """AllOf/AnyOf observed a child trigger: accumulate the child's
-        clock so the condition's waiter joins *every* contributor at
-        this instant, not just the last."""
-        vc = getattr(child, "_vc", None)
-        if vc is not None:
+        stamp so the condition's waiter is ordered after *every*
+        contributor at this instant, not just the last."""
+        stamp = getattr(child, "_vc", None)
+        if stamp is not None:
             now = condition.engine._now
-            if vc[0] == now:
+            if stamp[0] == now:
                 acc = getattr(condition, "_vc", None)
-                condition._vc = (now, joined(
-                    acc[1] if acc is not None and acc[0] == now else None,
-                    vc[1]))
+                if acc is None:
+                    if not condition.triggered:
+                        self._accumulating += 1
+                    condition._vc = stamp
+                else:
+                    condition._vc = ((now, None, [acc, stamp])
+                                     if acc[0] == now else stamp)
 
     def on_store_put(self, store: Any) -> None:
-        """An item was buffered (no getter waiting): carry the
-        producer's clock alongside it."""
-        clocks = getattr(store, "_san_vcs", None)
-        if clocks is None:
-            clocks = store._san_vcs = deque()
+        """An item was buffered (no getter waiting): keep the
+        producer's stamp alongside it."""
+        stamps = getattr(store, "_san_stamps", None)
+        if stamps is None:
+            stamps = store._san_stamps = deque()
         cur = self._current
-        now = store.engine._now
-        clock = cur.clock_at(now)
-        clocks.append((now, clock.copy()))
-        clock[cur.tid] += 1
+        stamps.append((store.engine._now, cur, cur.epoch))
+        cur.epoch += 1
 
     def on_store_get(self, store: Any) -> None:
-        """A buffered item is consumed now: join its producer's clock
-        into the consumer if it was buffered at this instant."""
-        clocks = getattr(store, "_san_vcs", None)
-        if clocks:
-            cur = self._current
-            now = store.engine._now
-            clock = cur.clock_at(now)
-            at, vc = clocks.popleft()
-            if at == now:
-                join_into(clock, vc)
-            clock[cur.tid] += 1
+        """A buffered item is consumed now: the consumer receives its
+        producer's stamp."""
+        stamps = getattr(store, "_san_stamps", None)
+        if stamps:
+            _receive(self._current, stamps.popleft(), store.engine._now)
 
     def on_store_drain(self, store: Any) -> None:
         """Every buffered item is consumed by the drainer at once."""
-        clocks = getattr(store, "_san_vcs", None)
-        if clocks:
-            cur = self._current
+        stamps = getattr(store, "_san_stamps", None)
+        if stamps:
             now = store.engine._now
-            clock = cur.clock_at(now)
-            while clocks:
-                at, vc = clocks.popleft()
-                if at == now:
-                    join_into(clock, vc)
-            clock[cur.tid] += 1
+            fresh = [s for s in stamps if s[0] == now]
+            stamps.clear()
+            _receive(self._current,
+                     (now, None, fresh) if fresh else None, now)
 
     # -- access recording ---------------------------------------------------
 
     def record(self, var: SharedVar, engine: Any, write: bool, relaxed: bool,
-               op: str, site: str) -> None:
+               op: str, code: CodeType, line: int) -> None:
         """Record one access in the current context and check it
         against every other access to ``var`` at this timestamp."""
         now = engine._now
         cur = self._current
         self.accesses += 1
-        clock = cur.clock_at(now)
-        acc = Access(now, cur.tid, clock[cur.tid], write, relaxed, op,
-                     " > ".join(cur.path), site)
+        acc = Access(now, cur, cur.epoch, write, relaxed, op, code, line)
         if var._det is not self or var._time != now:
             # A new timestamp: accesses at earlier times are ordered by
             # the event queue's strict time order, so only same-time
@@ -396,18 +423,50 @@ class RaceDetector:
             var._det = self
             var._time = now
             var._accesses = [acc]
+            var._writes = [acc] if write else []
             return
-        for prev in var._accesses:
-            if prev.tid == cur.tid:
-                continue  # program order within one context
-            if not (write or prev.write):
-                continue  # read/read never conflicts
-            if relaxed or prev.relaxed:
-                continue  # by-design tolerant observation
-            if happened_before(prev.tid, prev.epoch, clock):
-                continue  # synchronized via an HB edge
-            self._report(var, prev, acc)
+        # Read/read never conflicts, so a read is checked against this
+        # instant's writes only; a relaxed access (a by-design tolerant
+        # observation) against nothing.
+        peers = None if relaxed else var._accesses if write else var._writes
+        if peers:
+            for prev in peers:
+                if prev.ctx is cur or prev.relaxed:
+                    continue  # program order, or tolerant by design
+                if self._reach(cur, now).get(prev.ctx, 0) >= prev.epoch:
+                    continue  # synchronized via an HB edge
+                self._report(var, prev, acc)
         var._accesses.append(acc)
+        if write:
+            var._writes.append(acc)
+
+    def _reach(self, ctx: Context, now: float) -> Dict[Context, int]:
+        """The latest epoch of each context that node ``(ctx, epoch)``
+        reaches through this instant's edges, walked backwards and
+        memoized per ``(context, epoch)``."""
+        memo = ctx.memo
+        if memo is not None and memo[0] == now and memo[1] == ctx.epoch:
+            return memo[2]
+        reach: Dict[Context, int] = {}
+        todo: List[Stamp] = [(now, ctx, ctx.epoch)]
+        while todo:
+            _, node, epoch = todo.pop()
+            if node is None:
+                todo.extend(epoch)
+                continue
+            done = reach.get(node, 0)
+            if done >= epoch:
+                continue
+            reach[node] = epoch
+            if node.at == now:
+                # Edges with tags up to ``done`` were walked already.
+                for tag, stamp in node.edges:
+                    if tag > epoch:
+                        break
+                    if tag > done:
+                        todo.append(stamp)
+        ctx.memo = (now, ctx.epoch, reach)
+        return reach
 
     def _report(self, var: SharedVar, first: Access, second: Access) -> None:
         key = (var.name, var.serial,

@@ -42,10 +42,11 @@ class Event:
         ``None`` once the event has been processed.
     """
 
-    # ``_vc`` is the sanitizer's happens-before edge: the triggering
-    # context's vector clock, stamped at ``succeed``/``fail`` time and
-    # joined into each waiter when it resumes.  The slot stays unset
-    # (not even None) unless a detector is active.
+    # ``_vc`` is the sanitizer's happens-before stamp: the triggering
+    # context's ``(instant, context, epoch)`` node, stamped at
+    # ``succeed``/``fail`` time and logged as an edge by each waiter
+    # when it resumes.  The slot stays unset (not even None) unless a
+    # detector is active.
     __slots__ = ("engine", "callbacks", "_value", "_ok", "_vc")
 
     def __init__(self, engine: "Engine") -> None:

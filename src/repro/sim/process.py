@@ -38,8 +38,8 @@ class Process(Event):
     except in tests.
     """
 
-    # ``_san_ctx`` holds the sanitizer's per-process vector-clock
-    # context; the slot stays unset unless a detector is active.
+    # ``_san_ctx`` holds the sanitizer's per-process context (epoch and
+    # edge log); the slot stays unset unless a detector is active.
     __slots__ = ("generator", "name", "daemon", "_san_ctx")
 
     def __init__(
@@ -62,7 +62,7 @@ class Process(Event):
         if not daemon:
             engine._live_processes += 1
         if _sanitizer.active is not None:
-            _sanitizer.active.on_spawn(self, self.name)
+            _sanitizer.active.on_spawn(self, self.name, engine._now)
         # Kick off at the current time.
         engine._schedule_call(self._resume_first)
 
@@ -97,12 +97,10 @@ class Process(Event):
         later because that Timeout would take the largest sequence
         number: anything already due at the wake time fires first.
         """
-        det = _sanitizer.active
-        if det is not None and event is not None:
-            det.on_wakeup(self, event)
         if self._value is not PENDING:  # pragma: no cover - defensive
             return
-        prev = det.enter(self) if det is not None else None
+        det = _sanitizer.active
+        prev = det.resume(self, event) if det is not None else None
         engine = self.engine
         queue = engine._queue
         generator = self.generator
@@ -161,7 +159,7 @@ class Process(Event):
                 target.add_callback(self._resume)
         finally:
             if det is not None:
-                det.leave(prev)
+                det._current = prev
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.is_alive else ("ok" if self._ok else "failed")

@@ -136,7 +136,7 @@ class TaskLoop:
         its ready queue (same timestamp, FIFO order)."""
         task = Task(generator, label)
         if _sanitizer.active is not None:
-            _sanitizer.active.on_spawn(task, task.label)
+            _sanitizer.active.on_spawn(task, task.label, self.engine._now)
         self._live += 1
         self.tasks_spawned += 1
         if self._live > self.peak_live:
@@ -178,7 +178,9 @@ class TaskLoop:
               exc: Optional[BaseException]) -> None:
         """Advance one task until it blocks on an event or finishes."""
         det = _sanitizer.active
-        prev = det.enter(task) if det is not None else None
+        # The wake-up's edge was taken in _resume, when the task was
+        # woken: a condition's stamp may grow before the task runs.
+        prev = det.resume(task, None) if det is not None else None
         try:
             try:
                 if exc is None:
@@ -211,7 +213,7 @@ class TaskLoop:
             target.add_callback(lambda ev, t=task: self._resume(t, ev))
         finally:
             if det is not None:
-                det.leave(prev)
+                det._current = prev
 
     def _resume(self, task: Task, event: Event) -> None:
         if _sanitizer.active is not None:

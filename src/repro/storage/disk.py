@@ -622,7 +622,7 @@ class Disk:
     # request, queued with the seq its request took at enqueue) ->
     # complete -> serving the next request or idle again.  An exception
     # in a step propagates out of ``Engine.run``.  Under an active race
-    # detector every step runs in the arm's own vector-clock context.
+    # detector every step runs in the arm's own sanitizer context.
     #
     # A request costs one frame per transition: ``enqueue``, ``_serve``
     # (called from the previous ``_complete`` or a wake-up) and
@@ -651,13 +651,12 @@ class Disk:
             self._sanitized_step(det, event, self._complete)
 
     def _sanitized_step(self, det, event: Optional[Event], step) -> None:
-        if event is not None:  # the first step is a start, not a wake-up
-            det.on_wakeup(self, event)
-        prev = det.enter(self)
+        # The first step is a start (no event), not a wake-up.
+        prev = det.resume(self, event)
         try:
             step()
         finally:
-            det.leave(prev)
+            det._current = prev
 
     def _serve(self) -> None:
         """Start the next queued request, or go idle on an empty queue."""

@@ -112,6 +112,15 @@ def test_timeline_rejects_narrow_width(tmp_path, capsys):
     assert "--width" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["[1, 2]", '"x"', "null"])
+def test_report_non_object_trace_line_exits_2(tmp_path, capsys, line):
+    path = tmp_path / "scalar.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert obs_main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "malformed trace line" in err
+
+
 def test_timeline_missing_file_exits_2(tmp_path, capsys):
     assert obs_main(["timeline", str(tmp_path / "nope.jsonl")]) == 2
     assert "error" in capsys.readouterr().err

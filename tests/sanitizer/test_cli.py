@@ -79,6 +79,16 @@ def test_check_malformed_trace_exits_two(tmp_path, capsys):
     assert "cannot check" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["[1, 2]", '"x"', "null", "3"])
+def test_check_non_object_trace_line_exits_two(tmp_path, capsys, line):
+    path = tmp_path / "scalar.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "malformed trace line" in err
+    assert "expected a JSON object" in err
+
+
 def test_check_json_format_payload(bad_trace, capsys):
     assert main(["check", str(bad_trace), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)

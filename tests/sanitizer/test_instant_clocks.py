@@ -1,14 +1,14 @@
-"""Instant-scoped clocks: identical verdicts to clocks that keep
+"""The edge log: identical verdicts to vector clocks that keep
 everything, at a bounded size.
 
-The oracle is a test-only detector whose clocks are never pruned and
-whose sent clocks are joined whatever instant they were stamped at —
-the detector as it was before clocks were instant-scoped.  Random
-schedules over two engines sharing one detector (and so one root
-context) must produce the same races and the same counters under both.
-The engines' runs may alternate, but nothing is driven from outside
-between runs: that is the one case the race module's docstring names
-where scoping instants by simulated time alone could lose an edge.
+The oracle (:class:`tests.sanitizer.oracle.FullClockDetector`) keeps a
+vector clock per context, never pruned, and joins every sent clock
+whatever instant it was stamped at.  Random schedules over two engines
+sharing one detector (and so one root context) must produce the same
+races and the same counters under both.  The engines' runs may
+alternate, but nothing is driven from outside between runs: that is
+the one case the race module's docstring names where scoping instants
+by simulated time alone could lose an edge.
 """
 
 from contextlib import contextmanager
@@ -16,88 +16,14 @@ from contextlib import contextmanager
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.sanitizer import runtime, sanitized, shared
-from repro.sanitizer.race import Context, RaceDetector, _context_label, _tids
-from repro.sanitizer.vectorclock import join_into, joined
+from repro.sanitizer.race import RaceDetector
 from repro.sim import AllOf, AnyOf, Engine, Store, TaskLoop
+
+from tests.sanitizer.oracle import FullClockDetector
 
 N_VARS = 2
 N_EVENTS = 3
 N_STORES = 2
-
-
-class _FullContext(Context):
-    __slots__ = ()
-
-    def clock_at(self, now):
-        return self.clock  # never pruned
-
-
-class FullClockDetector(RaceDetector):
-    """Clocks that only ever grow; every sent clock is joined."""
-
-    def __init__(self):
-        super().__init__()
-        self.root = self._current = _FullContext(
-            self, next(_tids), "main", None)
-
-    def context_of(self, owner, name=None):
-        ctx = getattr(owner, "_san_ctx", None)
-        if ctx is None or ctx.det is not self:
-            ctx = _FullContext(self, next(_tids),
-                               name or _context_label(owner), self._current)
-            owner._san_ctx = ctx
-        return ctx
-
-    def on_trigger(self, event):
-        cur = self._current
-        vc = dict(cur.clock)
-        prior = getattr(event, "_vc", None)
-        if prior:
-            join_into(vc, prior)
-        event._vc = vc
-        cur.clock[cur.tid] += 1
-        self.events_tracked += 1
-
-    def on_wakeup(self, owner, event):
-        ctx = self.context_of(owner)
-        vc = getattr(event, "_vc", None)
-        if vc:
-            join_into(ctx.clock, vc)
-        ctx.clock[ctx.tid] += 1
-
-    def on_sleep(self, owner, wake):
-        # A Timeout's trigger tick and wake-up tick; the wake-up would
-        # join the sleeper's own earlier clock, a no-op.
-        ctx = self.context_of(owner)
-        ctx.clock[ctx.tid] += 2
-        self.events_tracked += 1
-
-    def on_condition(self, condition, child):
-        vc = getattr(child, "_vc", None)
-        if vc:
-            condition._vc = joined(getattr(condition, "_vc", None), vc)
-
-    def on_store_put(self, store):
-        if getattr(store, "_san_vcs", None) is None:
-            store._san_vcs = []
-        cur = self._current
-        store._san_vcs.append(dict(cur.clock))
-        cur.clock[cur.tid] += 1
-
-    def on_store_get(self, store):
-        clocks = getattr(store, "_san_vcs", None)
-        if clocks:
-            cur = self._current
-            join_into(cur.clock, clocks.pop(0))
-            cur.clock[cur.tid] += 1
-
-    def on_store_drain(self, store):
-        clocks = getattr(store, "_san_vcs", None)
-        if clocks:
-            cur = self._current
-            while clocks:
-                join_into(cur.clock, clocks.pop(0))
-            cur.clock[cur.tid] += 1
 
 
 @contextmanager
@@ -163,6 +89,11 @@ schedules = st.fixed_dictionaries({
 
 W, R = ("access", 0, True, False), ("access", 0, False, False)
 
+#: An edge the sender received after its send reaches no receiver of
+#: that send: the waiter's write races with the writer's.
+LATE_EDGE = [[("wait", 0), ("sleep", 0), W], [("signal", 0), ("wait", 1)],
+             [W, ("signal", 1)]]
+
 #: One schedule per edge kind, so each is checked on every run.
 EDGE_EXAMPLES = [
     # same-instant trigger/wake chain, through a relay in the root context
@@ -179,6 +110,7 @@ EDGE_EXAMPLES = [
      [W, ("signal", 0), ("sleep", 1), W]],
     [[("anyof", [("timeout", 1), ("event", 0)]), W],
      [("sleep", 1), W, ("signal", 0)]],
+    LATE_EDGE,
     # Timeouts crossing instants; spawn, task and join edges
     [[W, ("task", [W, ("sleep", 1), W]), ("join", [R, ("sleep", 1)]), W],
      [("sleep", 1), W]],
@@ -309,14 +241,18 @@ def test_schedules_order_accesses_through_edges():
     # The same two writes with no signal do race, on each engine.
     schedule = _example([[W], [W]])
     assert len(_run(RaceDetector(), schedule)[0]) == 2
+    # So do two writes joined only through a later edge of a sender.
+    schedule = _example(LATE_EDGE)
+    for det in (RaceDetector(), FullClockDetector()):
+        assert len(_run(det, schedule)[0]) == 2
 
 
-# -- clock size ---------------------------------------------------------------
+# -- log size -----------------------------------------------------------------
 
 def test_clocks_stay_small_when_every_wakeup_is_at_a_new_instant():
     """A driver joins 2,000 children, each finishing at its own
-    instant.  Unscoped, the driver's clock would hold an entry per
-    child; scoped, every clock stays a few entries long."""
+    instant.  Unscoped, the driver's log would hold an edge per child;
+    scoped, every context's log stays a few edges long."""
     sizes = []
     with sanitized() as det:
         eng = Engine()
@@ -328,8 +264,8 @@ def test_clocks_stay_small_when_every_wakeup_is_at_a_new_instant():
             for _ in range(2000):
                 child = eng.process(worker())
                 yield child
-                sizes.append(len(det._current.clock))
-                sizes.append(len(child._san_ctx.clock))
+                sizes.append(len(det._current.edges))
+                sizes.append(len(child._san_ctx.edges))
 
         eng.process(driver())
         eng.run()
@@ -338,8 +274,9 @@ def test_clocks_stay_small_when_every_wakeup_is_at_a_new_instant():
 
 
 def test_clock_sent_at_an_earlier_instant_is_not_joined():
-    """A Timeout carries its creator's clock from the creation instant;
-    a waiter resuming when it fires does not inherit it."""
+    """A Timeout carries its creator's stamp from the creation instant;
+    a waiter resuming when it fires logs no edge to it and does not
+    reach the creator."""
     with sanitized() as det:
         eng = Engine()
         shared_timeout = {}
@@ -351,9 +288,12 @@ def test_clock_sent_at_an_earlier_instant_is_not_joined():
 
         def sleeper():
             yield shared_timeout["t"]
-            seen["clock"] = dict(det._current.clock)
+            ctx = det._current
+            seen["sources"] = [stamp[1] for _, stamp in ctx.edges]
+            seen["reach"] = det._reach(ctx, eng.now)
 
         maker = eng.process(creator())
         eng.process(sleeper())
         eng.run()
-    assert maker._san_ctx.tid not in seen["clock"]
+    assert maker._san_ctx not in seen["sources"]
+    assert maker._san_ctx not in seen["reach"]

@@ -168,6 +168,11 @@ def test_pragma_on_assign_line_suppresses_all_uses():
 def test_syntax_error_becomes_a_parse_finding():
     findings = lint_source("def broken(:\n", PATH)
     assert [f.rule for f in findings] == ["parse"]
+    text = str(findings[0])
+    assert text == f"{PATH}:1:0: cannot parse: {findings[0].error}"
+    assert findings[0].error and "caches shared state" not in text
+    assert findings[0].to_dict()["message"] == (
+        f"cannot parse: {findings[0].error}")
 
 
 def test_finding_to_dict_round_trip():

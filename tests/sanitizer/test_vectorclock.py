@@ -1,6 +1,7 @@
-"""Vector-clock algebra: fork, join, and the happened-before test."""
+"""Vector-clock algebra of the full-clock oracle: fork, join, and the
+happened-before test."""
 
-from repro.sanitizer.vectorclock import (
+from tests.sanitizer.vectorclock import (
     fork_clock,
     happened_before,
     join_into,

@@ -1,9 +1,10 @@
-"""Vector clocks for the happens-before race detector.
+"""Vector clocks for the test-side full-clock oracle.
 
-A clock is a plain ``{tid: count}`` dict.  The operations are free
-functions over dicts rather than a wrapper class: the detector calls
-them on the simulator's event-trigger path, where a method dispatch
-per event is measurable.
+A clock is a plain ``{context: count}`` dict, and the operations are
+free functions over dicts.  The race detector itself keeps no clocks
+(see :mod:`repro.sanitizer.race`); the oracle in
+:mod:`tests.sanitizer.oracle` does, and the differential tests check
+that both give the same verdicts.
 
 Semantics (standard Mattern/Fidge, message = event trigger):
 
@@ -19,29 +20,18 @@ Semantics (standard Mattern/Fidge, message = event trigger):
 ``happened_before(tid, epoch, clock)`` answers the detector's only
 question: is the access stamped ``(tid, epoch)`` ordered before the
 context owning ``clock``?
-
-**Instant scoping.**  The detector only ever asks that question about
-two accesses made at the same simulated instant, so it keeps clocks
-*instant-scoped* (see :mod:`repro.sanitizer.race`): a context's clock
-drops every entry but its own component when first used at a new
-instant, and a sent clock travels as an ``(instant, clock)`` pair
-that a receiver joins only at the instant it was taken at.  Unscoped
-clocks only ever grow — every fork copies, every join keeps the max —
-until each holds an entry for nearly every context the run has
-spawned; scoped, almost every clock knows about only a handful of
-contexts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Hashable, Optional
 
 __all__ = ["fork_clock", "join_into", "joined", "happened_before"]
 
-Clock = Dict[int, int]
+Clock = Dict[Hashable, int]
 
 
-def fork_clock(parent: Optional[Clock], child_tid: int) -> Clock:
+def fork_clock(parent: Optional[Clock], child_tid: Hashable) -> Clock:
     """Child clock at spawn: inherits everything the parent has seen."""
     clock: Clock = dict(parent) if parent else {}
     clock[child_tid] = clock.get(child_tid, 0) + 1
@@ -65,7 +55,7 @@ def joined(a: Optional[Clock], b: Optional[Clock]) -> Clock:
     return clock
 
 
-def happened_before(tid: int, epoch: int, clock: Clock) -> bool:
+def happened_before(tid: Hashable, epoch: int, clock: Clock) -> bool:
     """True iff an access stamped ``(tid, epoch)`` is ordered before
     the context whose current clock is ``clock``."""
     return clock.get(tid, 0) >= epoch

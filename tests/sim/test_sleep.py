@@ -19,7 +19,7 @@ from repro.errors import SimulationError
 from repro.sanitizer import runtime, shared
 from repro.sanitizer.race import RaceDetector
 from repro.sim import Engine, TaskLoop
-from tests.sanitizer.test_instant_clocks import FullClockDetector
+from tests.sanitizer.oracle import FullClockDetector
 
 
 def _step_all(eng):
@@ -355,9 +355,11 @@ def _racy_scenario(drive):
     ]
     loop.spawn(writer("t", [1.0, 0.0, 0.5]))
     drive(eng)
-    # Each process's own clock component and instant: a sleep must
-    # tick them as a Timeout's trigger and wake-up would.
-    return [(p._san_ctx.at, p._san_ctx.clock[p._san_ctx.tid]) for p in procs]
+    # Each process's epoch and edge log (tags and stamp instants): a
+    # sleep must tick them as a Timeout's trigger and wake-up would.
+    return [(p._san_ctx.epoch, p._san_ctx.at,
+             [(tag, stamp[0]) for tag, stamp in p._san_ctx.edges])
+            for p in procs]
 
 
 def _detect(detector, drive):

@@ -292,15 +292,15 @@ def test_arm_runs_in_its_own_sanitizer_context():
 
         def client():
             yield d.submit_range(lba=0, nblocks=1)
-            seen.append(det._current.clock)
+            seen.append(det._reach(det._current, eng.now))
 
         eng.process(client())
         eng.run()
     arm = d._san_ctx
     assert arm.name == "d7.arm"
-    # The client resumed after the arm's completion: it joined the
-    # arm's clock (a happens-before edge from the arm to its waiter).
-    assert seen and seen[0].get(arm.tid, 0) > 0
+    # The client resumed after the arm's completion: it reaches the
+    # arm's node (a happens-before edge from the arm to its waiter).
+    assert seen and seen[0].get(arm, 0) > 0
     assert det.races == []
 
 
