@@ -5,8 +5,8 @@ The subsystem has two halves:
 * **Injection** — :class:`FaultPlan`/:class:`FaultSpec` describe *what*
   goes wrong (pure data), :class:`FaultInjector` decides *when* using
   seeded streams against simulated time.  Layers consult the injector
-  on their hot paths (disk arm, socket transfers) or receive scheduled
-  failures (whole-disk ``disk.fail``).
+  on their hot paths (a disk request's start, socket transfers) or
+  receive scheduled failures (whole-disk ``disk.fail``).
 * **Resilience** — :class:`RetryPolicy`/:class:`Retrier` give callers
   exponential backoff with deterministic jitter and per-attempt
   timeouts; arrays add degraded reads and rebuild

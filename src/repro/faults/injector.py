@@ -8,7 +8,7 @@ perturb each other), and answers the question every instrumented layer
 asks on its hot path: *does a fault fire here, now?*
 
 Layers pull rather than the injector pushing: the disk consults
-:meth:`disk_fault` as the arm services each request, sockets consult
+:meth:`disk_fault` as each request's service starts, sockets consult
 :meth:`net_fault` per transfer.  The only pushed faults are whole-disk
 failures (``disk.fail``), which the injector schedules as daemon
 processes against simulated time when a disk is registered.
@@ -188,7 +188,8 @@ class FaultInjector:
         """Per-request fault decision for a disk transfer.
 
         Returns ``(kind, spec)`` for the first matching rule that fires,
-        or ``None``.  Called by the disk arm once per serviced request.
+        or ``None``.  Called by the disk once per request, when its
+        service starts.
         """
         now = self.engine.now
         for index, spec in self.plan.for_kind(*_DISK_OP_KINDS):

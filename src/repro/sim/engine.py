@@ -7,13 +7,13 @@ events fire in the order they were scheduled, which keeps every
 experiment deterministic.
 
 Most entries take a fresh seq when pushed.  A *commitment* (a disk
-request whose finish was fixed when it was queued) is pushed with the
-seq it took back then, so a completion ranks among same-instant
-entries by when its request was queued, wherever it is queued.  Code
-that keeps such not-yet-reached positions outside the heap compares
-them with ``(engine._now, engine._cur_seq)``, the position of the
-entry running now: ``(t, seq)`` has been reached iff ``t < _now`` or
-``t == _now and seq <= _cur_seq``.
+request whose finish was fixed when it was queued or when it started)
+is pushed with the seq it took when it was queued, so a completion
+ranks among same-instant entries by when its request was queued,
+wherever it is queued.  Code that keeps such not-yet-reached
+positions outside the heap compares them with ``(engine._now,
+engine._cur_seq)``, the position of the entry running now: ``(t, seq)``
+has been reached iff ``t < _now`` or ``t == _now and seq <= _cur_seq``.
 """
 
 from __future__ import annotations

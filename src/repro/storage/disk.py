@@ -19,30 +19,38 @@ took the device offline first.  The call is direct: it runs inside
 the disk's completion step (or inside ``fail_disk``) and takes no heap
 slot of its own, so a caller that needs one schedules it itself.
 
-A disk serves its queue in one of two ways, chosen from its
+A disk serves one request at a time, and *commits* each one: it fixes
+the request's start, service time and finish, and queues one heap
+entry at the finish, ranked among same-instant entries by the engine
+sequence number the request took when it was queued (``request.seq``).
+There is one service and two commit points, chosen from the disk's
 configuration:
 
-* **Committed at enqueue** — an FCFS disk with no fault injector (and
+* **At enqueue** — an FCFS disk with no fault injector (and
   deterministic rotation, or no generator of its own to draw from).
   Nothing can reorder or change its requests once queued, so
-  ``enqueue`` fixes each one's start (``max(now, previous finish)``),
-  service time (from the head the previous request leaves) and finish
-  on the spot, and queues one heap entry at the finish.
-  :class:`~repro.storage.raid.StripedArray` commits a whole range at
-  once, with one entry at its latest fragment's finish.  Statistics,
-  the busy signal, the queue depth and tracer spans are recorded when
-  the disk is next looked at (through any of its collectors, its
-  registry or its next request), for every start and finish the clock
-  has passed by then: a read at time ``t`` sees what a serving arm
-  would show at ``t``.
-* **The arm** — every other disk (SSTF, SCAN, C-SCAN, C-LOOK, or any
-  disk with an injector, whose faults are drawn per serviced request):
-  a callback state machine, driven by the engine, that drains the
-  attached scheduler and decides each request when its service starts.
+  ``enqueue`` fixes each one's start (``max(now, previous finish)``)
+  and service time (from the head the previous request leaves) on the
+  spot.  :class:`~repro.storage.raid.StripedArray` commits a whole
+  range at once, with one entry at its latest fragment's finish.
+* **At start** — every other disk (SSTF, SCAN, C-SCAN, C-LOOK, or any
+  disk with an injector).  Requests wait in the scheduler.  An idle
+  disk starts at a call it schedules when a request arrives, so the
+  scheduler chooses among every request queued before then; a busy
+  one starts the next at the previous one's finish.  A start pops the
+  scheduler at the head's cylinder and draws the injector's fault: a
+  slowdown or a stall stretches the service, and a media error settles
+  the request with a :class:`~repro.errors.MediaError` at its finish
+  and breaks the stream.
 
-Both rank a completion among same-instant heap entries by the engine
-sequence number taken when its request was queued (``request.seq``),
-so the two give the same schedule for the same FCFS workload.
+A start at a start step is recorded there.  Every other start, and
+every finish, is recorded by one catch-up — statistics, the busy
+signal, the queue depth and tracer spans — when the disk is next
+looked at (through any of its collectors, its registry, its next
+request or a completion entry), for every start and finish the clock
+has passed by then: a read at time ``t`` sees the disk as it was at
+``t``.  A completion entry catches up first, so a finish is recorded
+at the latest in its own step.
 
 ``submit()`` is the :class:`~repro.sim.event.Event` adapter over
 ``enqueue``: the returned event succeeds with the request, or fails
@@ -57,8 +65,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from heapq import heappush
-from typing import Callable, Deque, Dict, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Deque, Optional
 
 import numpy as np
 
@@ -79,8 +87,8 @@ OnDone = Callable[[IORequest, Optional[Exception]], None]
 
 class _Current:
     """A disk attribute read through :meth:`Disk._catch_up`, so whoever
-    reads a committing disk's statistics sees every start and finish
-    the clock has passed."""
+    reads a disk's statistics sees every start and finish the clock has
+    passed."""
 
     def __init__(self, slot: str) -> None:
         self.slot = slot
@@ -93,32 +101,37 @@ class _Current:
 
 
 class _Completion:
-    """The heap entry of one request queued on a committing disk: at the
-    request's finish it settles it (see :meth:`Engine._push_commitment`)."""
+    """The heap entry of one request queued on a disk: at the request's
+    finish it settles it (see :meth:`Engine._push_commitment`) and, on a
+    disk that commits at start, starts the next one."""
 
-    __slots__ = ("disk", "request", "on_done", "due")
+    __slots__ = ("disk", "request", "on_done", "due", "error")
 
     def __init__(self, disk: "Disk", request: IORequest,
                  on_done: OnDone) -> None:
         self.disk = disk
         self.request = request
         self.on_done: Optional[OnDone] = on_done
+        # The MediaError a fault drawn at the start settles it with.
+        self.error: Optional[MediaError] = None
 
     def fire(self) -> None:
         disk = self.disk
         disk._catch_up()
         on_done = self.on_done
-        if on_done is None:
-            return  # fail_disk settled it; the transfer ended just now
-        det = _sanitizer.active
-        if det is None:
-            on_done(self.request, None)
-            return
-        prev = det.enter(disk)  # the disk settles in its own context
-        try:
-            on_done(self.request, None)
-        finally:
-            det.leave(prev)
+        # None: fail_disk settled it, and the transfer ended just now.
+        if on_done is not None:
+            det = _sanitizer.active
+            if det is None:
+                on_done(self.request, self.error)
+            else:
+                prev = det.enter(disk)  # the disk settles in its own context
+                try:
+                    on_done(self.request, self.error)
+                finally:
+                    det.leave(prev)
+        if not disk._committed:
+            disk._start_next()
 
     def settle(self, request: IORequest, error: Exception) -> None:
         on_done, self.on_done = self.on_done, None
@@ -126,7 +139,7 @@ class _Completion:
 
     def retime(self) -> None:
         if self.request._finish is None:
-            self.due = None  # never started: the entry lapses
+            self.due = None  # never started: the entry (if any) lapses
 
 
 @dataclass(frozen=True)
@@ -178,8 +191,8 @@ class DiskParams:
 
 
 class Disk:
-    """One disk: geometry + mechanics + FCFS service committed at
-    enqueue, or a scheduler-driven arm (see the module docstring).
+    """One disk: geometry + mechanics + a service that commits each
+    request at enqueue or when it starts (see the module docstring).
 
     Parameters
     ----------
@@ -195,8 +208,9 @@ class Disk:
         False (rotational-latency sampling).
     injector:
         Optional :class:`~repro.faults.FaultInjector`; when given, the
-        arm consults it per serviced request (media errors, slowdowns,
-        stalls) and ``disk.fail`` rules targeting this device are armed.
+        disk consults it as each request starts (media errors,
+        slowdowns, stalls) and ``disk.fail`` rules targeting this
+        device are armed.
 
     The statistics (``requests_completed``, ``bytes_read``,
     ``bytes_written``, ``media_errors``, ``service_times``,
@@ -233,8 +247,8 @@ class Disk:
         self._rng = rng
         self.name = name
 
-        # The head as the last queued request leaves it (committed) or
-        # as the last served one left it (arm): what service_time reads.
+        # The head as the last committed request leaves it: what
+        # service_time reads.
         self._head_cylinder = 0
         self._last_end_lba: Optional[int] = None
         self._injector = injector
@@ -243,12 +257,22 @@ class Disk:
         # the most there have been at once.
         self._depth = 0
         self.queue_max_depth = 0
+        # Commit at enqueue, or at start (see the module docstring).
         self._committed = (type(scheduler) is FCFSScheduler
                            and injector is None
                            and (self.params.deterministic or rng is None))
         # Committed requests whose finish has not been recorded yet, in
-        # service order (always empty on an arm disk).
+        # service order (at most the one in service when committing at
+        # start); whether the first of them has started its service
+        # (its start was recorded); and the head as the last served
+        # request left it.
         self._inflight: Deque[IORequest] = deque()
+        self._head_started = False
+        self._served_cylinder = 0
+        self._served_end_lba: Optional[int] = None
+        # Committing at start: no request in service and no start
+        # scheduled, so the next request schedules one.
+        self._idle = True
 
         # Statistics (registered with the engine's metrics registry so
         # one snapshot covers every device on the machine).
@@ -268,27 +292,10 @@ class Disk:
         reg.gauge(f"{name}.queue_depth", lambda: self.queue_depth, device=name)
         reg.gauge(f"{name}.queue_max_depth",
                   lambda: self.queue_max_depth, device=name)
+        reg.add_settler(self._catch_up)
 
         if _sanitizer.active is not None:
             _sanitizer.active.on_spawn(self, f"{name}.arm")
-        if self._committed:
-            # Whether the first queued request has started its service
-            # (its start was recorded), and the head as the last served
-            # request left it.
-            self._head_started = False
-            self._served_cylinder = 0
-            self._served_end_lba: Optional[int] = None
-            reg.add_settler(self._catch_up)
-        else:
-            # Arm state: the pending wake-up while idle, the request
-            # (and its injected fault) while serving, and request_id ->
-            # (request, on_done) for every request queued or in
-            # service, in submission order.
-            self._wakeup: Optional[Event] = None
-            self._serving: Optional[IORequest] = None
-            self._fault = None
-            self._completions: Dict[int, Tuple[IORequest, OnDone]] = {}
-            engine._schedule_call(self._arm_start)
         if injector is not None:
             injector.register_disk(self)
 
@@ -305,10 +312,8 @@ class Disk:
     @property
     def head_cylinder(self) -> int:
         """Current arm position (cylinder index)."""
-        if self._committed:
-            self._catch_up()
-            return self._served_cylinder
-        return self._head_cylinder
+        self._catch_up()
+        return self._served_cylinder
 
     def enqueue(self, request: IORequest, on_done: OnDone) -> None:
         """Queue ``request``; the disk calls ``on_done(request, error)``
@@ -321,21 +326,18 @@ class Disk:
                 f"request [{request.lba}, {end_lba}) exceeds disk "
                 f"of {self.geometry.total_blocks} blocks"
             )
+        if request._owner is not None:  # queued or in flight, here or elsewhere
+            raise DiskError(f"request {request.request_id} already submitted")
         engine = self.engine
+        seq = engine._seq = engine._seq + 1
+        completion = _Completion(self, request, on_done)
         if self._committed:
-            if request._owner is not None:
-                raise DiskError(
-                    f"request {request.request_id} already submitted")
-            seq = engine._seq = engine._seq + 1
-            completion = _Completion(self, request, on_done)
             due = completion.due = self._commit(request, seq, completion)
             engine._push_commitment(completion, due, seq)
             return
-        if request.request_id in self._completions:
-            raise DiskError(f"request {request.request_id} already submitted")
-        request.seq = engine._seq = engine._seq + 1
+        request.seq = seq
         request.submitted_at = engine._now
-        self._completions[request.request_id] = (request, on_done)
+        request._owner = completion
         self.scheduler.push(request)
         depth = self._depth = self._depth + 1
         if depth > self.queue_max_depth:
@@ -343,9 +345,11 @@ class Disk:
         tracer = engine.tracer
         if tracer.enabled:
             tracer.counter(f"{self.name}.queue", "storage", depth)
-        if self._wakeup is not None:
-            wake, self._wakeup = self._wakeup, None
-            wake.succeed()
+        if self._idle:
+            # Start at the next slot: the scheduler chooses among every
+            # request queued at this instant before then.
+            self._idle = False
+            engine._schedule_call(self._start_next)
 
     def submit(self, request: IORequest) -> Event:
         """Queue ``request``; the returned event succeeds with it when
@@ -374,24 +378,47 @@ class Disk:
         """Take the whole device offline.
 
         Every queued (and in-service) request fails with
-        :class:`~repro.errors.DiskFailedError`; new submissions raise
-        synchronously until :meth:`repair` is called.
+        :class:`~repro.errors.DiskFailedError`, in submission order;
+        new submissions raise synchronously until :meth:`repair` is
+        called.  Requests that have not started never happen; the one
+        in service ends its transfer unrecorded.
         """
         if self.failed:
             return
         self.failed = True
         error = DiskFailedError(f"disk {self.name} failed: {reason}")
-        if self._committed:
-            self._fail_committed(error)
-        else:
-            # Drain the scheduler so the arm never services stale requests.
+        self._catch_up()
+        inflight = self._inflight
+        pending = [request for request in inflight
+                   if request._owner is not None]
+        keep = 1 if self._head_started else 0
+        while len(inflight) > keep:
+            inflight.pop()._finish = None
+        if not self._committed:
+            # Drain the scheduler from where the last served request
+            # left the head (its policy may keep state across pops).
             for _ in range(self._depth):
-                self.scheduler.pop(self._head_cylinder)
-            self._depth = 0
-            pending = list(self._completions.values())
-            self._completions.clear()
-            for request, on_done in pending:
-                on_done(request, error)
+                request = self.scheduler.pop(self._served_cylinder)
+                request._finish = None
+                pending.append(request)
+        self._depth = 0
+        if keep:
+            serving = inflight[0]
+            end_lba = serving.lba + serving.nblocks
+            self._head_cylinder = (
+                (end_lba - 1) // self.geometry.blocks_per_cylinder)
+            self._last_end_lba = end_lba
+        else:
+            self._head_cylinder = self._served_cylinder
+            self._last_end_lba = self._served_end_lba
+        owners = []
+        for request in sorted(pending, key=attrgetter("seq")):
+            owner, request._owner = request._owner, None
+            if owner not in owners:  # identity: owners define no __eq__
+                owners.append(owner)
+            owner.settle(request, error)
+        for owner in owners:
+            owner.retime()
         tracer = self.engine.tracer
         if tracer.enabled:
             tracer.instant("disk.failed", "storage", device=self.name,
@@ -404,29 +431,28 @@ class Disk:
         self.failed = False
         # The stream broke, unless a request that was in service when the
         # disk failed is still ending its transfer: it continues there.
-        if not self._committed:
-            self._last_end_lba = None
-        else:
-            self._catch_up()
-            if not self._inflight:
-                self._last_end_lba = self._served_end_lba = None
+        self._catch_up()
+        if not self._inflight:
+            self._last_end_lba = self._served_end_lba = None
         tracer = self.engine.tracer
         if tracer.enabled:
             tracer.instant("disk.repaired", "storage", device=self.name)
 
-    # -- committed service -----------------------------------------------------
+    # -- the service -----------------------------------------------------------
     #
     # A committed request's life is two positions, each a (time, seq)
     # the clock reaches like a heap entry's: its start, which is the
     # previous request's finish or, on an idle disk, where it was
     # queued (time: then, seq: its own), and its finish (seq: its own).
     # The disk records both lazily, in order, once (engine._now,
-    # engine._cur_seq) has reached them: in _catch_up.
+    # engine._cur_seq) has reached them: in _catch_up.  A start at a
+    # start step (_start_next) is recorded on the spot.
 
     def _commit(self, request: IORequest, seq: int, owner) -> float:
-        """Fix ``request``'s service on this committing disk; returns
-        its finish.  ``seq`` ranks its completion; ``owner`` (with
-        ``settle``/``retime``) is what a failure settles it through."""
+        """Fix ``request``'s service on a disk that commits at enqueue;
+        returns its finish.  ``seq`` ranks its completion; ``owner``
+        (with ``settle``/``retime``) is what a failure settles it
+        through."""
         engine = self.engine
         inflight = self._inflight
         if inflight:
@@ -451,10 +477,45 @@ class Disk:
             tracer.counter(f"{self.name}.queue", "storage", depth)
         return finish
 
+    def _start_next(self) -> None:
+        """On a disk that commits at start: start the request the
+        scheduler picks and commit it, or go idle on an empty queue
+        (fail_disk may have drained it since the start was scheduled)."""
+        if not self._depth:
+            self._idle = True
+            return
+        request = self.scheduler.pop(self._head_cylinder)
+        self._depth -= 1
+        self._busy.record(1.0)
+        self._head_started = True
+        now = request.started_at = request._start = self.engine._now
+        service = self.service_time(request)
+        completion = request._owner
+        if self._injector is not None:
+            fault = self._injector.disk_fault(
+                self.name, request.lba, request.nblocks)
+            if fault is not None:
+                kind, spec = fault
+                if kind == "disk.slow":
+                    service *= spec.slow_factor
+                elif kind == "disk.stall":
+                    service += spec.delay
+                elif kind == "disk.media_error":
+                    completion.error = MediaError(
+                        f"disk {self.name}: unrecoverable read at lba "
+                        f"{request.lba}+{request.nblocks}")
+        end_lba = request.lba + request.nblocks
+        self._head_cylinder = (end_lba - 1) // self.geometry.blocks_per_cylinder
+        # A media error breaks the stream: the next request repositions.
+        self._last_end_lba = end_lba if completion.error is None else None
+        due = completion.due = request._finish = now + service
+        self._inflight.append(request)
+        self.engine._push_commitment(completion, due, request.seq)
+
     def _catch_up(self) -> None:
         """Record every committed start and finish the clock has reached:
         the busy signal, the queue depth, statistics and tracer spans,
-        as the arm would have at each of them."""
+        as they stood at each of them."""
         inflight = self._inflight
         if not inflight:
             return
@@ -481,22 +542,29 @@ class Disk:
         service = self._service_times._values
         response = self._response_times._values
         tracing = engine.tracer.enabled
+        faults = not self._committed  # only a start draws a fault
         completed = read = written = 0
         while True:
             inflight.popleft()
             request.completed_at = at
             retired = request
-            if request._owner is not None:  # else fail_disk settled it
+            owner = request._owner
+            if owner is not None:  # else fail_disk settled it
                 request._owner = None
-                completed += 1
-                if request.is_write:
-                    written += request.nblocks
+                if faults and owner.error is not None:  # a media error
+                    self._media_errors.value += 1
+                    if tracing:
+                        self._trace_completion(request, at, "MediaError")
                 else:
-                    read += request.nblocks
-                service.append(at - request.started_at)
-                response.append(at - request.submitted_at)
-                if tracing:
-                    self._trace_completion(request, at)
+                    completed += 1
+                    if request.is_write:
+                        written += request.nblocks
+                    else:
+                        read += request.nblocks
+                    service.append(at - request.started_at)
+                    response.append(at - request.submitted_at)
+                    if tracing:
+                        self._trace_completion(request, at)
             if not inflight:
                 busy.record(0.0, at)  # idle
                 self._head_started = False
@@ -511,62 +579,47 @@ class Disk:
             if at > now or (at == now and request.seq > cur):
                 self._head_started = True
                 break
-        end_lba = self._served_end_lba = retired.lba + retired.nblocks
+        end_lba = retired.lba + retired.nblocks
         self._served_cylinder = (
             (end_lba - 1) // self.geometry.blocks_per_cylinder)
+        # A media error broke the stream, unless a failure settled it.
+        self._served_end_lba = (
+            None if faults and owner is not None and owner.error is not None
+            else end_lba)
         if completed:
             block_size = self.geometry.block_size
             self._completed.value += completed
             self._bytes_read.value += read * block_size
             self._bytes_written.value += written * block_size
 
-    def _trace_completion(self, request: IORequest, at: float) -> None:
+    def _trace_completion(self, request: IORequest, at: float,
+                          error: Optional[str] = None) -> None:
         tracer = self.engine.tracer
         started = request.started_at
+        name = f"disk.{'write' if request.is_write else 'read'}"
+        if error is not None:
+            tracer.complete(name, "storage", started, end=at,
+                            device=self.name, lba=request.lba,
+                            nblocks=request.nblocks, error=error)
+            return
         tracer.complete(
-            f"disk.{'write' if request.is_write else 'read'}",
-            "storage", started, end=at,
+            name, "storage", started, end=at,
             device=self.name, lba=request.lba, nblocks=request.nblocks,
             wait_ms=round((started - request.submitted_at) * 1e3, 6),
         )
-        # Waiters when it finished: those queued by then (at an exact
-        # tie, only the one queued behind it, which starts right then).
-        waiting = 0
-        for queued in self._inflight:
-            if queued.submitted_at > at or (
-                    queued.submitted_at == at and queued._start != at):
-                break
-            waiting += 1
-        tracer.counter(f"{self.name}.queue", "storage", waiting, at=at)
-
-    def _fail_committed(self, error: DiskFailedError) -> None:
-        """fail_disk on a committing disk: requests that have not started
-        never happen; the one in service ends its transfer unrecorded."""
-        self._catch_up()
-        inflight = self._inflight
-        pending = [request for request in inflight
-                   if request._owner is not None]
-        keep = 1 if self._head_started else 0
-        while len(inflight) > keep:
-            inflight.pop()._finish = None
-        self._depth = 0
-        if keep:
-            serving = inflight[0]
-            end_lba = serving.lba + serving.nblocks
-            self._head_cylinder = (
-                (end_lba - 1) // self.geometry.blocks_per_cylinder)
-            self._last_end_lba = end_lba
+        if self._committed:
+            # Waiters when it finished: those queued by then (at an
+            # exact tie, only the one queued behind it, which starts
+            # right then).
+            waiting = 0
+            for queued in self._inflight:
+                if queued.submitted_at > at or (
+                        queued.submitted_at == at and queued._start != at):
+                    break
+                waiting += 1
         else:
-            self._head_cylinder = self._served_cylinder
-            self._last_end_lba = self._served_end_lba
-        owners = []
-        for request in pending:
-            owner, request._owner = request._owner, None
-            if owner not in owners:  # identity: owners define no __eq__
-                owners.append(owner)
-            owner.settle(request, error)
-        for owner in owners:
-            owner.retime()
+            waiting = self._depth  # recorded in its own completion step
+        tracer.counter(f"{self.name}.queue", "storage", waiting, at=at)
 
     # -- timing model --------------------------------------------------------
 
@@ -614,143 +667,6 @@ class Disk:
             + self.rotational_latency()
             + transfer
         )
-
-    # -- the arm -------------------------------------------------------------
-    #
-    # The arm is a callback state machine driven by the engine: idle
-    # (waiting on ``_wakeup``) -> serving (one service event per
-    # request, queued with the seq its request took at enqueue) ->
-    # complete -> serving the next request or idle again.  An exception
-    # in a step propagates out of ``Engine.run``.  Under an active race
-    # detector every step runs in the arm's own sanitizer context.
-    #
-    # A request costs one frame per transition: ``enqueue``, ``_serve``
-    # (called from the previous ``_complete`` or a wake-up) and
-    # ``_complete``.  The disk counts its own queue depth, so no step
-    # asks the scheduler for its length.
-
-    def _arm_start(self) -> None:
-        det = _sanitizer.active
-        if det is None:
-            self._serve()
-        else:
-            self._sanitized_step(det, None, self._serve)
-
-    def _on_wake(self, event: Event) -> None:
-        det = _sanitizer.active
-        if det is None:
-            self._serve()
-        else:
-            self._sanitized_step(det, event, self._serve)
-
-    def _on_served(self, event: Event) -> None:
-        det = _sanitizer.active
-        if det is None:
-            self._complete()
-        else:
-            self._sanitized_step(det, event, self._complete)
-
-    def _sanitized_step(self, det, event: Optional[Event], step) -> None:
-        # The first step is a start (no event), not a wake-up.
-        prev = det.resume(self, event)
-        try:
-            step()
-        finally:
-            det._current = prev
-
-    def _serve(self) -> None:
-        """Start the next queued request, or go idle on an empty queue."""
-        engine = self.engine
-        if not self._depth:
-            # fail_disk() may have drained the queue between a submit's
-            # wake-up and this step; then too, wait for the next one.
-            wake = self._wakeup = Event(engine)
-            wake.callbacks.append(self._on_wake)
-            self._busy.record(0.0)
-            return
-        self._busy.record(1.0)
-        request = self.scheduler.pop(self._head_cylinder)
-        self._depth -= 1
-        request.started_at = engine._now
-        service = self.service_time(request)
-        fault = None
-        if self._injector is not None:
-            fault = self._injector.disk_fault(
-                self.name, request.lba, request.nblocks)
-            if fault is not None:
-                kind, spec = fault
-                if kind == "disk.slow":
-                    service *= spec.slow_factor
-                elif kind == "disk.stall":
-                    service += spec.delay
-        self._serving = request
-        self._fault = fault
-        # A Timeout, but ranked by the seq its request took at enqueue.
-        served = Event(engine)
-        served._value = None
-        if _sanitizer.active is not None:
-            _sanitizer.active.on_trigger(served)
-        served.callbacks.append(self._on_served)
-        heappush(engine._queue, (engine._now + service, request.seq, 1, served))
-
-    def _complete(self) -> None:
-        request = self._serving
-        fault = self._fault
-        self._serving = self._fault = None
-        end_lba = request.lba + request.nblocks
-        # Head ends at the cylinder holding the request's last block
-        # (enqueue() checked that block is on the disk).
-        geometry = self.geometry
-        self._head_cylinder = (end_lba - 1) // geometry.blocks_per_cylinder
-        self._last_end_lba = end_lba
-        now = request.completed_at = self.engine._now
-
-        # fail_disk() may have settled the request mid-service.
-        entry = self._completions.pop(request.request_id, None)
-        if entry is not None:
-            if fault is not None and fault[0] == "disk.media_error":
-                self._fail_media(request, entry[1])
-            else:
-                # Counter.add's checks hold by construction: whole,
-                # non-negative counts.
-                self._completed.value += 1
-                nbytes = request.nblocks * geometry.block_size
-                if request.is_write:
-                    self._bytes_written.value += nbytes
-                else:
-                    self._bytes_read.value += nbytes
-                started = request.started_at
-                self._service_times.record(now - started)
-                self._response_times.record(now - request.submitted_at)
-                tracer = self.engine.tracer
-                if tracer.enabled:
-                    tracer.complete(
-                        f"disk.{'write' if request.is_write else 'read'}",
-                        "storage", started,
-                        device=self.name, lba=request.lba,
-                        nblocks=request.nblocks,
-                        wait_ms=round((started - request.submitted_at) * 1e3, 6),
-                    )
-                    tracer.counter(f"{self.name}.queue", "storage",
-                                   self._depth)
-                entry[1](request, None)
-        self._serve()
-
-    def _fail_media(self, request: IORequest, on_done: OnDone) -> None:
-        self._media_errors.add()
-        self._last_end_lba = None  # the stream broke; reposition
-        tracer = self.engine.tracer
-        if tracer.enabled:
-            tracer.complete(
-                f"disk.{'write' if request.is_write else 'read'}",
-                "storage", request.started_at,
-                device=self.name, lba=request.lba,
-                nblocks=request.nblocks, error="MediaError",
-            )
-        on_done(request, MediaError(
-            f"disk {self.name}: unrecoverable read at lba "
-            f"{request.lba}+{request.nblocks}"
-        ))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

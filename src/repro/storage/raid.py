@@ -11,7 +11,9 @@ at most one contiguous physical request per (disk, stripe-unit run)
 and completes when every fragment has.  Over members that commit FCFS
 service at enqueue (see :mod:`repro.storage.disk`) every fragment's
 finish is known at submit, so the whole range takes one heap entry, at
-its latest fragment's finish.
+its latest fragment's finish.  Over members that commit at start a
+finish is known only once its fragment starts, so each fragment is
+queued on its own and the last to land decides the range.
 
 :class:`MirroredArray` is the resilience counterpart: every block lives
 on every member, reads rotate across in-sync members and fail over when
@@ -92,7 +94,7 @@ class _CommittedRange:
             self.engine._schedule_call(lambda: done.succeed(requests))
 
     def _stamp(self, det) -> None:
-        """Each fragment that finished normally triggers in its arm's
+        """Each fragment that finished normally triggers in its disk's
         context, accumulated into the range's event if it finished now
         (an earlier finish's clock would not reach a waiter now)."""
         engine = self.engine
@@ -119,7 +121,7 @@ class _CommittedRange:
         done = self.done
         det = _sanitizer.active
         if det is not None:
-            # As a fragment settled by its arm: once the failure has
+            # As a fragment settled by its disk: once the failure has
             # triggered the range's event, a late fragment's clock joins
             # from a slot of its own, so a waiter already queued at this
             # instant misses it.
@@ -277,7 +279,8 @@ class StripedArray:
 
         remaining = 0
 
-        # Each fragment settles by a direct call from its disk's arm; only
+        # Each fragment settles by a direct call from its disk's
+        # completion entry (members that commit at start); only
         # the call that decides the range (the last to land, or the first
         # to fail) takes a heap slot, scheduled where it lands, and
         # triggers the array's event from there.  Same-instant entries
@@ -286,7 +289,7 @@ class StripedArray:
             nonlocal remaining
             det = _sanitizer.active
             if det is not None:
-                # The fragment's trigger, in the arm's context, accumulated
+                # The fragment's trigger, in the disk's context, accumulated
                 # into the array's event.  Once a failure has triggered that
                 # event, a late fragment's clock joins from a slot of its
                 # own, so a waiter already queued at this instant misses it.

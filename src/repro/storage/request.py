@@ -40,10 +40,11 @@ class IORequest:
         among same-instant heap entries by it.
     """
 
-    # A committing disk's bookkeeping (see repro.storage.disk): the
-    # start and finish it fixed at enqueue (``_finish`` is None once a
-    # failure cancelled the request), and what settles the request
-    # while it is in flight (None once settled).
+    # The disk's bookkeeping (see repro.storage.disk): the start and
+    # finish it fixed when it committed the request (``_finish`` is None
+    # once a failure cancelled the request), and what settles the
+    # request while it is queued or in flight (None once settled): a
+    # request is on one disk at a time.
     __slots__ = ("lba", "nblocks", "is_write", "request_id",
                  "submitted_at", "started_at", "completed_at", "seq",
                  "_start", "_finish", "_owner")

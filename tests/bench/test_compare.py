@@ -118,12 +118,17 @@ CHEAP = ["tab1", "tab2", "tab3", "tab4", "tab5", "tab6", "fig2", "fig3",
 
 def test_cheap_experiments_match_committed_report():
     """A fresh run of every cheap experiment equals its committed rows,
-    columns, title and notes exactly."""
-    from repro.bench.experiments import run_experiment
+    columns, title and notes exactly, and does exactly the work its
+    entry in the ledger (``results/work_counters.json``) records."""
+    from tests.bench.work_counters import LEDGER, run_counted
 
     golden = load_dump(str(FULL_REPORT))
-    fresh = {exp_id: run_experiment(exp_id) for exp_id in CHEAP}
+    ledger = json.loads(LEDGER.read_text())
+    fresh, work = {}, {}
+    for exp_id in CHEAP:
+        fresh[exp_id], work[exp_id] = run_counted(exp_id)
     assert compare_results({e: golden[e] for e in CHEAP}, fresh) == []
+    assert work == {e: ledger[e] for e in CHEAP}
 
 
 def _mutated_report_exit_code(tmp_path, mutate):

@@ -1,20 +1,23 @@
-"""Committed FCFS service: the same schedule as the FCFS arm.
+"""The disk's one service: the same schedule as the arm.
 
-A disk with the FCFS scheduler and no fault injector fixes each
-request's service when it is queued and records it lazily; the arm
-decides each request when its service starts.  An injector with an
-empty plan draws no fault but keeps a disk on its arm, which makes the
-arm the oracle here.  Random schedules of same-instant requesters (on
-striped ranges and on single disks), a ticker that reads every disk's
-registry entries at completion instants (a few zero-delay hops in), and
-an optional ``fail_disk`` of one or two disks (with an optional
-repair) must leave the same log, the same request stamps, the same
-disk statistics and the same clock under both, and under the race
-detector the same races.  Requesters may start at a completion instant
-(their wake-up queued before the failer's), the ticker sleeps by
-yielding delays (which may pass in its own frame) and ranges may
-continue where the previous one ended, so ties at a completion
-instant, sleeps over committed finishes and streaming all occur.
+A disk commits each request's service when it is queued (FCFS, no
+fault injector) or when its service starts (every other disk), and
+records it lazily; the arm (:class:`tests.storage.oracle.ArmDisk`)
+decides each request when its service starts, with books of its own,
+which makes it the oracle here.  Random schedules of same-instant
+requesters (on striped ranges and on single disks), under each
+scheduler and under no injector, an empty plan or per-disk
+``disk.media_error``/``disk.slow``/``disk.stall`` rules, a ticker that
+reads every disk's registry entries at completion instants (a few
+zero-delay hops in), and an optional ``fail_disk`` of one or two disks
+(with an optional repair) must leave the same log, the same request
+stamps, the same disk statistics, the same fault injections and the
+same clock under both, and under the race detector the same races.
+Requesters may start at a completion instant (their wake-up queued
+before the failer's), the ticker sleeps by yielding delays (which may
+pass in its own frame) and ranges may continue where the previous one
+ended, so ties at a completion instant, sleeps over committed finishes
+and streaming all occur.
 """
 
 from typing import List
@@ -22,20 +25,27 @@ from typing import List
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.errors import DiskFailedError
-from repro.faults import FaultInjector, FaultPlan
+from repro.errors import DiskFailedError, MediaError
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.sanitizer import shared
 from repro.sim import Engine
 from repro.storage import Disk, DiskGeometry, StripedArray
 from repro.storage.request import IORequest
 
 from tests.conftest import detector_or_none
+from tests.storage.oracle import ArmDisk
 
 GEO = DiskGeometry(cylinders=50, heads=2, sectors_per_track=8)
 
 #: Registry entries the ticker reads, per disk.
-READ = ("completed", "bytes_read", "bytes_written", "queue_depth",
-        "queue_max_depth")
+READ = ("completed", "bytes_read", "bytes_written", "media_errors",
+        "queue_depth", "queue_max_depth")
+
+#: FCFS twice: an FCFS disk without an injector commits at enqueue.
+SCHEDULERS = ("fcfs", "fcfs", "sstf", "scan", "cscan", "clook")
+
+#: The plain service: FCFS, no injector.
+PLAIN = ("fcfs", None)
 
 
 def _run(arm: bool, scenario, tick_at: List[float], detector: bool = False):
@@ -49,16 +59,26 @@ def _run(arm: bool, scenario, tick_at: List[float], detector: bool = False):
     return outcome + (races,)
 
 
+def _plan(specs) -> FaultPlan:
+    return FaultPlan(seed=5, specs=tuple(
+        FaultSpec(kind=kind, target=f"d{index}", probability=probability,
+                  max_hits=max_hits, slow_factor=2.5, delay=0.004)
+        for kind, index, probability, max_hits in specs))
+
+
 def _schedule(arm, scenario, tick_at):
-    ndisks, unit, requesters, singles, hops, fault = scenario
+    ndisks, unit, requesters, singles, hops, fault, service = scenario
+    scheduler, specs = service
     engine = Engine()
-    injector = FaultInjector(engine, FaultPlan()) if arm else None
-    disks = [Disk(engine, geometry=GEO, name=f"d{i}", injector=injector)
-             for i in range(ndisks)]
-    assert all(disk._committed is not arm for disk in disks)
+    injector = None if specs is None else FaultInjector(engine, _plan(specs))
+    disks = [(ArmDisk if arm else Disk)(
+        engine, geometry=GEO, name=f"d{i}", scheduler=scheduler,
+        injector=injector) for i in range(ndisks)]
+    committed = not arm and service == PLAIN
+    assert all(disk._committed is committed for disk in disks)
     requests: List[IORequest] = []
     for disk in disks:
-        if arm:
+        if not committed:
             def recording(request, on_done, _enqueue=disk.enqueue):
                 _enqueue(request, on_done)
                 requests.append(request)
@@ -81,7 +101,7 @@ def _schedule(arm, scenario, tick_at):
             return
         try:
             value = yield done
-        except DiskFailedError as exc:
+        except (DiskFailedError, MediaError) as exc:
             log.append((engine.now, name, "failed", str(exc)))
         else:
             if isinstance(value, IORequest):
@@ -152,23 +172,30 @@ def _schedule(arm, scenario, tick_at):
     stats = [(d.requests_completed.value, d.bytes_read.value,
               d.bytes_written.value, d.service_times.values,
               d.response_times.values, d.busy.integral(), d.busy.current,
-              d.queue_depth, d.queue_max_depth, d.head_cylinder)
+              d.queue_depth, d.queue_max_depth, d.head_cylinder,
+              d.media_errors.value)
              for d in disks]
-    return log, stamps, stats, engine.now
+    injections = None if injector is None else injector.schedule_dump()
+    return log, stamps, stats, injections, engine.now
 
 
 def _completion_instants(scenario) -> List[float]:
     """Every instant a request completes, from a run without faults
     where every requester starts at once."""
-    ndisks, unit, requesters, singles, hops, _ = scenario
+    ndisks, unit, requesters, singles, hops, _, service = scenario
     plain = [(0.0, ranges) for _, ranges in requesters]
-    _, stamps, _, _, _ = _run(
-        True, (ndisks, unit, plain, singles, hops, None), [])
+    stamps = _run(
+        True, (ndisks, unit, plain, singles, hops, None, service), [])[1]
     return sorted({0.0} | {s[4] for s in stamps if s[4] is not None})
 
 
 _range = st.tuples(st.one_of(st.none(), st.integers(0, 10_000)),
                    st.integers(1, 96), st.booleans())
+_spec = st.tuples(
+    st.sampled_from(("disk.media_error", "disk.slow", "disk.stall")),
+    st.integers(0, 3),                                    # target disk
+    st.sampled_from((0.3, 0.7, 1.0)),                     # probability
+    st.one_of(st.none(), st.integers(1, 3)))              # max_hits
 _scenario = st.tuples(
     st.integers(1, 4),                                    # disks
     st.integers(1, 24),                                   # stripe unit
@@ -178,6 +205,9 @@ _scenario = st.tuples(
                        st.lists(_range, min_size=1, max_size=3)),
              min_size=0, max_size=2),
     st.integers(1, 4),                                    # ticker reads
+    st.tuples(st.sampled_from(SCHEDULERS),                # service
+              st.one_of(st.none(),                        # no injector
+                        st.lists(_spec, max_size=3))),    # plan ([]: empty)
 )
 
 
@@ -185,9 +215,10 @@ _scenario = st.tuples(
           suppress_health_check=[HealthCheck.too_slow])
 @given(_scenario, st.booleans(), st.data())
 def test_committed_fcfs_matches_the_arm(scenario, fail, data):
-    ndisks, unit, requesters, singles, hops = scenario
+    ndisks, unit, requesters, singles, hops, service = scenario
     instants = _completion_instants(
-        (ndisks, unit, [(0.0, r) for r in requesters], singles, hops, None))
+        (ndisks, unit, [(0.0, r) for r in requesters], singles, hops, None,
+         service))
     requesters = [(data.draw(st.sampled_from(instants)), ranges)
                   for ranges in requesters]
     # The ticker's instants: repeats are zero-delay hops, and a later
@@ -207,7 +238,7 @@ def test_committed_fcfs_matches_the_arm(scenario, fail, data):
         repair_after = data.draw(st.sampled_from(
             [None, 0.0] + [t - at for t in instants if t > at][:3]))
         fault = (indexes, at, fail_hops, repair_after)
-    scenario = (ndisks, unit, requesters, singles, hops, fault)
+    scenario = (ndisks, unit, requesters, singles, hops, fault, service)
 
     assert _run(False, scenario, tick_at) == _run(True, scenario, tick_at)
     committed = _run(False, scenario, tick_at, detector=True)
@@ -220,26 +251,52 @@ def test_second_failure_at_an_instant_joins_the_range_late():
     settles its fragment, so the second failer's write races the
     waiter's, on the committed range as on the arm."""
     ranges = [(0.0, [(0, 32, False)])]
-    at = _completion_instants((2, 4, ranges, [], 0, None))[1]
-    scenario = (2, 4, ranges, [], 0, ([0, 1], at, 1, None))
-    committed = _run(False, scenario, [], detector=True)
-    assert committed == _run(True, scenario, [], detector=True)
-    log, _, _, _, races = committed
-    assert log == [(at, "failer", 0), (at, "failer", 1),
-                   (at, "r0", "failed", "disk d0 failed: test")]
-    assert [(first.split(" in ")[1], second.split(" in ")[1])
-            for _, _, first, second in races] == [
-        ("[main > failer]", "[main > requester]")]
+    at = _completion_instants((2, 4, ranges, [], 0, None, PLAIN))[1]
+    for service in (PLAIN, ("sstf", [])):
+        scenario = (2, 4, ranges, [], 0, ([0, 1], at, 1, None), service)
+        committed = _run(False, scenario, [], detector=True)
+        assert committed == _run(True, scenario, [], detector=True)
+        log, _, _, _, _, races = committed
+        assert log == [(at, "failer", 0), (at, "failer", 1),
+                       (at, "r0", "failed", "disk d0 failed: test")]
+        assert [(first.split(" in ")[1], second.split(" in ")[1])
+                for _, _, first, second in races] == [
+            ("[main > failer]", "[main > requester]")]
 
 
-def _fail_and_repair(arm: bool, first_lba: int, second_lba: int,
+# The single-schedule cases below run each disk three ways: committed
+# at enqueue, committed at start (an injector with an empty plan draws
+# no fault but moves the commit point), and the arm.
+
+def _at_enqueue(engine, **kwargs):
+    return Disk(engine, **kwargs)
+
+
+def _at_start(engine, **kwargs):
+    return Disk(engine, injector=FaultInjector(engine, FaultPlan()), **kwargs)
+
+
+def _arm(engine, **kwargs):
+    return ArmDisk(engine, **kwargs)
+
+
+SERVICES = (_at_enqueue, _at_start, _arm)
+
+
+def _same(run, *args):
+    """``run(make, *args)`` under each service; all must agree."""
+    committed, at_start, arm = (run(make, *args) for make in SERVICES)
+    assert committed == at_start == arm
+    return committed
+
+
+def _fail_and_repair(make, first_lba: int, second_lba: int,
                      fail_at: float):
     """One request queued at t=0.01; the disk fails at ``fail_at`` and is
     repaired at once; a second request follows at once.  Returns both
     requests' stamps or outcomes."""
     engine = Engine()
-    injector = FaultInjector(engine, FaultPlan()) if arm else None
-    disk = Disk(engine, geometry=GEO, name="d0", injector=injector)
+    disk = make(engine, geometry=GEO, name="d0")
     first = IORequest(lba=first_lba, nblocks=8)
     log = []
 
@@ -270,9 +327,7 @@ def test_failure_before_a_queued_request_starts_keeps_the_head():
     never moves the head: the next request seeks from where the head
     was."""
     far = GEO.blocks_per_cylinder * 40
-    committed = _fail_and_repair(False, far, 0, 0.01)
-    assert committed == _fail_and_repair(True, far, 0, 0.01)
-    log, head, _ = committed
+    log, head, _ = _same(_fail_and_repair, far, 0, 0.01)
     assert log[0] == log[-1] == ("first", None, None) and head == 0
 
 
@@ -280,9 +335,7 @@ def test_failure_mid_transfer_streams_on_after_repair():
     """The request in service when the disk fails still ends its
     transfer; a request that continues it after the repair streams
     without repositioning."""
-    committed = _fail_and_repair(False, 80, 88, 0.0101)
-    assert committed == _fail_and_repair(True, 80, 88, 0.0101)
-    log, _, _ = committed
+    log, _, _ = _same(_fail_and_repair, 80, 88, 0.0101)
     # Failed mid-transfer: the client saw no finish, the transfer ended.
     assert log[0] == ("first", 0.01, None)
     (_, started, finished), = [e for e in log if e[0] == "second"]
@@ -292,13 +345,12 @@ def test_failure_mid_transfer_streams_on_after_repair():
         disk.params.controller_overhead + disk.transfer_time(8))
 
 
-def _queued_at_a_finish(arm: bool, finish: float):
+def _queued_at_a_finish(make, finish: float):
     """P is queued at t=0 and finishes at ``finish``; a client whose
     wake-up was queued before P submits R at that instant, and a reader
     whose wake-up was queued after P reads the disk there too."""
     engine = Engine()
-    injector = FaultInjector(engine, FaultPlan()) if arm else None
-    disk = Disk(engine, geometry=GEO, name="d0", injector=injector)
+    disk = make(engine, geometry=GEO, name="d0")
     seen = []
 
     def client():
@@ -324,20 +376,17 @@ def test_request_queued_behind_a_finish_at_its_instant_starts_there():
     after that completion sees R in service, not waiting."""
     finish = Disk(Engine(), geometry=GEO).service_time(
         IORequest(lba=0, nblocks=8))
-    committed = _queued_at_a_finish(False, finish)
-    assert committed == _queued_at_a_finish(True, finish)
+    committed = _same(_queued_at_a_finish, finish)
     assert committed[0] == [(finish, 0, 1.0, 1)]
 
 
-def _idle_gap_inside_a_range(arm: bool):
+def _idle_gap_inside_a_range(make):
     """d1 is busy with a far request, so a two-disk range lands on d0
     long before it ends on d1; d0 goes idle and serves a request queued
     in that gap, before the range's one completion entry records the
     fragment."""
     engine = Engine()
-    injector = FaultInjector(engine, FaultPlan()) if arm else None
-    disks = [Disk(engine, geometry=GEO, name=f"d{i}", injector=injector)
-             for i in range(2)]
+    disks = [make(engine, geometry=GEO, name=f"d{i}") for i in range(2)]
     array = StripedArray(engine, disks, stripe_unit=4)
     far = GEO.blocks_per_cylinder * 45
 
@@ -359,20 +408,17 @@ def _idle_gap_inside_a_range(arm: bool):
 
 
 def test_idle_gap_between_a_fragment_and_its_range_end_is_idle():
-    committed = _idle_gap_inside_a_range(False)
-    assert committed == _idle_gap_inside_a_range(True)
+    committed = _same(_idle_gap_inside_a_range)
     (busy_d0, _, service_d0, _), _ = committed[0]
     assert busy_d0 == pytest.approx(sum(service_d0))  # idle in the gap
 
 
-def _traced_ranges(arm: bool):
+def _traced_ranges(make):
     from repro.obs import Tracer
 
     tracer = Tracer()
     engine = Engine(tracer=tracer)
-    injector = FaultInjector(engine, FaultPlan()) if arm else None
-    disks = [Disk(engine, geometry=GEO, name=f"d{i}", injector=injector)
-             for i in range(3)]
+    disks = [make(engine, geometry=GEO, name=f"d{i}") for i in range(3)]
     array = StripedArray(engine, disks, stripe_unit=4)
 
     def requester(ranges):
@@ -396,8 +442,72 @@ def test_traced_spans_and_queue_samples_match_the_arm():
     """Committed spans carry the arm's start, end and wait, though they
     are recorded when the range's entry fires; each disk's queue-depth
     samples are the arm's, in time order."""
-    spans, queues = _traced_ranges(False)
-    assert (spans, queues) == _traced_ranges(True)
+    spans, queues = _same(_traced_ranges)
     assert len(spans) == 10 + 2 + 8 + 5 + 1
     for samples in queues.values():
         assert samples == sorted(samples, key=lambda sample: sample[0])
+
+
+def test_idle_disk_starts_after_its_first_request():
+    """The one schedule where the disk and the arm differ: a request
+    queued before the engine ran the arm's construction-time entry.  The
+    arm started there, before a process queued in between could add a
+    request; the disk starts at the slot after the first enqueue, as on
+    any idle disk, so SSTF sees the process's near request too."""
+    def run(make):
+        engine = Engine()
+        disk = make(engine, geometry=GEO, name="d0", scheduler="sstf")
+        near = IORequest(lba=GEO.blocks_per_cylinder, nblocks=8)
+
+        def client():
+            yield disk.submit(near)
+
+        engine.process(client())
+        far = IORequest(lba=GEO.blocks_per_cylinder * 45, nblocks=8)
+        disk.submit(far)
+        engine.run()
+        return far.started_at, near.started_at
+
+    far_start, near_start = run(Disk)
+    assert near_start == 0.0 and far_start > 0.0
+    far_start, near_start = run(_arm)
+    assert far_start == 0.0 and near_start > 0.0  # far started first
+
+
+def _drained_mid_service(make):
+    """On a SCAN disk, R1 (cylinder 45) is in service, having left R0's
+    cylinder 40, when H (cylinder 42) is queued and the disk fails.  The
+    drain pops H from where the last served request left the head, as
+    the arm did, which keeps the sweep going up; after the repair, of
+    two requests queued at once the one above the head goes first."""
+    engine = Engine()
+    disk = make(engine, geometry=GEO, name="d0", scheduler="scan")
+    cylinder = GEO.blocks_per_cylinder
+    up = IORequest(lba=48 * cylinder, nblocks=8)
+    down = IORequest(lba=10 * cylinder, nblocks=8)
+
+    def client():
+        first = disk.submit(IORequest(lba=40 * cylinder, nblocks=8))
+        second = disk.submit(IORequest(lba=45 * cylinder, nblocks=8))
+        yield first
+        yield 0.001  # R1 is in service
+        held = disk.submit(IORequest(lba=42 * cylinder, nblocks=8))
+        disk.fail_disk("test")
+        disk.repair()
+        for lost in (second, held):
+            try:
+                yield lost
+            except DiskFailedError:
+                pass
+        yield 0.1  # R1's transfer has ended
+        yield engine.all_of([disk.submit(up), disk.submit(down)])
+
+    engine.process(client())
+    engine.run()
+    return up.started_at, down.started_at
+
+
+def test_failure_drains_the_scheduler_from_the_served_head():
+    up_start, down_start = _drained_mid_service(Disk)
+    assert (up_start, down_start) == _drained_mid_service(_arm)
+    assert up_start < down_start

@@ -149,6 +149,28 @@ def test_double_submission_rejected():
         d.submit(req)
 
 
+@pytest.mark.parametrize("first,second", [
+    ("sstf", "sstf"), ("sstf", "fcfs"), ("fcfs", "sstf"), ("fcfs", "fcfs")])
+def test_one_request_on_two_disks_is_rejected(first, second):
+    """A request is queued on one disk at a time, whichever commit point
+    either disk has: the second enqueue raises, and the first disk
+    settles the request once."""
+    eng = Engine()
+    disks = [make_disk(eng, scheduler=first, name="a"),
+             make_disk(eng, scheduler=second, name="b")]
+    req = IORequest(lba=0, nblocks=1)
+    settled = []
+    disks[0].enqueue(req, lambda request, error: settled.append(error))
+    with pytest.raises(DiskError, match=f"request {req.request_id} "
+                                        "already submitted"):
+        disks[1].enqueue(req, lambda request, error: settled.append(error))
+    eng.run()
+    assert settled == [None]
+    assert [d.requests_completed.value for d in disks] == [1, 0]
+    assert req.completed_at == req.service_time == pytest.approx(
+        disks[0].service_time(IORequest(lba=0, nblocks=1)))
+
+
 def test_statistics_accumulate():
     eng = Engine()
     d = make_disk(eng)
@@ -201,7 +223,7 @@ def test_disk_reusable_after_idle():
     assert second.value.completed_at > first.value.completed_at
 
 
-# -- the arm: a callback state machine, not a process ------------------------
+# -- the service: completion entries, not a process --------------------------
 
 
 def test_constructing_a_disk_spawns_no_process(monkeypatch):
@@ -416,8 +438,8 @@ def _depth_gauges(disk):
 
 
 def make_arm_disk(engine, **kwargs):
-    """A disk served by its arm: a fault injector, even one with an
-    empty plan, makes the disk decide each request at service time."""
+    """A disk that commits at start: a fault injector, even one with an
+    empty plan, makes the disk decide each request when it starts."""
     from repro.faults import FaultInjector, FaultPlan
 
     return make_disk(engine, injector=FaultInjector(engine, FaultPlan()),
@@ -525,5 +547,5 @@ def test_media_error_settles_exactly_once():
     assert all(isinstance(error, MediaError) for _, error in settled)
     assert d.media_errors.value == 2
     assert d.requests_completed.value == 0
-    assert d._completions == {}
+    assert not d._inflight and len(d.scheduler) == 0  # nothing left queued
     assert (d.queue_depth, d.queue_max_depth) == (0, 2)

@@ -240,8 +240,8 @@ def test_submit_to_degraded_stripe_queues_nothing():
 def test_fragments_settle_without_per_fragment_heap_slots():
     """A range costs one heap slot to settle (plus the array event),
     whatever its fragment count.  Over committing disks the range's
-    completion is its only other slot; over arms each fragment still
-    takes its own."""
+    completion is its only other slot; over disks that commit at start
+    each fragment still takes its own."""
     from repro.faults import FaultInjector, FaultPlan
 
     def heap_entries(nblocks, arm=False):
@@ -259,8 +259,8 @@ def test_fragments_settle_without_per_fragment_heap_slots():
 
     # The range's completion, the settle call and the array event.
     assert heap_entries(16) == heap_entries(64) == 3
-    # Per fragment on an arm: an enqueue seq (its service event's) and
-    # a wake-up for the first fragment on an idle disk.
+    # Per fragment committed at start: an enqueue seq (its completion's)
+    # and a start call for the first fragment on an idle disk.
     assert heap_entries(16, arm=True) == 4 * 2 + 2
     assert heap_entries(64, arm=True) == 4 + 16 + 2
 
@@ -280,7 +280,7 @@ def test_striped_fragment_call_budget():
         eng = Engine()
         disks = [Disk(eng, name=f"d{i}") for i in range(4)]
         arr = StripedArray(eng, disks, stripe_unit=8)
-        eng.run()  # every arm idle: count the steady state
+        eng.run()  # every disk idle: count the steady state
         calls = 0
 
         def profile(frame, event, arg):

@@ -94,9 +94,9 @@ def _schedule(array_cls, scenario, tick_at, specs):
                   injector=injector) for i in range(ndisks)]
     requests: List[IORequest] = []
     for disk in disks:
-        # Every request a disk queues: through enqueue on an arm, and
-        # through _commit (the way in enqueue and a striped range share)
-        # on a committing disk.
+        # Every request a disk queues: through enqueue on a disk that
+        # commits at start, and through _commit (the way in enqueue and a
+        # striped range share) on one that commits at enqueue.
         if disk._committed:
             def recording(request, seq, owner, _commit=disk._commit):
                 finish = _commit(request, seq, owner)
