@@ -6,7 +6,13 @@ the engines and disks it builds while it runs:
 * ``heap_entries`` — the sum of ``Engine._seq`` (every sequence number
   an engine handed out: one per heap entry it queued, plus one per
   committed disk request or range, whose entry reuses it);
-* ``disk_requests`` — the sum of the disks' ``requests_completed``.
+* ``disk_requests`` — the sum of the disks' ``requests_completed``;
+* ``processes_spawned`` — the :class:`~repro.sim.process.Process`
+  objects built;
+* ``process_wakeups`` — the times the engine resumed a process (its
+  start, and each event it waited on).  A sleep a process takes in its
+  own frame is not a wake-up: the generator resumes without leaving
+  ``Process._resume``.
 
 A change that moves a counter on purpose re-pins the ledger and says
 which entries moved, and why, in CHANGES.md::
@@ -20,21 +26,27 @@ import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List
+from typing import Any, Dict, Iterator, List
 
 from repro.bench.experiments import ALL_EXPERIMENTS, run_experiment
 from repro.sim import Engine
+from repro.sim.process import Process
 from repro.storage import Disk
 
 LEDGER = Path(__file__).resolve().parents[2] / "results" / "work_counters.json"
 
 
 @contextmanager
-def census() -> Iterator[Dict[type, List]]:
+def census() -> Iterator[Dict[Any, Any]]:
     """Every :class:`Engine` and :class:`Disk` built inside the block,
-    by class (subclasses included)."""
-    born: Dict[type, List] = {Engine: [], Disk: []}
-    originals = [(cls, cls.__dict__["__init__"]) for cls in born]
+    by class (subclasses included), and, under ``Process``, the counts
+    of processes built and of their wake-ups."""
+    born: Dict[Any, Any] = {Engine: [], Disk: []}
+    tally = born[Process] = {"spawned": 0, "wakeups": 0}
+    originals = [(cls, name, cls.__dict__[name])
+                 for cls, name in ((Engine, "__init__"), (Disk, "__init__"),
+                                   (Process, "__init__"),
+                                   (Process, "_resume"))]
 
     def recording(init, instances):
         def __init__(obj, *args, **kwargs):
@@ -42,20 +54,35 @@ def census() -> Iterator[Dict[type, List]]:
             instances.append(obj)
         return __init__
 
-    for cls, init in originals:
-        cls.__init__ = recording(init, born[cls])
+    def counting(method, key):
+        def counted(obj, *args, **kwargs):
+            tally[key] += 1
+            return method(obj, *args, **kwargs)
+        return counted
+
+    Engine.__init__ = recording(Engine.__init__, born[Engine])
+    Disk.__init__ = recording(Disk.__init__, born[Disk])
+    Process.__init__ = counting(Process.__init__, "spawned")
+    Process._resume = counting(Process._resume, "wakeups")
     try:
         yield born
     finally:
-        for cls, init in originals:
-            cls.__init__ = init
+        for cls, name, original in originals:
+            setattr(cls, name, original)
 
 
-def counters(born: Dict[type, List]) -> Dict[str, int]:
+#: The ledger's counters, in the order a report lists them.
+COUNTERS = ("heap_entries", "disk_requests", "processes_spawned",
+            "process_wakeups")
+
+
+def counters(born: Dict[Any, Any]) -> Dict[str, int]:
     return {
         "heap_entries": sum(engine._seq for engine in born[Engine]),
         "disk_requests": sum(disk.requests_completed.value
                              for disk in born[Disk]),
+        "processes_spawned": born[Process]["spawned"],
+        "process_wakeups": born[Process]["wakeups"],
     }
 
 
@@ -72,7 +99,7 @@ def main(argv: List[str]) -> int:
               for exp_id in sorted(ALL_EXPERIMENTS)}
     path.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n")
     total = {key: sum(entry[key] for entry in ledger.values())
-             for key in ("heap_entries", "disk_requests")}
+             for key in COUNTERS}
     print(f"wrote {path}: {len(ledger)} experiments, {total}")
     return 0
 
