@@ -149,6 +149,10 @@ class Interpreter:
         self.intrinsics = intrinsics
         self.resolver = resolver
         self.params = params or InterpreterParams()
+        # token -> the compiled body under ``params``: a warm call looks
+        # its body up by the method's int token, not by hashing
+        # (token, params) in the JIT's shared cache.
+        self._natives: Dict[int, Callable] = {}
         self.statics: Dict[str, Any] = {}
         self.instructions_executed = Counter("interp.instructions")
         self.calls = Counter("interp.calls")
@@ -183,18 +187,26 @@ class Interpreter:
             raise ExecutionFault(
                 f"{method.full_name} was not verified before execution"
             )
-        jit = self.jit
-        if method.token not in jit._compiled:
+        token = method.token
+        if token not in self.jit._compiled:
             return self._first_call(method, args, _depth)
         self.calls.add()
-        return jit.native_for(method, self.params)(self, args, _depth)
+        try:
+            native = self._natives[token]
+        except KeyError:
+            native = self._native(method)
+        return native(self, args, _depth)
+
+    def _native(self, method: MethodDef) -> Callable:
+        native = self._natives[method.token] = self.jit.native_for(
+            method, self.params)
+        return native
 
     def _first_call(self, method: MethodDef, args: Sequence[Any], _depth: int):
         """Cold path: charge the simulated compile delay, then run."""
         yield from self.jit.ensure_compiled(method)
         self.calls.add()
-        native = self.jit.native_for(method, self.params)
-        return (yield from native(self, args, _depth))
+        return (yield from self._native(method)(self, args, _depth))
 
     def _resolve_call(self, operand, method: MethodDef, pc: int) -> MethodDef:
         if isinstance(operand, MethodDef):

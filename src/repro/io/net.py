@@ -316,13 +316,19 @@ class Socket:
             raise SimulationError(f"receive needs max_bytes >= 1, got {max_bytes}")
         if self._reset:
             raise ConnectionReset(f"receive on reset socket {self.socket_id}")
+        incoming = self._incoming
         if self._pending == 0 and not self._eof:
-            chunk = yield self._incoming.get()
+            if incoming.count:
+                # An arrived chunk: the hop its get() event would take,
+                # to (now, seq + 1), is a zero-delay sleep.
+                chunk = incoming.take()
+                yield 0.0
+            else:
+                chunk = yield incoming.get()
             self._ingest(chunk)
         # Drain any further chunks that already arrived (non-blocking).
-        while not self._eof and not self._reset and self._incoming.count > 0:
-            ev = self._incoming.get()
-            self._ingest(ev.value)  # Store.get on a non-empty store succeeds now
+        while not self._eof and not self._reset and incoming.count > 0:
+            self._ingest(incoming.take())
         if self._reset:
             raise ConnectionReset(
                 f"connection reset by peer (socket {self.socket_id})"

@@ -10,8 +10,10 @@ Most entries take a fresh seq when pushed.  A *commitment* (a disk
 request whose finish was fixed when it was queued or when it started)
 is pushed with the seq it took when it was queued, so a completion
 ranks among same-instant entries by when its request was queued,
-wherever it is queued.  Code that keeps such not-yet-reached
-positions outside the heap compares them with ``(engine._now,
+wherever it is queued.  A process that finishes with no waiter takes a
+seq too, but queues its entry only if a waiter arrives before the
+engine reaches it.  Code that keeps such not-yet-reached positions
+outside the heap compares them with ``(engine._now,
 engine._cur_seq)``, the position of the entry running now: ``(t, seq)``
 has been reached iff ``t < _now`` or ``t == _now and seq <= _cur_seq``.
 """

@@ -64,7 +64,13 @@ class Event:
 
     @property
     def processed(self) -> bool:
-        """True once the engine has run the callbacks."""
+        """True once the engine has run the callbacks.
+
+        A :class:`~repro.sim.process.Process` that finished with no
+        waiter queued no entry; it answers by the position that entry
+        would have had (``(time, seq)`` reached by the engine's clock
+        and running entry).
+        """
         return self.callbacks is None
 
     @property

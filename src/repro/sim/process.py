@@ -14,12 +14,17 @@ simulated seconds:
   yield.
 
 The process itself is an event that triggers when the generator returns
-(value = the ``StopIteration`` value) or raises.
+(value = the ``StopIteration`` value) or raises.  A process nobody waits
+on when it finishes queues nothing: it takes the position ``(time,
+seq)`` its entry would have had, and a waiter that arrives before the
+engine reaches that position queues the entry then (see
+:meth:`Process.add_callback`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, TYPE_CHECKING
+from heapq import heappush
+from typing import Any, Callable, Generator, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.sanitizer import runtime as _sanitizer
@@ -40,7 +45,9 @@ class Process(Event):
 
     # ``_san_ctx`` holds the sanitizer's per-process context (epoch and
     # edge log); the slot stays unset unless a detector is active.
-    __slots__ = ("generator", "name", "daemon", "_san_ctx")
+    # ``_finish`` is the ``(time, seq)`` position of a finish that
+    # queued no entry (nobody waited), until a waiter arrives.
+    __slots__ = ("generator", "name", "daemon", "_san_ctx", "_finish")
 
     def __init__(
         self,
@@ -59,6 +66,7 @@ class Process(Event):
         # Daemon processes (e.g. a disk's server loop) may block forever
         # without tripping deadlock detection when the queue drains.
         self.daemon = daemon
+        self._finish = None
         if not daemon:
             engine._live_processes += 1
         if _sanitizer.active is not None:
@@ -76,10 +84,58 @@ class Process(Event):
     def _resume_first(self) -> None:
         self._resume(None)
 
-    def _retire(self) -> None:
-        """Bookkeeping when the generator finishes for any reason."""
+    @property
+    def processed(self) -> bool:
+        """True once the engine has run the callbacks, or, for a finish
+        that queued no entry, once it has reached the finish's
+        position."""
+        if self.callbacks is not None:
+            return False
+        finish = self._finish
+        if finish is None:
+            return True
+        engine = self.engine
+        return finish[0] < engine._now or finish[1] <= engine._cur_seq
+
+    def add_callback(self, callback: Callable[[Event], None]) -> None:
+        """Register ``callback(process)``, as :meth:`Event.add_callback`
+        does.  A finish that queued no entry and whose position the
+        engine has not reached yet queues its entry now, at that
+        position: the waiter wakes exactly where it would have, had the
+        finish queued it."""
+        finish = self._finish
+        if finish is not None:
+            self._finish = None
+            engine = self.engine
+            if finish[0] == engine._now and finish[1] > engine._cur_seq:
+                self.callbacks = [callback]
+                heappush(engine._queue, (finish[0], finish[1], 1, self))
+                return
+        Event.add_callback(self, callback)
+
+    def _retire(self, ok: bool, value: Any) -> None:
+        """The generator finished (``ok``) with ``value`` or failed with
+        the exception ``value``: trigger the process.  With callbacks
+        registered, that queues the usual entry.  With none, the
+        trigger takes its seq and records its position but queues
+        nothing (and, like the entry would have, raises nothing for a
+        failure)."""
+        engine = self.engine
         if not self.daemon:
-            self.engine._live_processes -= 1
+            engine._live_processes -= 1
+        if self.callbacks:
+            if ok:
+                self.succeed(value)
+            else:
+                self.fail(value)
+            return
+        self._ok = ok
+        self._value = value
+        if _sanitizer.active is not None:
+            _sanitizer.active.on_trigger(self)
+        engine._seq += 1
+        self._finish = (engine._now, engine._seq)
+        self.callbacks = None
 
     def _resume(self, event: Optional[Event]) -> None:
         """Run the generator to its next wait: once with ``None`` at
@@ -92,10 +148,17 @@ class Process(Event):
         or its top is strictly later, and the engine's horizon reaches
         it: the running ``run()``'s bound, or ``-inf`` while the event
         that woke this process has callbacks left to run) is slept
-        here: the clock moves and the generator resumes in this frame.  Otherwise the delay becomes a :class:`Timeout`, the
-        same entry ``engine.timeout(delay)`` would have queued.  Strictly
-        later because that Timeout would take the largest sequence
-        number: anything already due at the wake time fires first.
+        here: the clock moves and the generator resumes in this frame.
+        Otherwise the delay becomes a :class:`Timeout`, the same entry
+        ``engine.timeout(delay)`` would have queued.  Strictly later
+        because that Timeout would take the largest sequence number:
+        anything already due at the wake time fires first.
+
+        A zero delay is exact in both cases: it wakes at ``(now, seq +
+        1)``, the position of an event triggered now (an idle
+        :class:`~repro.sim.resources.Channel` grants its link that way).
+        When the generator finishes, :meth:`_retire` triggers the
+        process; with no waiter registered, that queues nothing.
         """
         if self._value is not PENDING:  # pragma: no cover - defensive
             return
@@ -132,30 +195,26 @@ class Process(Event):
                             target = Timeout(engine, target)
                             break
             except StopIteration as stop:
-                self._retire()
-                self.succeed(stop.value)
+                self._retire(True, stop.value)
                 return
             except BaseException as error:
-                self._retire()
-                self.fail(error)
+                self._retire(False, error)
                 return
 
             if not isinstance(target, Event):
-                self._retire()
-                bad = SimulationError(
+                self._retire(False, SimulationError(
                     f"process {self.name!r} yielded {target!r}; "
                     "processes must yield Event instances"
-                )
-                self.fail(bad)
+                ))
                 return
             if target.engine is not engine:
-                self._retire()
-                self.fail(SimulationError("yielded an event from a different engine"))
+                self._retire(False, SimulationError(
+                    "yielded an event from a different engine"))
                 return
             callbacks = target.callbacks
             if callbacks is not None:
                 callbacks.append(self._resume)
-            else:  # already processed: add_callback defers via the queue
+            else:  # processed, or a finish that queued no entry
                 target.add_callback(self._resume)
         finally:
             if det is not None:

@@ -155,14 +155,24 @@ class Store:
         """Event that succeeds with the next item (immediately if buffered)."""
         ev = Event(self.engine)
         if self._items:
-            if _sanitizer.active is not None:
-                # Join the buffered putter's clock into the getter
-                # *before* succeed() stamps the trigger clock.
-                _sanitizer.active.on_store_get(self)
-            ev.succeed(self._items.popleft())
+            # take() joins the buffered putter's stamp into the getter
+            # *before* succeed() stamps the trigger.
+            ev.succeed(self.take())
         else:
             self._getters.append(ev)
         return ev
+
+    def take(self) -> Any:
+        """Remove and return the oldest buffered item now, with no
+        event: what :meth:`get` hands over when an item is buffered,
+        for a caller that need not wait for it.  The consumer receives
+        the putter's sanitizer stamp, as a getter does.  Raises
+        :class:`SimulationError` when empty."""
+        if not self._items:
+            raise SimulationError(f"take() on empty store {self.name!r}")
+        if _sanitizer.active is not None:
+            _sanitizer.active.on_store_get(self)
+        return self._items.popleft()
 
     def drain(self) -> list:
         """Remove and return every buffered item (oldest first).
@@ -190,6 +200,16 @@ class Channel:
     transmission finishes (cut-through pipelining of the propagation
     delay).  Transfers are serialized FIFO, modelling a shared
     interconnect or a NIC.
+
+    The link is a busy flag and a FIFO of waiting senders' events, not
+    a :class:`Resource`: nothing reads a link's utilization.  A sender
+    that finds the link busy waits on its own event, which the
+    releasing sender triggers (the link passes straight to it, as
+    :meth:`Resource.release` hands a slot over).  A sender that finds
+    it idle takes it and sleeps ``0.0``: a zero-delay sleep takes the
+    position a grant event triggered now would take, ``(now, seq + 1)``,
+    so it resumes exactly where that grant would have, in its own frame
+    when nothing else is due now (see :meth:`Process._resume`).
     """
 
     def __init__(
@@ -207,7 +227,8 @@ class Channel:
         self.bandwidth = float(bandwidth)
         self.latency = float(latency)
         self.name = name
-        self._link = Resource(engine, capacity=1, name=f"{name}.link")
+        self._busy = False
+        self._waiters: Deque[Event] = deque()
         self.bytes_sent = 0
         self.transfers = 0
 
@@ -226,12 +247,21 @@ class Channel:
         """
         if nbytes < 0:
             raise SimulationError(f"negative transfer size: {nbytes}")
-        grant = self._link.acquire()
-        yield grant
+        if self._busy:
+            grant = Event(self.engine)
+            self._waiters.append(grant)
+            yield grant
+        else:
+            self._busy = True
+            yield 0.0
         try:
             yield nbytes / self.bandwidth
         finally:
-            self._link.release(grant)
+            if self._waiters:
+                # The link passes straight to the oldest waiter.
+                self._waiters.popleft().succeed()
+            else:
+                self._busy = False
         # Propagation delay does not hold the link.
         if self.latency > 0:
             yield self.latency

@@ -249,3 +249,18 @@ def test_native_cache_reused_per_params():
     fn1 = rt.jit.native_for(m, rt.interpreter.params)
     fn2 = rt.jit.native_for(m, rt.interpreter.params)
     assert fn1 is fn2
+
+
+def test_warm_calls_do_not_hash_the_interpreter_params(monkeypatch):
+    """A warm call finds its compiled body by the method's token, not
+    by a ``(token, params)`` key that hashes the frozen params."""
+    rt = CliRuntime(Engine())
+    m = MethodBuilder("m", returns=True).ldc(1).ret().build()
+    _run(m, (), rt)  # cold: compiles and caches
+    hashed = []
+    params_type = type(rt.interpreter.params)
+    unhooked = params_type.__hash__
+    monkeypatch.setattr(params_type, "__hash__",
+                        lambda self: hashed.append(self) or unhooked(self))
+    assert [_run(m, (), rt) for _ in range(3)] == [1, 1, 1]
+    assert hashed == []

@@ -110,6 +110,32 @@ def test_receive_caps_at_max_bytes(engine, net):
     assert chunks == [600, 400]
 
 
+def test_receive_of_arrived_chunks_takes_no_queue_entry(engine, net):
+    """Chunks already in the inbox are taken with no event: the
+    blocking receive's hop is a zero-delay sleep (in frame here, with
+    nothing else due) and the drain takes the rest directly."""
+    a, b = Socket.pair(net)
+    got = {}
+
+    def sender():
+        for nbytes in (100, 200, 300):
+            yield from a.send(nbytes, payload=nbytes)
+
+    def receiver():
+        yield 1.0  # every chunk has arrived
+        seq = engine._seq
+        got["bytes"] = yield from b.receive(10_000)
+        got["entries"] = engine._seq - seq
+        got["payloads"] = b.take_payloads()
+        got["at"] = engine.now
+
+    engine.process(sender())
+    engine.process(receiver())
+    engine.run()
+    assert got == {"bytes": 600, "entries": 0, "payloads": [100, 200, 300],
+                   "at": 1.0}
+
+
 def test_transfer_time_scales_with_size(engine, net):
     listener = TcpListener(net, port=5050)
     listener.start()

@@ -8,6 +8,9 @@ under instrumentation, and their internal hand-offs carry the
 happens-before edges that keep correctly synchronized code race-free.
 """
 
+import pytest
+
+from repro.errors import SimulationError
 from repro.sanitizer import sanitized, shared
 from repro.sim import Channel, Engine, Resource, Store
 
@@ -154,6 +157,43 @@ def test_store_buffered_put_orders_the_later_getter():
         eng.process(consumer())
         eng.run()
     assert det.races == []
+
+
+@pytest.mark.parametrize("edge", [True, False])
+def test_store_take_orders_the_taker_after_the_putter(edge):
+    # take() hands over a buffered item with no event; the taker still
+    # inherits the putter's stamp (without it, the write races).
+    with sanitized() as det:
+        if not edge:
+            det.on_store_get = lambda store: None
+        eng = Engine()
+        store = Store(eng)
+        var = shared("payload")
+
+        def producer():
+            var.write(eng, op="fill")
+            store.put("ready")
+            yield 0.0
+
+        def consumer():
+            assert store.take() == "ready"
+            var.write(eng, op="use")
+            yield 0.0
+
+        eng.process(producer())
+        eng.process(consumer())
+        eng.run()
+    assert len(det.races) == (0 if edge else 1)
+
+
+def test_store_take_is_fifo_and_rejects_an_empty_store():
+    eng = Engine()
+    store = Store(eng)
+    with pytest.raises(SimulationError, match="empty store"):
+        store.take()
+    store.put("a")
+    store.put("b")
+    assert [store.take(), store.take(), store.count] == ["a", "b", 0]
 
 
 # ---------------------------------------------------------------------------
