@@ -5,7 +5,8 @@ the engines and disks it builds while it runs:
 
 * ``heap_entries`` — the sum of ``Engine._seq`` (every sequence number
   an engine handed out: one per heap entry it queued, plus one per
-  committed disk request or range, whose entry reuses it);
+  committed disk request or range, whose entry reuses it, and one per
+  process finish nobody awaited, which queues no entry);
 * ``disk_requests`` — the sum of the disks' ``requests_completed``;
 * ``processes_spawned`` — the :class:`~repro.sim.process.Process`
   objects built;
@@ -43,10 +44,6 @@ def census() -> Iterator[Dict[Any, Any]]:
     of processes built and of their wake-ups."""
     born: Dict[Any, Any] = {Engine: [], Disk: []}
     tally = born[Process] = {"spawned": 0, "wakeups": 0}
-    originals = [(cls, name, cls.__dict__[name])
-                 for cls, name in ((Engine, "__init__"), (Disk, "__init__"),
-                                   (Process, "__init__"),
-                                   (Process, "_resume"))]
 
     def recording(init, instances):
         def __init__(obj, *args, **kwargs):
@@ -60,20 +57,20 @@ def census() -> Iterator[Dict[Any, Any]]:
             return method(obj, *args, **kwargs)
         return counted
 
-    Engine.__init__ = recording(Engine.__init__, born[Engine])
-    Disk.__init__ = recording(Disk.__init__, born[Disk])
-    Process.__init__ = counting(Process.__init__, "spawned")
-    Process._resume = counting(Process._resume, "wakeups")
+    patches = {
+        (Engine, "__init__"): recording(Engine.__init__, born[Engine]),
+        (Disk, "__init__"): recording(Disk.__init__, born[Disk]),
+        (Process, "__init__"): counting(Process.__init__, "spawned"),
+        (Process, "_resume"): counting(Process._resume, "wakeups"),
+    }
+    originals = {(cls, name): cls.__dict__[name] for cls, name in patches}
+    for (cls, name), patched in patches.items():
+        setattr(cls, name, patched)
     try:
         yield born
     finally:
-        for cls, name, original in originals:
+        for (cls, name), original in originals.items():
             setattr(cls, name, original)
-
-
-#: The ledger's counters, in the order a report lists them.
-COUNTERS = ("heap_entries", "disk_requests", "processes_spawned",
-            "process_wakeups")
 
 
 def counters(born: Dict[Any, Any]) -> Dict[str, int]:
@@ -99,7 +96,7 @@ def main(argv: List[str]) -> int:
               for exp_id in sorted(ALL_EXPERIMENTS)}
     path.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n")
     total = {key: sum(entry[key] for entry in ledger.values())
-             for key in COUNTERS}
+             for key in ledger[min(ledger)]}
     print(f"wrote {path}: {len(ledger)} experiments, {total}")
     return 0
 
