@@ -133,7 +133,13 @@ class ClusterWorkload:
         self._streams = cluster.streams.fork("workload")
         ranks = np.arange(1, len(cluster.keys) + 1, dtype=np.float64)
         weights = ranks ** -ZIPF_S
-        self._weights = weights / weights.sum()
+        weights /= weights.sum()
+        # Generator.choice(n, p=weights)'s draw, without re-checking p
+        # and re-summing it on every call: one uniform, searched in the
+        # normalized CDF (tests/cluster pins the two together).
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf
 
     def run(self) -> ClusterWorkloadResult:
         cfg = self.config
@@ -143,13 +149,14 @@ class ClusterWorkload:
         keys = cluster.keys
         arrival_rng = self._streams.get("arrivals")
         mix_rng = self._streams.get("request-mix")
+        cdf = self._cdf
         latencies = Tally("cluster.latency")
         completed = [0]
         aborted: List[str] = []
         start = engine.now
 
         def one_request():
-            key = keys[int(mix_rng.choice(len(keys), p=self._weights))]
+            key = keys[int(cdf.searchsorted(mix_rng.random(), side="right"))]
             is_get = float(mix_rng.uniform()) < cfg.get_fraction
             t0 = engine.now
             try:

@@ -32,7 +32,8 @@ configuration:
   ``enqueue`` fixes each one's start (``max(now, previous finish)``)
   and service time (from the head the previous request leaves) on the
   spot.  :class:`~repro.storage.raid.StripedArray` commits a whole
-  range at once, with one entry at its latest fragment's finish.
+  range at once, as one run of back-to-back requests per member disk,
+  with one entry at its latest fragment's finish.
 * **At start** — every other disk (SSTF, SCAN, C-SCAN, C-LOOK, or any
   disk with an injector).  Requests wait in the scheduler.  An idle
   disk starts at a call it schedules when a request arrives, so the
@@ -66,7 +67,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, Optional, Sequence
 
 import numpy as np
 
@@ -332,7 +333,7 @@ class Disk:
         seq = engine._seq = engine._seq + 1
         completion = _Completion(self, request, on_done)
         if self._committed:
-            due = completion.due = self._commit(request, seq, completion)
+            due = completion.due = self._commit((request,), seq, completion)
             engine._push_commitment(completion, due, seq)
             return
         request.seq = seq
@@ -448,33 +449,58 @@ class Disk:
     # engine._cur_seq) has reached them: in _catch_up.  A start at a
     # start step (_start_next) is recorded on the spot.
 
-    def _commit(self, request: IORequest, seq: int, owner) -> float:
-        """Fix ``request``'s service on a disk that commits at enqueue;
-        returns its finish.  ``seq`` ranks its completion; ``owner``
-        (with ``settle``/``retime``) is what a failure settles it
-        through."""
+    def _commit(self, requests: Sequence[IORequest], seq: int,
+                owner) -> float:
+        """Fix the service of ``requests``, queued back to back in that
+        order on a disk that commits at enqueue; returns the last one's
+        finish.  ``seq`` ranks their completions; ``owner`` (with
+        ``settle``/``retime``) is what a failure settles them through.
+        ``enqueue`` commits one request; a striped range commits one
+        run per member."""
         engine = self.engine
         inflight = self._inflight
         if inflight:
             self._catch_up()
-        now = request.submitted_at = engine._now
+        now = engine._now
         # Caught up, what is left has not finished: queue behind it.
-        start = inflight[-1]._finish if inflight else now
-        finish = start + self.service_time(request)
-        end_lba = request.lba + request.nblocks
-        self._head_cylinder = (end_lba - 1) // self.geometry.blocks_per_cylinder
+        finish = inflight[-1]._finish if inflight else now
+        p = self.params
+        geometry = self.geometry
+        overhead = p.controller_overhead
+        rate = p.transfer_rate
+        block_size = geometry.block_size
+        per_cylinder = geometry.blocks_per_cylinder
+        end_lba = self._last_end_lba
+        for request in requests:
+            start = finish
+            lba = request.lba
+            if lba == end_lba:
+                # A sequential continuation: service_time's arithmetic.
+                finish = start + (overhead
+                                  + request.nblocks * block_size / rate)
+            else:
+                if request is not requests[0]:  # the head the previous left
+                    self._head_cylinder = (end_lba - 1) // per_cylinder
+                    self._last_end_lba = end_lba
+                finish = start + self.service_time(request)
+            end_lba = lba + request.nblocks
+            request.submitted_at = now
+            request._start = start
+            request._finish = finish
+            request.seq = seq
+            request._owner = owner
+            inflight.append(request)
+        self._head_cylinder = (end_lba - 1) // per_cylinder
         self._last_end_lba = end_lba
-        request._start = start
-        request._finish = finish
-        request.seq = seq
-        request._owner = owner
-        inflight.append(request)
-        depth = self._depth = self._depth + 1
+        depth = self._depth
+        tracer = engine.tracer
+        if tracer.enabled:  # one sample per request, as each was queued
+            for queued in range(depth + 1, depth + len(requests) + 1):
+                tracer.counter(f"{self.name}.queue", "storage", queued)
+        # The depth only rises in a run: its final value is the highest.
+        depth = self._depth = depth + len(requests)
         if depth > self.queue_max_depth:
             self.queue_max_depth = depth
-        tracer = engine.tracer
-        if tracer.enabled:
-            tracer.counter(f"{self.name}.queue", "storage", depth)
         return finish
 
     def _start_next(self) -> None:

@@ -10,10 +10,12 @@ rotate round-robin across member disks.  A logical request splits into
 at most one contiguous physical request per (disk, stripe-unit run)
 and completes when every fragment has.  Over members that commit FCFS
 service at enqueue (see :mod:`repro.storage.disk`) every fragment's
-finish is known at submit, so the whole range takes one heap entry, at
-its latest fragment's finish.  Over members that commit at start a
-finish is known only once its fragment starts, so each fragment is
-queued on its own and the last to land decides the range.
+finish is known at submit: each member commits its fragments as one
+run (they are physically contiguous there), and the whole range takes
+one heap entry, at its latest fragment's finish.  Over members that
+commit at start a finish is known only once its fragment starts, so
+each fragment is queued on its own and the last to land decides the
+range.
 
 :class:`MirroredArray` is the resilience counterpart: every block lives
 on every member, reads rotate across in-sync members and fail over when
@@ -205,7 +207,7 @@ class StripedArray:
         """Split a logical range into ``(disk_index, physical_lba, nblocks)``
         fragments, each contiguous on its member disk."""
         self._check_range(lba, nblocks)
-        return list(self._fragments(lba, nblocks))
+        return self._fragments(lba, nblocks)
 
     def _check_range(self, lba: int, nblocks: int) -> None:
         if nblocks < 1:
@@ -214,30 +216,35 @@ class StripedArray:
         if lba < 0 or end > self.total_blocks:
             raise DiskError(f"range [{lba}, {end}) out of array bounds")
 
-    def _fragments(self, lba: int, nblocks: int) -> Iterator[Tuple[int, int, int]]:
-        """The stripe map walk behind :meth:`split`, for a checked range."""
-        end = lba + nblocks
+    def _fragments(self, lba: int, nblocks: int) -> List[Tuple[int, int, int]]:
+        """The stripe map walk behind :meth:`split`, for a checked range:
+        fragment ``i`` lands on member ``(first + i) % ndisks``."""
         ndisks = len(self.disks)
         if ndisks == 1:
             # Consecutive stripe units share the one disk and are
             # physically contiguous: the range is a single fragment.
-            yield 0, lba, nblocks
-            return
+            return [(0, lba, nblocks)]
         # With two or more disks consecutive units land on different
         # members, so every stripe-unit run is its own fragment.
         unit = self.stripe_unit
         unit_index, offset = divmod(lba, unit)
         physical_unit, disk_index = divmod(unit_index, ndisks)
-        block = lba
-        while block < end:
-            run = min(end - block, unit - offset)
-            yield disk_index, physical_unit * unit + offset, run
-            block += run
-            offset = 0
+        base = physical_unit * unit  # the current physical unit's start
+        phys = base + offset
+        run = unit - offset
+        left = nblocks
+        fragments = []
+        while run < left:
+            fragments.append((disk_index, phys, run))
+            left -= run
+            run = unit
             disk_index += 1
             if disk_index == ndisks:
                 disk_index = 0
-                physical_unit += 1
+                base += unit
+            phys = base
+        fragments.append((disk_index, phys, left))
+        return fragments
 
     def submit_range(self, lba: int, nblocks: int, is_write: bool = False) -> Event:
         """Submit a logical range; the event succeeds with the list of
@@ -255,28 +262,37 @@ class StripedArray:
         unit = self.stripe_unit
         first_unit = lba // unit
         touched = (lba + nblocks - 1) // unit - first_unit + 1
-        for k in range(min(touched, ndisks)):
+        members = min(touched, ndisks)
+        for k in range(members):
             disk = disks[(first_unit + k) % ndisks]
             if disk.failed:
                 raise DiskFailedError(f"disk {disk.name} is offline")
         engine = self.engine
         done = Event(engine)
-        requests: List[IORequest] = []
+        fragments = self._fragments(lba, nblocks)
         if self._committed:
+            # Built in stripe order (ids and done.value keep it), then
+            # committed as one run per member: fragment i is on member
+            # (first + i) % ndisks, so member k's run is every
+            # members-th request from the k-th.  A committed disk's
+            # service depends only on its own queue, so the order the
+            # members commit in changes nothing.
+            requests = [IORequest(phys, run, is_write)
+                        for _, phys, run in fragments]
             seq = engine._seq = engine._seq + 1
             first = first_unit % ndisks
             landing = _CommittedRange(engine, disks, first, requests, done, seq)
             due = -1.0
-            for disk, phys, run in self._fragments(lba, nblocks):
-                request = IORequest(phys, run, is_write)
-                finish = disks[disk]._commit(request, seq, landing)
+            for k in range(members):
+                finish = disks[(first + k) % ndisks]._commit(
+                    requests[k::members], seq, landing)
                 if finish > due:
                     due = finish
-                requests.append(request)
             landing.due = due
             engine._push_commitment(landing, due, seq)
             return done
 
+        requests = []
         remaining = 0
 
         # Each fragment settles by a direct call from its disk's
@@ -310,7 +326,7 @@ class StripedArray:
             if remaining == 0:
                 engine._schedule_call(lambda: done.succeed(requests))
 
-        for disk, phys, run in self._fragments(lba, nblocks):
+        for disk, phys, run in fragments:
             request = IORequest(phys, run, is_write)
             requests.append(request)
             remaining += 1

@@ -19,15 +19,21 @@ A change that moves a counter on purpose re-pins the ledger and says
 which entries moved, and why, in CHANGES.md::
 
     PYTHONPATH=src python -m tests.bench.work_counters [PATH]
+
+``--check`` recomputes every experiment and compares instead of
+writing: it prints the first differing entry and exits 1 (CI runs it)::
+
+    PYTHONPATH=src python -m tests.bench.work_counters --check
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.bench.experiments import ALL_EXPERIMENTS, run_experiment
 from repro.sim import Engine
@@ -90,14 +96,44 @@ def run_counted(exp_id: str):
     return result, counters(born)
 
 
+def first_difference(pinned: Dict[str, Dict[str, int]],
+                     fresh: Dict[str, Dict[str, int]]) -> Optional[str]:
+    """The first entry, by experiment then counter, where two ledgers
+    differ, described; ``None`` when they are equal."""
+    for exp_id in sorted(set(pinned) | set(fresh)):
+        old, new = pinned.get(exp_id), fresh.get(exp_id)
+        if old is None or new is None:
+            return f"{exp_id}: {'not pinned' if old is None else 'not run'}"
+        for key in sorted(set(old) | set(new)):
+            if old.get(key) != new.get(key):
+                return f"{exp_id} {key}: pinned {old.get(key)}, now {new.get(key)}"
+    return None
+
+
 def main(argv: List[str]) -> int:
-    path = Path(argv[0]) if argv else LEDGER
+    parser = argparse.ArgumentParser(
+        prog="python -m tests.bench.work_counters",
+        description="Recompute every experiment's work counters and "
+                    "write the ledger, or check it.")
+    parser.add_argument("path", nargs="?", type=Path, default=LEDGER)
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the ledger at PATH instead of "
+                             "writing it; exit 1 at the first difference")
+    args = parser.parse_args(argv)
     ledger = {exp_id: run_counted(exp_id)[1]
               for exp_id in sorted(ALL_EXPERIMENTS)}
-    path.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n")
+    if args.check:
+        difference = first_difference(
+            json.loads(args.path.read_text()), ledger)
+        if difference is not None:
+            print(f"work ledger drift: {difference}")
+            return 1
+        print(f"{args.path}: all {len(ledger)} experiments unchanged")
+        return 0
+    args.path.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n")
     total = {key: sum(entry[key] for entry in ledger.values())
              for key in ledger[min(ledger)]}
-    print(f"wrote {path}: {len(ledger)} experiments, {total}")
+    print(f"wrote {args.path}: {len(ledger)} experiments, {total}")
     return 0
 
 

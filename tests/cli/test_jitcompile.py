@@ -251,6 +251,24 @@ def test_native_cache_reused_per_params():
     assert fn1 is fn2
 
 
+def test_runtimes_share_one_code_object_per_source():
+    """A fresh stack builds its methods anew, but each body is compiled
+    once per process: two runtimes get distinct functions over one code
+    object, each bound to its own method, with equal results."""
+    def build():
+        return MethodBuilder("m", returns=True).ldc(6).ldc(7).mul().ret().build()
+
+    first, second = CliRuntime(Engine()), CliRuntime(Engine())
+    m1, m2 = build(), build()
+    assert _run(m1, (), first) == _run(m2, (), second) == 42
+    fn1 = first.jit.native_for(m1, first.interpreter.params)
+    fn2 = second.jit.native_for(m2, second.interpreter.params)
+    assert fn1 is not fn2
+    assert fn1.__code__ is fn2.__code__
+    assert fn1.__globals__["_method"] is m1
+    assert fn2.__globals__["_method"] is m2
+
+
 def test_warm_calls_do_not_hash_the_interpreter_params(monkeypatch):
     """A warm call finds its compiled body by the method's token, not
     by a ``(token, params)`` key that hashes the frozen params."""

@@ -20,6 +20,7 @@ ended, so ties at a completion instant, sleeps over committed finishes
 and streaming all occur.
 """
 
+from operator import attrgetter
 from typing import List
 
 import pytest
@@ -84,9 +85,9 @@ def _schedule(arm, scenario, tick_at):
                 requests.append(request)
             disk.enqueue = recording
         else:
-            def recording(request, seq, owner, _commit=disk._commit):
-                finish = _commit(request, seq, owner)
-                requests.append(request)
+            def recording(run, seq, owner, _commit=disk._commit):
+                finish = _commit(run, seq, owner)
+                requests.extend(run)
                 return finish
             disk._commit = recording
     array = StripedArray(engine, disks, stripe_unit=unit)
@@ -168,7 +169,7 @@ def _schedule(arm, scenario, tick_at):
         engine.process(failer(*fault))
     engine.run()
     stamps = [(r.lba, r.nblocks, r.submitted_at, r.started_at, r.completed_at)
-              for r in requests]
+              for r in sorted(requests, key=attrgetter("request_id"))]
     stats = [(d.requests_completed.value, d.bytes_read.value,
               d.bytes_written.value, d.service_times.values,
               d.response_times.values, d.busy.integral(), d.busy.current,
@@ -446,6 +447,35 @@ def test_traced_spans_and_queue_samples_match_the_arm():
     assert len(spans) == 10 + 2 + 8 + 5 + 1
     for samples in queues.values():
         assert samples == sorted(samples, key=lambda sample: sample[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, GEO.total_blocks - 97),
+                          st.integers(1, 96)), min_size=1, max_size=6))
+def test_a_run_commits_as_its_requests_one_at_a_time(ranges):
+    """``Disk._commit`` of a run gives every request the start and
+    finish, and leaves the head and the queue depth, that committing
+    its requests one at a time does, a request that repositions after
+    the first included (a striped run repositions only at its first)."""
+    def commit(batched):
+        disk = Disk(Engine(), geometry=GEO)
+        requests, end = [], 0
+        for jump, lba, nblocks in ranges:
+            if not jump:  # continue the previous one, within the disk
+                lba = end % (GEO.total_blocks - 96)
+            request = IORequest(lba=lba, nblocks=nblocks)
+            end = request.lba + nblocks
+            requests.append(request)
+        if batched:
+            disk._commit(requests, 1, None)
+        else:
+            for request in requests:
+                disk._commit((request,), 1, None)
+        return ([(r._start, r._finish) for r in requests],
+                disk._head_cylinder, disk._last_end_lba, disk._depth,
+                disk.queue_max_depth)
+
+    assert commit(True) == commit(False)
 
 
 def test_idle_disk_starts_after_its_first_request():

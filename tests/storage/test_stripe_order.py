@@ -13,6 +13,7 @@ the same timestamps, under both arrays; under the race detector they
 must also produce the same summary.
 """
 
+from operator import attrgetter
 from typing import List
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -78,7 +79,7 @@ def _run(array_cls, scenario, tick_at: float, detector: bool = False,
     with detector_or_none(detector) as det:
         log, requests, now = _schedule(array_cls, scenario, tick_at, specs)
     stamps = [(r.lba, r.nblocks, r.submitted_at, r.started_at, r.completed_at)
-              for r in requests]
+              for r in sorted(requests, key=attrgetter("request_id"))]
     return log, stamps, now, det.summary() if det is not None else None
 
 
@@ -96,11 +97,12 @@ def _schedule(array_cls, scenario, tick_at, specs):
     for disk in disks:
         # Every request a disk queues: through enqueue on a disk that
         # commits at start, and through _commit (the way in enqueue and a
-        # striped range share) on one that commits at enqueue.
+        # striped range share, a run at a time) on one that commits at
+        # enqueue.  Stamps are read in request id order: stripe order.
         if disk._committed:
-            def recording(request, seq, owner, _commit=disk._commit):
-                finish = _commit(request, seq, owner)
-                requests.append(request)
+            def recording(run, seq, owner, _commit=disk._commit):
+                finish = _commit(run, seq, owner)
+                requests.extend(run)
                 return finish
             disk._commit = recording
         else:
