@@ -3,7 +3,7 @@
 The subsystem decomposes into:
 
 * :mod:`repro.analysis.cfg`         — basic blocks, edges (including
-  exception-handler edges), dominators, reachability;
+  exception-handler edges), reachability;
 * :mod:`repro.analysis.lattice`     — the per-slot type lattice and
   the local-initialization lattice;
 * :mod:`repro.analysis.typeflow`    — the worklist abstract

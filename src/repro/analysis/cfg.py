@@ -1,11 +1,12 @@
 """Control-flow graph over CIL method bodies.
 
-The CFG is the substrate every pass (and the analysis-backed JIT gate)
-consumes: basic blocks, normal and **exception** edges, dominators and
-reachability.  Block boundaries follow the classic leader rule —
-entry, branch targets, fall-through points after conditional branches,
-and protected-region handler entries all start blocks; ``ret``,
-``throw`` and unconditional branches end them.
+The CFG is the substrate the diagnostic passes and ``disasm --cfg``
+consume: basic blocks, normal and **exception** edges, and
+reachability.  Normal edges follow :func:`repro.cli.cil.successors`,
+the rule the verifier walks.  Block boundaries follow the classic
+leader rule — entry, every successor of a branch, the pc after
+``ret``/``throw``, protected-region bounds and handler entries all
+start blocks.
 
 Exception edges model ECMA-335 II.19 unwinding: every block that
 overlaps a protected region gets an edge to that region's handler
@@ -15,15 +16,12 @@ block, because any instruction inside the ``try`` may transfer there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set
 
-from repro.cli.cil import Op
+from repro.cli.cil import BRANCHES, Op, successors
 from repro.cli.metadata import MethodDef
 
 __all__ = ["BasicBlock", "Edge", "CFG", "build_cfg"]
-
-_BRANCHES = (Op.BR, Op.BRTRUE, Op.BRFALSE)
-_TERMINATORS = (Op.BR, Op.RET, Op.THROW)
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,7 @@ class BasicBlock:
 
 
 class CFG:
-    """Basic blocks + edges + dominators for one method."""
+    """Basic blocks + edges + reachability for one method."""
 
     def __init__(self, method: MethodDef, blocks: List[BasicBlock]) -> None:
         self.method = method
@@ -67,7 +65,6 @@ class CFG:
             for pc in b.pcs:
                 self._block_of_pc[pc] = b.index
         self.reachable: FrozenSet[int] = self._compute_reachable()
-        self.dominators: Dict[int, FrozenSet[int]] = self._compute_dominators()
 
     # -- queries ---------------------------------------------------------------
 
@@ -80,11 +77,6 @@ class CFG:
         for bi in self.reachable:
             out.update(self.blocks[bi].pcs)
         return out
-
-    def dominates(self, a: int, b: int) -> bool:
-        """Does block ``a`` dominate block ``b``?  Unreachable blocks
-        dominate nothing and are dominated by everything (vacuous)."""
-        return a in self.dominators.get(b, frozenset())
 
     @property
     def edges(self) -> List[Edge]:
@@ -104,33 +96,6 @@ class CFG:
                 if e.dst not in seen:
                     work.append(e.dst)
         return frozenset(seen)
-
-    def _compute_dominators(self) -> Dict[int, FrozenSet[int]]:
-        """Iterative dataflow dominators over the reachable subgraph."""
-        reach = self.reachable
-        doms: Dict[int, Set[int]] = {}
-        if not self.blocks:
-            return {}
-        doms[0] = {0}
-        others = sorted(reach - {0})
-        for bi in others:
-            doms[bi] = set(reach)
-        changed = True
-        while changed:
-            changed = False
-            for bi in others:
-                preds = [
-                    e.src for e in self.blocks[bi].predecessors if e.src in reach
-                ]
-                if preds:
-                    new = set.intersection(*(doms[p] for p in preds))
-                else:  # only entry has no preds among reachable blocks
-                    new = set()
-                new = new | {bi}
-                if new != doms[bi]:
-                    doms[bi] = new
-                    changed = True
-        return {bi: frozenset(s) for bi, s in doms.items()}
 
     def format(self) -> str:
         """Deterministic text rendering (used by ``disasm --cfg``)."""
@@ -167,13 +132,15 @@ def build_cfg(method: MethodDef) -> CFG:
         if 0 <= h.try_end < n:
             leaders.add(h.try_end)
     for pc, ins in enumerate(body):
-        if ins.op in _BRANCHES and isinstance(ins.operand, int):
-            if 0 <= ins.operand < n:
-                leaders.add(ins.operand)
-            if pc + 1 < n:
-                leaders.add(pc + 1)
-        elif ins.op in (Op.RET, Op.THROW) and pc + 1 < n:
-            leaders.add(pc + 1)
+        op = ins.op
+        if op in BRANCHES and not isinstance(ins.operand, int):
+            continue  # unresolved label; the verifier reports it
+        if op in BRANCHES or op is Op.RET or op is Op.THROW:
+            # A block ends here: its successors and the next pc start
+            # blocks.
+            leaders.update(
+                t for t in (*successors(ins, pc), pc + 1) if 0 <= t < n
+            )
 
     starts = sorted(leaders)
     blocks: List[BasicBlock] = []
@@ -187,7 +154,7 @@ def build_cfg(method: MethodDef) -> CFG:
             b.is_handler_entry = True
 
     def connect(src: int, dst_pc: int, kind: str) -> None:
-        dst = block_of.get(dst_pc)
+        dst = block_of.get(dst_pc) if isinstance(dst_pc, int) else None
         if dst is None:
             return  # malformed target; the verifier reports it
         edge = Edge(src=src, dst=dst, kind=kind)
@@ -197,21 +164,11 @@ def build_cfg(method: MethodDef) -> CFG:
     for b in blocks:
         if b.start >= b.end:  # pragma: no cover - empty body guard
             continue
-        last_pc = b.end - 1
-        last = body[last_pc]
-        op = last.op
-        if op is Op.BR:
-            if isinstance(last.operand, int):
-                connect(b.index, last.operand, "branch")
-        elif op in (Op.BRTRUE, Op.BRFALSE):
-            if isinstance(last.operand, int):
-                connect(b.index, last.operand, "branch")
-            if b.end < n:
-                connect(b.index, b.end, "fall")
-        elif op in (Op.RET, Op.THROW):
-            pass
-        elif b.end < n:
-            connect(b.index, b.end, "fall")
+        last = body[b.end - 1]
+        # A branch's target comes first: the taken edge.
+        kinds = ("branch", "fall") if last.op in BRANCHES else ("fall",)
+        for dst_pc, kind in zip(successors(last, b.end - 1), kinds):
+            connect(b.index, dst_pc, kind)
         # Exception edges: any pc of this block inside a protected
         # region may unwind to its handler.
         seen_handlers: Set[int] = set()

@@ -5,12 +5,16 @@ for every reachable instruction the analyzer knows the abstract type
 (and, where provable, the constant value) of each evaluation-stack
 slot, plus the init state and type of every local and argument.
 
-The flow mirrors the verifier and the template JIT exactly — same
-successor relation, same unconditional handler seeding (stack cleared,
-exception object pushed) — so "reachable" here means *compiled* by
-:mod:`repro.cli.jitcompile`.  Unknown ``conv`` kinds and malformed
-call operands on reachable pcs are also rejected by the verifier at
-load; the analysis reports them for bodies that were never verified.
+Normal edges come from :func:`repro.cli.cil.successors`, the rule the
+verifier walks, and handlers are seeded unconditionally as the verifier
+seeds them (stack cleared, exception object pushed), so on a verified
+body "reachable" here means *compiled* by :mod:`repro.cli.jitcompile`.
+The analysis adds exception edges from every pc a protected region
+covers (they join states into handlers, which are seeded anyway) and
+stops a path at a malformed call.  Unknown ``conv`` kinds and
+malformed call operands on reachable pcs are rejected by the verifier
+at load; the analysis reports them for bodies that were never
+verified.
 
 The analysis runs in two phases so every fact reflects the fixpoint,
 not a transient state of the iteration:
@@ -25,12 +29,13 @@ not a transient state of the iteration:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.lattice import BOTTOM, TOP, Init, Kind, TypeVal, type_of_constant
-from repro.cli.cil import Instruction, Op
+from repro.cli.cil import Op, successors
+from repro.cli.interpreter import _truncdiv, _truncrem
 from repro.cli.metadata import MethodDef
-from repro.cli.verifier import _well_formed_call_tuple
+from repro.cli.verifier import _call_effect
 
 __all__ = ["State", "TypeFacts", "analyze_types"]
 
@@ -44,22 +49,6 @@ _CONV_KINDS = {
 _ARITH = (Op.ADD, Op.SUB, Op.MUL)
 _BITOPS = (Op.AND, Op.OR, Op.XOR, Op.SHL, Op.SHR)
 _CMPS = (Op.CEQ, Op.CGT, Op.CLT)
-
-
-def _truncdiv(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        q = abs(a) // abs(b)
-        return -q if (a < 0) != (b < 0) else q
-    return a / b
-
-
-def _truncrem(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        r = abs(a) % abs(b)
-        return -r if a < 0 else r
-    import math
-
-    return math.fmod(a, b)
 
 
 @dataclass(frozen=True)
@@ -131,17 +120,6 @@ class TypeFacts:
         ]
 
 
-def _call_pops_pushes(ins: Instruction) -> Optional[Tuple[int, int]]:
-    """(pops, pushes) for call-like instructions; None when malformed."""
-    operand = ins.operand
-    if ins.op is Op.CALL and isinstance(operand, MethodDef):
-        return operand.param_count, 1 if operand.returns else 0
-    if _well_formed_call_tuple(operand):
-        _name, argc, returns = operand
-        return argc, 1 if returns else 0
-    return None
-
-
 def _promote(a: TypeVal, b: TypeVal) -> Kind:
     if Kind.FLOAT64 in (a.kind, b.kind):
         return Kind.FLOAT64
@@ -155,17 +133,14 @@ def _transfer(
     pc: int,
     state: State,
     sink: Optional[_Sink],
-) -> Tuple[List[Tuple[int, State]], bool]:
+) -> List[Tuple[int, State]]:
     """Abstractly execute ``body[pc]`` from ``state``.
 
-    Returns ``(successors, falls_through)`` where successors are
-    explicit (branch) targets only; exception-edge propagation is the
-    caller's job.  When ``sink`` is given, diagnostic facts about this
-    pc are appended to it.
+    Returns the normal successors with their states; exception-edge
+    propagation is the caller's job.  When ``sink`` is given,
+    diagnostic facts about this pc are appended to it.
     """
-    body = method.body
-    n = len(body)
-    ins = body[pc]
+    ins = method.body[pc]
     op = ins.op
     stack = list(state.stack)
     locals_type = list(state.locals_type)
@@ -184,13 +159,6 @@ def _transfer(
     def warn(message: str) -> None:
         if sink is not None:
             sink.warnings.append((pc, message))
-
-    successors: List[Tuple[int, State]] = []
-    falls_through = True
-
-    def out_state() -> State:
-        return State(tuple(stack), tuple(locals_type),
-                     tuple(locals_init), tuple(args_type))
 
     if op is Op.NOP:
         pass
@@ -378,50 +346,38 @@ def _transfer(
                   or a.kind is Kind.BOTTOM):
             err(f"ldlen on {a.kind}")
         stack.append(TypeVal(Kind.INT32))
-    elif op is Op.BR:
-        if isinstance(ins.operand, int):
-            successors.append((ins.operand, out_state()))
-        falls_through = False
-    elif op in (Op.BRTRUE, Op.BRFALSE):
+    elif op is Op.BRTRUE or op is Op.BRFALSE:
+        # Both edges flow even for constant conditions: reachability
+        # stays aligned with the verifier and the template JIT, and
+        # the constant-branch pass reports the dead edge instead.
         cond = pop()
         if cond.known and sink is not None:
             truthy = bool(cond.const)
             sink.const_branches.append(
                 (pc, truthy if op is Op.BRTRUE else not truthy)
             )
-        out = out_state()
-        # Both edges flow even for constant conditions: reachability
-        # stays aligned with the verifier and the template JIT, and
-        # the constant-branch pass reports the dead edge instead.
-        if isinstance(ins.operand, int):
-            successors.append((ins.operand, out))
-        if pc + 1 < n:
-            successors.append((pc + 1, out))
-        falls_through = False
-    elif op is Op.RET:
-        falls_through = False
     elif op is Op.THROW:
         pop()
-        falls_through = False
     elif op is Op.CALL or op is Op.CALLINTRINSIC:
-        effect = _call_pops_pushes(ins)
+        effect = _call_effect(ins)
         if effect is None:
             err(f"malformed {op.value} operand {ins.operand!r}")
-            falls_through = False  # depth unknowable past this point
-        else:
-            pops, pushes = effect
-            for _ in range(pops):
-                pop()
-            for _ in range(pushes):
-                stack.append(TOP)
+            return []  # depth unknowable past this point
+        pops, pushes = effect
+        for _ in range(pops):
+            pop()
+        for _ in range(pushes):
+            stack.append(TOP)
+    elif op is Op.BR or op is Op.RET:
+        pass
     else:  # pragma: no cover - exhaustive over opcode set
         raise AssertionError(f"unhandled opcode {op!r}")
 
-    if falls_through and pc + 1 >= n:
-        falls_through = False  # running off the end; verifier reports it
-    if falls_through:
-        successors.append((pc + 1, out_state()))
-    return successors, falls_through
+    out = State(tuple(stack), tuple(locals_type),
+                tuple(locals_init), tuple(args_type))
+    # An unresolved label is the verifier's error; it flows nowhere.
+    return [(target, out) for target in successors(ins, pc)
+            if isinstance(target, int)]
 
 
 def analyze_types(method: MethodDef) -> TypeFacts:
@@ -498,8 +454,7 @@ def analyze_types(method: MethodDef) -> TypeFacts:
                     locals_init=state.locals_init,
                     args_type=state.args_type,
                 ))
-        successors, _ = _transfer(method, pc, state, sink=None)
-        for target, out in successors:
+        for target, out in _transfer(method, pc, state, sink=None):
             flow_to(target, out)
 
     # Phase 2: fact sweep over the final states (deterministic order).

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.cli.cil import Instruction, Op
+from repro.cli.cil import BRANCHES, Instruction, Op
 from repro.cli.metadata import AssemblyDef, ExceptionHandler, MethodDef, TypeDef
 from repro.cli.verifier import verify_method
 from repro.errors import CliError
@@ -212,7 +212,7 @@ class MethodBuilder:
             raise CliError(f"{len(self._open_trys)} unclosed protected region(s)")
         resolved: List[Instruction] = []
         for ins in self._code:
-            if ins.op in (Op.BR, Op.BRTRUE, Op.BRFALSE) and isinstance(ins.operand, str):
+            if ins.op in BRANCHES and isinstance(ins.operand, str):
                 if ins.operand not in self._labels:
                     raise CliError(f"undefined label {ins.operand!r} in {self.name}")
                 resolved.append(Instruction(ins.op, self._labels[ins.operand]))

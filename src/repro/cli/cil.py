@@ -4,7 +4,9 @@ A compact stack-machine ISA modelled on ECMA-335 CIL, restricted to
 what the benchmark kernels need.  Each opcode declares its *stack
 effect* ``(pops, pushes)`` so the verifier can type-check bodies
 without executing them; variable-effect opcodes (calls) carry ``None``
-and are resolved from the call target's signature.
+and are resolved from the call target's signature.  :func:`successors`
+is the one control-flow rule: the verifier, the template compiler and
+the static analyzer all take a pc's normal successors from it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-__all__ = ["Op", "Instruction", "STACK_EFFECTS"]
+__all__ = ["Op", "Instruction", "STACK_EFFECTS", "BRANCHES", "successors"]
 
 
 class Op(enum.Enum):
@@ -108,6 +110,26 @@ STACK_EFFECTS: "dict[Op, Optional[Tuple[int, int]]]" = {
 }
 
 assert set(STACK_EFFECTS) == set(Op), "every opcode needs a stack effect entry"
+
+#: Opcodes whose operand is a branch target.
+BRANCHES = frozenset({Op.BR, Op.BRTRUE, Op.BRFALSE})
+
+
+def successors(ins: Instruction, pc: int) -> Tuple[Any, ...]:
+    """The pcs control may pass to after ``ins`` at ``pc``, exception
+    edges aside: a branch's target first, then the fall-through pc.
+
+    Operands are returned unchecked (the verifier range-checks them);
+    ``pc + 1`` may equal the body length.
+    """
+    op = ins.op
+    if op is Op.BR:
+        return (ins.operand,)
+    if op is Op.BRTRUE or op is Op.BRFALSE:
+        return (ins.operand, pc + 1)
+    if op is Op.RET or op is Op.THROW:
+        return ()
+    return (pc + 1,)
 
 
 @dataclass(frozen=True)

@@ -36,17 +36,15 @@ import ast
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cli.assembly import MethodBuilder
-from repro.cli.cil import Instruction, Op
+from repro.cli.cil import BRANCHES, Instruction, Op
 from repro.cli.metadata import MethodDef
 from repro.errors import CliError
 
 __all__ = ["disassemble", "parse_cil", "format_cfg", "main"]
 
-_BRANCHES = (Op.BR, Op.BRTRUE, Op.BRFALSE)
-
 
 def _operand_text(ins: Instruction, labels: Dict[int, str]) -> str:
-    if ins.op in _BRANCHES:
+    if ins.op in BRANCHES:
         return labels[ins.operand]
     if ins.op is Op.CALL:
         target = ins.operand
@@ -69,7 +67,7 @@ def disassemble(method: MethodDef) -> str:
     # Label every branch target and handler entry.
     targets = set()
     for ins in method.body:
-        if ins.op in _BRANCHES:
+        if ins.op in BRANCHES:
             targets.add(ins.operand)
     for h in method.handlers:
         targets.add(h.handler_start)
@@ -116,7 +114,7 @@ def _parse_operand(op: Op, text: str) -> Tuple[Op, object]:
             raise CliError(f"bad argc in {text!r}") from None
         returns = len(parts) > 2 and parts[2] == "ret"
         return op, (name, argc, returns)
-    if op in _BRANCHES:
+    if op in BRANCHES:
         return op, text  # label, resolved by the builder
     if op is Op.CONV:
         return op, text
@@ -177,7 +175,7 @@ def parse_cil(source: str, verify: bool = True) -> MethodDef:
         operand_text = operand_text.strip()
         if not operand_text:
             if op in (Op.LDLOC, Op.STLOC, Op.LDARG, Op.STARG, Op.LDC,
-                      Op.CALL, Op.CALLINTRINSIC, *_BRANCHES):
+                      Op.CALL, Op.CALLINTRINSIC, *BRANCHES):
                 raise CliError(f"{mnemonic} requires an operand")
             builder.emit(op)
             continue
@@ -210,14 +208,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     import argparse
     import sys
 
+    from repro.analysis.targets import BUNDLED, bundled_assembly
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli.disasm",
         description="Disassemble bundled benchmark CIL methods.",
     )
     parser.add_argument(
         "assembly",
-        help="bundled assembly name (microbench, trace_replay, "
-        "webserver, qcrd_cil)",
+        help=f"bundled assembly name ({', '.join(BUNDLED)})",
     )
     parser.add_argument(
         "method",
@@ -230,8 +229,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="also print the basic-block graph of each method",
     )
     args = parser.parse_args(argv)
-
-    from repro.analysis.targets import bundled_assembly
 
     try:
         assembly = bundled_assembly(args.assembly)

@@ -16,7 +16,9 @@ Compilation strategy (classic template JIT, one tier):
   whose per-block code is straight-line Python;
 * evaluation-stack values live in **fixed slot variables**
   (``s0..s{max_stack-1}``) — slot indices are static because the
-  verifier proves the stack depth at every pc is path-independent;
+  verifier proves the stack depth at every pc is path-independent and
+  records it (``method.entry_depths``); an unverified method is
+  refused;
 * straight-line **arithmetic is fused** into single Python
   expressions at compile time (``ldloc i; ldloc i; mul`` becomes
   ``(l0 * l0)``), so a fused run of CIL instructions costs one
@@ -54,11 +56,11 @@ import linecache
 import re
 import zlib
 from types import CodeType
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
-from repro.cli.cil import Op, STACK_EFFECTS
+from repro.cli.cil import BRANCHES, Op, successors
 from repro.cli.metadata import MethodDef
-from repro.cli.verifier import _call_effect
+from repro.errors import JitError
 
 __all__ = ["compile_native", "native_source"]
 
@@ -67,61 +69,19 @@ _I64_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 # ---------------------------------------------------------------------------
-# Dataflow: entry stack depth per pc (the verifier proved consistency).
+# Blocks: the verifier recorded every pc's entry depth (None = unreachable).
 # ---------------------------------------------------------------------------
 
-def _entry_depths(method: MethodDef) -> List[Optional[int]]:
-    body = method.body
-    depths: List[Optional[int]] = [None] * len(body)
-    depths[0] = 0
-    worklist: List[Tuple[int, int]] = [(0, 0)]
-    # Handlers are entered with the stack cleared and the exception
-    # pushed — depth 1, exactly as the verifier seeds them.
-    for h in method.handlers:
-        if depths[h.handler_start] is None:
-            depths[h.handler_start] = 1
-            worklist.append((h.handler_start, 1))
-    while worklist:
-        pc, depth = worklist.pop()
-        ins = body[pc]
-        op = ins.op
-        if op is Op.RET or op is Op.THROW:
-            continue
-        if op in (Op.CALL, Op.CALLINTRINSIC):
-            pops, pushes = _call_effect(ins)
-        else:
-            pops, pushes = STACK_EFFECTS[op]
-        depth = depth - pops + pushes
-        targets = []
-        if op is Op.BR:
-            targets = [ins.operand]
-        elif op in (Op.BRTRUE, Op.BRFALSE):
-            targets = [ins.operand, pc + 1]
-        else:
-            targets = [pc + 1]
-        for t in targets:
-            if depths[t] is None:
-                depths[t] = depth
-                worklist.append((t, depth))
-    return depths
-
-
-def _block_leaders(method: MethodDef, depths: List[Optional[int]]) -> List[int]:
-    body = method.body
+def _block_leaders(method: MethodDef) -> List[int]:
+    """Entry, handler entries and every successor of a reachable branch."""
+    depths = method.entry_depths
     leaders = {0}
     for h in method.handlers:
         leaders.add(h.handler_start)
-    for pc, ins in enumerate(body):
-        if depths[pc] is None:
-            continue  # unreachable
-        op = ins.op
-        if op is Op.BR:
-            leaders.add(ins.operand)
-        elif op in (Op.BRTRUE, Op.BRFALSE):
-            leaders.add(ins.operand)
-            if pc + 1 < len(body):
-                leaders.add(pc + 1)
-    return sorted(pc for pc in leaders if depths[pc] is not None)
+    for pc, ins in enumerate(method.body):
+        if ins.op in BRANCHES and depths[pc] is not None:
+            leaders.update(successors(ins, pc))
+    return sorted(leaders)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +215,12 @@ _CMPOPS = {Op.CEQ: "==", Op.CGT: ">", Op.CLT: "<"}
 
 def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
     """Python source for ``method`` under interpreter ``params``."""
+    depths = method.entry_depths
+    if depths is None:
+        raise JitError(f"{method.full_name}: not verified; cannot compile")
     ctx = _Ctx(method)
     body = method.body
-    depths = _entry_depths(method)
-    leaders = _block_leaders(method, depths)
+    leaders = _block_leaders(method)
     block_of = {pc: i for i, pc in enumerate(leaders)}
     name = method.full_name
 
@@ -598,14 +560,16 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
                 closed = True
                 break
             elif op is Op.BR:
+                (taken,) = successors(ins, pc)
                 emit_sync(pending)
                 pending = 0
                 stack.spill_all(out)
-                out.w(f"_b = {block_of[ins.operand]}")
+                out.w(f"_b = {block_of[taken]}")
                 out.w("continue")
                 closed = True
                 break
             elif op in (Op.BRTRUE, Op.BRFALSE):
+                taken, fall = successors(ins, pc)
                 entry = stack.pop()
                 kind, code = entry
                 cond = code if kind == "cmp" else stack.materialize(entry)
@@ -616,10 +580,10 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
                 stack.spill_all(out)
                 out.w(f"if {cond}:")
                 out.indent += 1
-                out.w(f"_b = {block_of[ins.operand]}")
+                out.w(f"_b = {block_of[taken]}")
                 out.w("continue")
                 out.indent -= 1
-                out.w(f"_b = {block_of[pc + 1]}")
+                out.w(f"_b = {block_of[fall]}")
                 out.w("continue")
                 closed = True
                 break

@@ -85,7 +85,10 @@ class MethodDef:
         self.return_type = return_type if return_type is not None else VOID
         self.declaring_type = declaring_type
         self.handlers: List[ExceptionHandler] = list(handlers)
-        self.max_stack: Optional[int] = None  # filled in by the verifier
+        # Filled in by the verifier: the deepest evaluation stack, and
+        # the stack depth on entry to each pc (None = unreachable).
+        self.max_stack: Optional[int] = None
+        self.entry_depths: Optional[List[Optional[int]]] = None
 
     def handler_for(self, pc: int, type_name: str) -> Optional["ExceptionHandler"]:
         """Innermost matching handler guarding ``pc`` (ties broken by

@@ -19,17 +19,19 @@ simulation's verifier checks the properties the template compiler
 
 The verifier is the only gate: whatever it accepts, the compiler can
 emit.  Junk on unreachable pcs is allowed, because the compiler emits
-only reachable blocks.
+only reachable blocks.  Control flows along
+:func:`repro.cli.cil.successors`, plus each handler's entry.
 
-On success the method's ``max_stack`` is recorded (as a real JIT
-would); on failure :class:`~repro.errors.VerificationError` is raised.
+On success the method's ``max_stack`` and per-pc ``entry_depths``
+(``None`` = unreachable) are recorded for the compiler; on failure
+:class:`~repro.errors.VerificationError` is raised.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.cli.cil import Instruction, Op, STACK_EFFECTS
+from repro.cli.cil import BRANCHES, Instruction, Op, STACK_EFFECTS, successors
 from repro.cli.metadata import MethodDef
 from repro.errors import VerificationError
 
@@ -38,10 +40,15 @@ __all__ = ["verify_method"]
 _CONV_KINDS = frozenset({"i4", "int32", "i8", "int64", "r8", "float64"})
 
 
-def _well_formed_call_tuple(operand: object) -> bool:
-    """``(name, argc, returns)`` with a non-negative int argc — the
-    shape the template compiler assumes."""
-    return (
+def _call_effect(ins: Instruction) -> Optional[Tuple[int, int]]:
+    """(pops, pushes) for a call-like instruction, from its operand;
+    None unless the operand is a :class:`MethodDef` (``call`` only) or
+    a ``(name, argc, returns)`` tuple with a non-negative int argc —
+    the shapes the template compiler assumes."""
+    operand = ins.operand
+    if ins.op is Op.CALL and isinstance(operand, MethodDef):
+        return operand.param_count, 1 if operand.returns else 0
+    if (
         isinstance(operand, tuple)
         and len(operand) == 3
         and isinstance(operand[0], str)
@@ -49,41 +56,10 @@ def _well_formed_call_tuple(operand: object) -> bool:
         and not isinstance(operand[1], bool)
         and operand[1] >= 0
         and isinstance(operand[2], bool)
-    )
-
-
-def _call_effect(
-    ins: Instruction,
-    method: Optional[MethodDef] = None,
-    pc: Optional[int] = None,
-) -> Tuple[int, int]:
-    """(pops, pushes) for a call-like instruction, from its operand.
-
-    ``method`` and ``pc`` locate the failing instruction in the error
-    message when given (the verifier always passes them; other callers
-    only reach this for already-verified bodies).
-    """
-    where = (
-        f"{method.full_name}@{pc}: {ins.op.value}: "
-        if method is not None and pc is not None
-        else ""
-    )
-    operand = ins.operand
-    if ins.op is Op.CALL:
-        if isinstance(operand, MethodDef):
-            return operand.param_count, 1 if operand.returns else 0
-        if _well_formed_call_tuple(operand):
-            _name, argc, returns = operand
-            return argc, 1 if returns else 0
-        raise VerificationError(f"{where}malformed call operand: {operand!r}")
-    if ins.op is Op.CALLINTRINSIC:
-        if _well_formed_call_tuple(operand):
-            _name, argc, returns = operand
-            return argc, 1 if returns else 0
-        raise VerificationError(
-            f"{where}malformed intrinsic operand: {operand!r}"
-        )
-    raise AssertionError("not a call instruction")  # pragma: no cover
+    ):
+        _name, argc, returns = operand
+        return argc, 1 if returns else 0
+    return None
 
 
 def verify_method(method: MethodDef) -> int:
@@ -103,24 +79,6 @@ def verify_method(method: MethodDef) -> int:
     entry_depth: List[Optional[int]] = [None] * n
     max_stack = 0
     worklist: List[Tuple[int, int]] = [(0, 0)]
-
-    def flow_to(target: int, depth: int, src_pc: int, src_op: Op) -> None:
-        nonlocal max_stack
-        if not (0 <= target < n):
-            raise VerificationError(
-                f"{method.full_name}@{src_pc}: {src_op.value}: "
-                f"branch target {target} out of range [0,{n})"
-            )
-        known = entry_depth[target]
-        if known is None:
-            entry_depth[target] = depth
-            worklist.append((target, depth))
-        elif known != depth:
-            raise VerificationError(
-                f"{method.full_name}@{src_pc}: {src_op.value}: "
-                f"inconsistent stack depth at {target} "
-                f"({known} vs {depth})"
-            )
 
     entry_depth[0] = 0
 
@@ -172,7 +130,7 @@ def verify_method(method: MethodDef) -> int:
                     f"argument index {ins.operand!r} "
                     f"out of range [0,{method.param_count})"
                 )
-        elif op in (Op.BR, Op.BRTRUE, Op.BRFALSE):
+        elif op in BRANCHES:
             if not isinstance(ins.operand, int):
                 raise VerificationError(
                     f"{method.full_name}@{pc}: {op.value}: "
@@ -204,13 +162,18 @@ def verify_method(method: MethodDef) -> int:
                 raise VerificationError(
                     f"{method.full_name}@{pc}: throw with empty stack"
                 )
-            continue  # control never falls through a throw
-        if op in (Op.CALL, Op.CALLINTRINSIC):
-            pops, pushes = _call_effect(ins, method, pc)
+            continue
+        if op is Op.CALL or op is Op.CALLINTRINSIC:
+            effect = _call_effect(ins)
+            if effect is None:
+                kind = "call" if op is Op.CALL else "intrinsic"
+                raise VerificationError(
+                    f"{method.full_name}@{pc}: {op.value}: "
+                    f"malformed {kind} operand: {ins.operand!r}"
+                )
         else:
             effect = STACK_EFFECTS[op]
-            assert effect is not None
-            pops, pushes = effect
+        pops, pushes = effect
 
         if depth < pops:
             raise VerificationError(
@@ -221,18 +184,28 @@ def verify_method(method: MethodDef) -> int:
         if depth > max_stack:
             max_stack = depth
 
-        # Successors.
-        if op is Op.BR:
-            flow_to(ins.operand, depth, pc, op)
-            continue
-        if op in (Op.BRTRUE, Op.BRFALSE):
-            flow_to(ins.operand, depth, pc, op)
-        if pc + 1 >= n:
+        if op in BRANCHES and not (0 <= ins.operand < n):
             raise VerificationError(
                 f"{method.full_name}@{pc}: {op.value}: "
-                "execution falls off the end of the body"
+                f"branch target {ins.operand} out of range [0,{n})"
             )
-        flow_to(pc + 1, depth, pc, op)
+        for target in successors(ins, pc):
+            if target == n:
+                raise VerificationError(
+                    f"{method.full_name}@{pc}: {op.value}: "
+                    "execution falls off the end of the body"
+                )
+            known = entry_depth[target]
+            if known is None:
+                entry_depth[target] = depth
+                worklist.append((target, depth))
+            elif known != depth:
+                raise VerificationError(
+                    f"{method.full_name}@{pc}: {op.value}: "
+                    f"inconsistent stack depth at {target} "
+                    f"({known} vs {depth})"
+                )
 
     method.max_stack = max_stack
+    method.entry_depths = entry_depth
     return max_stack

@@ -413,9 +413,14 @@ class BufferCache:
             needs_rmw = (
                 (page == first_page and partial_head) or (page == last_page and partial_tail)
             ) and page < file_pages
+            # Wait out every fetch of the page: while we wait, an
+            # ``invalidate_file`` may drop the fetch and a demand read
+            # register the page in a run of its own, which the
+            # read-modify-write fetch below must not overwrite.
             ev = self._inflight.get(inode.file_id, _NONE).get(page)
-            if ev is not None and not ev.processed:
+            while ev is not None and not ev.processed:
                 yield ev
+                ev = self._inflight.get(inode.file_id, _NONE).get(page)
             if key not in self._pages and needs_rmw:
                 yield from self._fetch_run(inode, page, 1)
                 fetched += 1

@@ -63,7 +63,7 @@ class Process(Event):
         super().__init__(engine)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        # Daemon processes (e.g. a disk's server loop) may block forever
+        # Daemon processes (e.g. a web server's listen loop) may block forever
         # without tripping deadlock detection when the queue drains.
         self.daemon = daemon
         self._finish = None

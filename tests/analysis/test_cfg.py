@@ -1,4 +1,4 @@
-"""CFG construction: blocks, edges, reachability, dominators."""
+"""CFG construction: blocks, edges, reachability."""
 
 from repro.analysis.cfg import build_cfg
 from repro.cli.assembly import MethodBuilder
@@ -94,30 +94,6 @@ def test_unreachable_block_detected():
     assert dead.index not in cfg.reachable
     assert 2 not in cfg.reachable_pcs() and 3 not in cfg.reachable_pcs()
     assert 4 in cfg.reachable_pcs()
-
-
-def test_dominators_on_diamond():
-    #      0 (cond)
-    #     / \
-    #    A   B
-    #     \ /
-    #      join/ret
-    m = (
-        MethodBuilder("diamond", returns=True)
-        .arg("c").local("x")
-        .ldarg("c").brtrue("a")
-        .ldc(1).stloc("x").br("join")
-        .label("a").ldc(2).stloc("x")
-        .label("join").ldloc("x").ret()
-        .build()
-    )
-    cfg = build_cfg(m)
-    entry = cfg.block_at(0).index
-    join = cfg.block_at(len(m.body) - 1).index
-    a = cfg.block_at(m.body[1].operand).index
-    assert cfg.dominates(entry, join)
-    assert not cfg.dominates(a, join)  # the other arm bypasses it
-    assert cfg.dominates(join, join)
 
 
 def test_format_is_deterministic_and_flags():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.lattice import Init, Kind, TypeVal, type_of_constant
+from repro.analysis.targets import BUNDLED, bundled_assembly
 from repro.analysis.typeflow import analyze_types
 from repro.cli.assembly import MethodBuilder
 from repro.cli.cil import Instruction, Op
@@ -151,3 +152,19 @@ def test_stack_kinds_matches_entry_states():
     assert kinds[0] == ()
     assert kinds[2] == (Kind.INT32, Kind.INT32)
     assert kinds[3] == (Kind.INT32,)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_verifier_depths_match_typeflow_on_bundled_corpus(name):
+    """The verifier's depth dataflow and the abstract interpreter are
+    two independent walks of one control-flow rule: on every bundled
+    method they agree on which pcs are reachable and on the stack
+    depth at each."""
+    assembly = bundled_assembly(name)
+    for type_def in assembly.types.values():
+        for method in type_def.methods.values():
+            states = analyze_types(method).entry_states
+            assert method.entry_depths == [
+                None if state is None else len(state.stack)
+                for state in states
+            ], method.full_name

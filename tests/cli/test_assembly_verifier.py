@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import AssemblyBuilder, MethodBuilder, Op
-from repro.cli.cil import Instruction
+from repro.cli.cil import Instruction, successors
 from repro.cli.metadata import MethodDef
 from repro.cli.verifier import verify_method
 from repro.errors import CliError, VerificationError
@@ -169,6 +169,32 @@ def test_verifier_max_stack_recorded():
         .build()
     )
     assert m.max_stack == 3
+
+
+def test_successors_rule():
+    """A branch's target first, then the fall-through; ``ret`` and
+    ``throw`` end control; everything else falls through."""
+    assert successors(Instruction(Op.BR, 5), 2) == (5,)
+    assert successors(Instruction(Op.BRTRUE, 5), 2) == (5, 3)
+    assert successors(Instruction(Op.BRFALSE, 3), 2) == (3, 3)
+    assert successors(Instruction(Op.RET), 2) == ()
+    assert successors(Instruction(Op.THROW), 2) == ()
+    assert successors(Instruction(Op.ADD), 2) == (3,)
+
+
+def test_verifier_records_entry_depths():
+    m = _raw("m", [
+        Instruction(Op.LDC, 1),     # 0: depth 0
+        Instruction(Op.BRTRUE, 4),  # 1: depth 1
+        Instruction(Op.LDC, 2),     # 2: depth 0
+        Instruction(Op.BR, 5),      # 3: depth 1
+        Instruction(Op.LDC, 3),     # 4: depth 0
+        Instruction(Op.RET),        # 5: depth 1, reached twice
+        Instruction(Op.POP),        # 6: unreachable
+    ], returns=True)
+    assert m.entry_depths is None
+    verify_method(m)
+    assert m.entry_depths == [0, 1, 0, 1, 0, 1, None]
 
 
 def test_verifier_call_effects():

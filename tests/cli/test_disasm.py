@@ -172,6 +172,18 @@ def test_cfg_output_matches_format_cfg():
     assert text == format_cfg(method)
 
 
+def test_help_lists_every_bundled_assembly(capsys):
+    from repro.analysis.targets import BUNDLED
+    from repro.cli.disasm import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for name in BUNDLED:
+        assert name in out
+
+
 def test_main_unknown_assembly_exits_2(capsys):
     from repro.cli.disasm import main
 

@@ -17,6 +17,7 @@ from repro.cli.metadata import MethodDef
 from repro.cli.microbench import KERNELS, build_kernel, run_kernel
 from repro.cli.profiles import VM_PROFILES
 from repro.cli.verifier import verify_method
+from repro.errors import JitError
 from repro.sim import Engine
 from tests.cli.oracle import oracle_tier
 
@@ -230,6 +231,19 @@ def test_junk_on_unreachable_pcs_compiles():
     source = native_source(dead, InterpreterParams())
     assert source.count("_b == ") == 2  # blocks at pcs 0 and 6 only
     assert _both(lambda: _run(dead)) == (7, 7)
+
+
+def test_unverified_method_is_refused():
+    """The compiler reads the verifier's recorded entry depths and
+    never recomputes them."""
+    m = MethodDef("Unverified", [Instruction(Op.LDC, 1), Instruction(Op.RET)],
+                  returns=True)
+    with pytest.raises(JitError, match="Unverified: not verified"):
+        native_source(m, InterpreterParams())
+    with pytest.raises(JitError, match="not verified"):
+        compile_native(m, InterpreterParams())
+    verify_method(m)
+    assert _both(lambda: _run(m)) == (1, 1)
 
 
 def test_native_source_is_inspectable():

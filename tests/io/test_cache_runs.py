@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import asdict
 from typing import List, Optional
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.errors import StorageError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
@@ -262,9 +262,22 @@ _scenario = st.tuples(
 )
 
 
+# A write waiting on a prefetch's page while a reader invalidates the
+# file and fetches that page again in a longer run: the write's
+# read-modify-write must wait out the new run too, not overwrite it.
+_REFETCHED_UNDER_A_WRITE = [
+    [("prefetch", 0, 6, 1), ("write", 0, 0, 7, False, True)],
+    [("read", 0, 0, 1), ("invalidate", 0), ("read", 0, 6, 2)],
+]
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_scenario)
+@example(("lru", 3, _REFETCHED_UNDER_A_WRITE, None))
+@example(("lru", 3, [_REFETCHED_UNDER_A_WRITE[0],
+                     _REFETCHED_UNDER_A_WRITE[1] + [("read", 0, 0, 7)]],
+          None))
 def test_run_bookkeeping_matches_per_page_cache(scenario):
     assert _run(BufferCache, scenario) == _run(PerPageCache, scenario)
     assert (_run(BufferCache, scenario, detector=True)
