@@ -13,7 +13,12 @@ the engines and disks it builds while it runs:
 * ``process_wakeups`` — the times the engine resumed a process (its
   start, and each event it waited on).  A sleep a process takes in its
   own frame is not a wake-up: the generator resumes without leaving
-  ``Process._resume``.
+  ``Process._resume``;
+* ``cache_hits``, ``cache_misses`` and ``cache_evictions`` — the sums
+  of the buffer caches' page hits, cold misses and evictions
+  (:class:`~repro.io.buffercache.CacheStats`);
+* ``cil_instructions`` — the sum of the interpreters'
+  ``instructions_executed``: CIL instructions retired.
 
 A change that moves a counter on purpose re-pins the ledger and says
 which entries moved, and why, in CHANGES.md::
@@ -36,19 +41,25 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.bench.experiments import ALL_EXPERIMENTS, run_experiment
+from repro.cli.interpreter import Interpreter
+from repro.io.buffercache import BufferCache
 from repro.sim import Engine
 from repro.sim.process import Process
 from repro.storage import Disk
 
 LEDGER = Path(__file__).resolve().parents[2] / "results" / "work_counters.json"
 
+#: The classes whose instances :func:`census` records.
+RECORDED = (Engine, Disk, BufferCache, Interpreter)
+
 
 @contextmanager
 def census() -> Iterator[Dict[Any, Any]]:
-    """Every :class:`Engine` and :class:`Disk` built inside the block,
-    by class (subclasses included), and, under ``Process``, the counts
-    of processes built and of their wake-ups."""
-    born: Dict[Any, Any] = {Engine: [], Disk: []}
+    """Every :class:`Engine`, :class:`Disk`, :class:`BufferCache` and
+    :class:`Interpreter` built inside the block, by class (subclasses
+    included), and, under ``Process``, the counts of processes built and
+    of their wake-ups."""
+    born: Dict[Any, Any] = {cls: [] for cls in RECORDED}
     tally = born[Process] = {"spawned": 0, "wakeups": 0}
 
     def recording(init, instances):
@@ -64,8 +75,8 @@ def census() -> Iterator[Dict[Any, Any]]:
         return counted
 
     patches = {
-        (Engine, "__init__"): recording(Engine.__init__, born[Engine]),
-        (Disk, "__init__"): recording(Disk.__init__, born[Disk]),
+        **{(cls, "__init__"): recording(cls.__init__, born[cls])
+           for cls in RECORDED},
         (Process, "__init__"): counting(Process.__init__, "spawned"),
         (Process, "_resume"): counting(Process._resume, "wakeups"),
     }
@@ -86,6 +97,13 @@ def counters(born: Dict[Any, Any]) -> Dict[str, int]:
                              for disk in born[Disk]),
         "processes_spawned": born[Process]["spawned"],
         "process_wakeups": born[Process]["wakeups"],
+        "cache_hits": sum(cache.stats.hits for cache in born[BufferCache]),
+        "cache_misses": sum(cache.stats.misses
+                            for cache in born[BufferCache]),
+        "cache_evictions": sum(cache.stats.evictions
+                               for cache in born[BufferCache]),
+        "cil_instructions": sum(interp.instructions_executed.value
+                                for interp in born[Interpreter]),
     }
 
 
