@@ -9,85 +9,175 @@ The buffer cache delegates victim selection to a policy object:
   clock hand sweeps; cheap LRU approximation.
 
 Policies only track *order*; page state stays in the cache.  The cache
-reports a run of pages with one ``on_insert_run``/``on_access_run``
-call; the default replays it key by key, and LRU does it in bulk.
+speaks in page runs ``[start, stop)`` of one file, each page taken in
+ascending order, and ``evict(n)`` returns the next ``n`` victims as
+``(file_id, start, stop)`` runs.  LRU and FIFO order runs too (pages
+of one file next to each other in the order, ascending), so every
+hook costs O(runs touched); CLOCK is written per page key ``(file_id,
+page)``, which the base class's run hooks expand to.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from itertools import repeat
-from typing import Hashable, Iterable
+from bisect import bisect_right, insort
+from collections import OrderedDict
+from operator import attrgetter
+from typing import Dict, Hashable, List, Tuple
 
 from repro.errors import StorageError
 
 __all__ = ["EvictionPolicy", "LruPolicy", "FifoPolicy", "ClockPolicy",
            "make_eviction_policy", "EVICTION_POLICIES"]
 
+#: A victim run: pages ``[start, stop)`` of one file.
+Victim = Tuple[int, int, int]
 
 class EvictionPolicy:
-    """Victim-selection strategy over cache keys."""
+    """Victim-selection strategy over page runs.
+
+    The run hooks below expand each run key by key, for a subclass that
+    defines ``on_insert(key)``, ``on_access(key)``, ``on_remove(key)``
+    and ``victim() -> key`` instead of overriding them."""
 
     name = "abstract"
 
-    def on_insert(self, key: Hashable) -> None:
-        raise NotImplementedError  # pragma: no cover
+    def on_insert_run(self, fid: int, start: int, stop: int,
+                      room: int) -> List[Victim]:
+        """Insert absent pages ``[start, stop)`` in order.  Once the
+        first ``room`` are in, each page first evicts one victim (which
+        may be a page of this run).  Returns the victims, in order."""
+        victims = []
+        for page in range(start, stop):
+            if page - start >= room:
+                victims += self.evict(1)
+            self.on_insert((fid, page))
+        return victims
 
-    def on_access(self, key: Hashable) -> None:
-        raise NotImplementedError  # pragma: no cover
+    def on_access_run(self, fid: int, start: int, stop: int) -> None:
+        """``on_access`` for each resident page, in order."""
+        for page in range(start, stop):
+            self.on_access((fid, page))
 
-    def on_remove(self, key: Hashable) -> None:
-        raise NotImplementedError  # pragma: no cover
+    def on_remove_run(self, fid: int, start: int, stop: int) -> None:
+        """``on_remove`` for each resident page."""
+        for page in range(start, stop):
+            self.on_remove((fid, page))
 
-    def on_insert_run(self, keys: Iterable[Hashable]) -> None:
-        """``on_insert`` for each absent key, in order."""
-        for key in keys:
-            self.on_insert(key)
+    def evict(self, npages: int) -> List[Victim]:
+        """Select and remove the next ``npages`` victims."""
+        return [(fid, page, page + 1)
+                for fid, page in (self.victim() for _ in range(npages))]
 
-    def on_access_run(self, keys: Iterable[Hashable]) -> None:
-        """``on_access`` for each resident key, in order."""
-        for key in keys:
-            self.on_access(key)
 
-    def victim(self) -> Hashable:
-        """Select and remove the next victim key."""
-        raise NotImplementedError  # pragma: no cover
+class _Run:
+    """Pages ``[start, stop)`` of file ``fid``, next to each other in
+    a policy's order; a node of its ring."""
 
-    def __len__(self) -> int:
-        raise NotImplementedError  # pragma: no cover
+    __slots__ = ("fid", "start", "stop", "prev", "next")
+
+    def __init__(self, fid, start: int, stop: int) -> None:
+        self.fid = fid
+        self.start = start
+        self.stop = stop
+        self.prev = self.next = self
+
+
+def _link(run: _Run, prev: _Run) -> None:
+    """Put ``run`` in the ring right after ``prev``."""
+    run.prev = prev
+    run.next = prev.next
+    prev.next.prev = run
+    prev.next = run
+
+
+def _unlink(run: _Run) -> None:
+    run.prev.next = run.next
+    run.next.prev = run.prev
+
+
+_START = attrgetter("start")
+_STOP = attrgetter("stop")
 
 
 class LruPolicy(EvictionPolicy):
-    """Evict the least recently used page."""
+    """Evict the least recently used page.
+
+    The order is a ring of runs, oldest first after the sentinel, and
+    each file has its runs sorted by first page, so a hit finds the
+    runs holding its pages by bisection.
+    """
 
     name = "lru"
 
     def __init__(self) -> None:
-        self._order: "OrderedDict[Hashable, None]" = OrderedDict()
+        self._ring = _Run(None, 0, 0)
+        self._files: Dict[int, List[_Run]] = {}
 
-    def on_insert(self, key: Hashable) -> None:
-        self._order[key] = None
+    def _append(self, fid: int, start: int, stop: int) -> None:
+        """Put pages ``[start, stop)``, held by no run, at the young end."""
+        tail = self._ring.prev
+        if tail.fid == fid and tail.stop == start:
+            tail.stop = stop
+            return
+        run = _Run(fid, start, stop)
+        _link(run, tail)
+        insort(self._files.setdefault(fid, []), run, key=_START)
 
-    def on_access(self, key: Hashable) -> None:
-        self._order.move_to_end(key)
+    def on_insert_run(self, fid: int, start: int, stop: int,
+                      room: int) -> List[Victim]:
+        # Evicting from the old end after appending the run takes the
+        # victims a page-at-a-time insert would: old pages first, then
+        # the run's own first pages once the old ones run out.
+        self._append(fid, start, stop)
+        return self.evict(stop - start - room) if stop - start > room else []
 
-    def on_insert_run(self, keys: Iterable[Hashable]) -> None:
-        self._order.update(zip(keys, repeat(None)))
+    def on_access_run(self, fid: int, start: int, stop: int) -> None:
+        tail = self._ring.prev
+        if tail.fid == fid and tail.stop == stop and tail.start <= start:
+            return  # already the youngest pages, in order
+        runs = self._files[fid]
+        run = runs[bisect_right(runs, start, key=_STOP)]
+        if run.start == start and run.stop == stop:
+            # A whole run (a small file, say): move it to the young end.
+            _unlink(run)
+            _link(run, tail)
+            return
+        self.on_remove_run(fid, start, stop)
+        self._append(fid, start, stop)
 
-    def on_access_run(self, keys: Iterable[Hashable]) -> None:
-        deque(map(self._order.move_to_end, keys), maxlen=0)
+    def on_remove_run(self, fid: int, start: int, stop: int) -> None:
+        runs = self._files.get(fid, [])
+        i = j = bisect_right(runs, start, key=_STOP)
+        while j < len(runs) and runs[j].start < stop:
+            run = runs[j]
+            if run.start < start:  # its head stays
+                if run.stop > stop:  # and so does its tail, right after it
+                    tail = _Run(fid, stop, run.stop)
+                    _link(tail, run)
+                    runs.insert(j + 1, tail)
+                run.stop = start
+                i += 1
+            elif run.stop > stop:  # its tail stays
+                run.start = stop
+                break
+            else:
+                _unlink(run)
+            j += 1
+        del runs[i:j]
+        if not runs:
+            self._files.pop(fid, None)
 
-    def on_remove(self, key: Hashable) -> None:
-        self._order.pop(key, None)
-
-    def victim(self) -> Hashable:
-        if not self._order:
-            raise StorageError("victim() on an empty policy")
-        key, _ = self._order.popitem(last=False)
-        return key
-
-    def __len__(self) -> int:
-        return len(self._order)
+    def evict(self, npages: int) -> List[Victim]:
+        victims = []
+        while npages > 0:
+            run = self._ring.next
+            if run is self._ring:
+                raise StorageError("evict() on an empty policy")
+            victim = (run.fid, run.start, min(run.stop, run.start + npages))
+            self.on_remove_run(*victim)
+            victims.append(victim)
+            npages -= victim[2] - victim[1]
+        return victims
 
 
 class FifoPolicy(LruPolicy):
@@ -95,17 +185,14 @@ class FifoPolicy(LruPolicy):
 
     name = "fifo"
 
-    def on_access(self, key: Hashable) -> None:
+    def on_access_run(self, fid: int, start: int, stop: int) -> None:
         pass  # insertion order only
-
-    def on_access_run(self, keys: Iterable[Hashable]) -> None:
-        pass
 
 
 class ClockPolicy(EvictionPolicy):
     """Second-chance: each page has a reference bit set on access; the
     hand sweeps insertion order, clearing bits until it finds a page
-    with bit 0."""
+    with bit 0.  Page-granular: keys are ``(file_id, page)``."""
 
     name = "clock"
 

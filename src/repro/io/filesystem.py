@@ -458,11 +458,7 @@ class FileSystem:
         if new_size > inode.size_bytes:
             self._grow_to(inode, new_size)
         else:
-            page = self.page_size
-            keep_pages = -(-new_size // page) if new_size else 0
-            for page_idx in self.cache.resident_pages_of(inode):
-                if page_idx >= keep_pages:
-                    self.cache.drop_page(inode, page_idx)
+            self.cache.drop_pages(inode, -(-new_size // self.page_size))
         inode.size_bytes = new_size
         if handle.position > new_size:
             handle.position = new_size
@@ -512,15 +508,15 @@ class FileSystem:
                 raise FileSystemError(
                     f"extent overlap: {o1}({s1},{l1}) and {o2}({s2},{l2})"
                 )
-        page = self.page_size
-        for (file_id, page_idx) in list(self.cache._pages):
+        for file_id, bounds in self.cache._runs.items():
             inode = self._by_id.get(file_id)
             if inode is None:
                 raise FileSystemError(f"cache holds page for dead file {file_id}")
-            if page_idx >= max(1, inode.page_count(page)):
-                raise FileSystemError(
-                    f"{inode.path}: cached page {page_idx} beyond EOF"
-                )
+            eof = max(1, inode.page_count(self.page_size))
+            if bounds[-1] > eof:  # name the first cached page past EOF
+                i = bisect.bisect_right(bounds, eof)
+                raise FileSystemError(f"{inode.path}: cached page "
+                                      f"{eof if i & 1 else bounds[i]} beyond EOF")
 
     # -- accounting ------------------------------------------------------------
 

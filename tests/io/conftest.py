@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.io import CacheParams, FileSystem, FsParams
+from repro.io import CacheParams, FileSystem, FsParams, LruPolicy
 from repro.io.prefetch import NoPrefetch
 from repro.sim import Engine
 from repro.storage import Disk, DiskGeometry
@@ -34,3 +34,15 @@ def fs(engine, disk):
 def run(engine, gen):
     """Run one coroutine to completion, returning its value."""
     return engine.run_process(gen)
+
+
+def keys(policy) -> list:
+    """An eviction policy's page keys ``(file_id, page)``, next victim
+    first: LRU and FIFO runs expanded, or a per-key order as it is."""
+    if isinstance(policy, LruPolicy):
+        found, run = [], policy._ring.next
+        while run is not policy._ring:
+            found += [(run.fid, page) for page in range(run.start, run.stop)]
+            run = run.next
+        return found
+    return list(policy._order if hasattr(policy, "_order") else policy._ring)

@@ -1,18 +1,21 @@
-"""Run-granular cache bookkeeping: the same schedule as a page-at-a-time
+"""Run-granular cache books: the same schedule as a page-at-a-time
 cache.
 
-The oracle, :class:`PerPageCache`, classifies, touches, awaits and
-publishes one page at a time, the way the cache did before it kept its
-books per page run.  Random schedules of same-instant demand readers,
-prefetches, writes, flushes, syncs, invalidations and page drops, under
-every eviction policy, with capacities small enough to evict in the
-middle of a run and an optional media error, must resume every actor
-at the same instant in the same order with the same result, and leave
-the same resident and dirty pages, the same victims in the same order,
-the same device traffic and the same counters; under the race detector
-they must also produce the same summary.
+The oracle, :class:`PerPageCache`, is the cache as it was before it kept
+its books per page run (:mod:`tests.io.oracle`, a page map and per-key
+eviction order), further reduced to classify, touch, await and publish
+one page at a time.  Random schedules of same-instant demand readers,
+prefetches, writes, flushes, syncs, invalidations, page drops and
+truncations, under every eviction policy, with capacities small enough
+to evict in the middle of a run and an optional media error, must
+resume every actor at the same instant in the same order with the same
+result, and leave the same resident and dirty pages, the same victims
+in the same order, the same device traffic and the same counters;
+under the race detector and a tracer they must also produce the same
+summary and the same eviction instants.
 """
 
+import sys
 from collections import Counter
 from dataclasses import asdict
 from typing import List, Optional
@@ -22,9 +25,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from repro.errors import StorageError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.io import CacheParams, FileSystem
-from repro.io.buffercache import BufferCache, PageState
-from repro.io.eviction import LruPolicy
+from repro.io.buffercache import BufferCache
+from repro.io.eviction import ClockPolicy, LruPolicy
 from repro.io.filesystem import Inode
+from repro.obs import Tracer
 from repro.sanitizer import runtime as _sanitizer
 from repro.sanitizer import shared
 from repro.sim import Engine
@@ -32,13 +36,15 @@ from repro.sim.event import Event
 from repro.storage import Disk, DiskGeometry
 
 from tests.conftest import detector_or_none
+from tests.io.conftest import keys
+from tests.io.oracle import PageCache, PageState
 
 GEO = DiskGeometry(cylinders=200, heads=2, sectors_per_track=16)
 FILES = 3
 FILE_PAGES = 24
 
 
-class PerPageCache(BufferCache):
+class PerPageCache(PageCache):
     """Oracle: per-page ``access``, ``_finish_fetch`` and ``prefetch``.
 
     Every page is classified on its own, every hit touches the policy
@@ -131,6 +137,16 @@ class PerPageCache(BufferCache):
         self.stats.prefetches_issued += len(pages)
         return len(pages)
 
+    def drop_pages(self, inode, first_page, stop_page=None):
+        """The truncate path as it was: one ``drop_page`` per resident
+        page in the range."""
+        dropped = 0
+        for page in self.resident_pages_of(inode):
+            if page >= first_page and (stop_page is None or page < stop_page):
+                self.drop_page(inode, page)
+                dropped += 1
+        return dropped
+
 
 def _files(disk) -> List[Inode]:
     """``FILES`` files of ``FILE_PAGES`` pages, each split over two
@@ -147,14 +163,16 @@ def _files(disk) -> List[Inode]:
     return inodes
 
 
-def _run(cache_cls, scenario, detector: bool = False, prelude=None):
+def _run(cache_cls, scenario, instrumented: bool = False, prelude=None):
     """Run one schedule; returns everything the two caches must agree on.
 
+    ``instrumented`` runs it under a race detector and a tracer.
     ``prelude(cache, inodes)``, if given, runs after the set-up and
     before the actors start."""
     policy, capacity, actors, media_at = scenario
-    with detector_or_none(detector) as det:
-        engine = Engine()
+    with detector_or_none(instrumented) as det:
+        tracer = Tracer(categories=["io"]) if instrumented else None
+        engine = Engine(tracer=tracer)
         injector = None
         if media_at is not None:
             injector = FaultInjector(engine, FaultPlan(seed=0, specs=(
@@ -173,13 +191,20 @@ def _run(cache_cls, scenario, detector: bool = False, prelude=None):
         inodes = _files(disk)
         cache.register_inode_resolver({i.file_id: i for i in inodes}.get)
         victims = []
+        if isinstance(cache, BufferCache):
+            def evict(runs, _evict=cache._evict):
+                victims.extend((engine.now, (fid, page)) for fid, start, stop
+                               in runs for page in range(start, stop))
+                return _evict(runs)
 
-        def victim(_pick=cache._policy.victim):
-            key = _pick()
-            victims.append((engine.now, key))
-            return key
+            cache._evict = evict
+        else:
+            def victim(_pick=cache._policy.victim):
+                key = _pick()
+                victims.append((engine.now, key))
+                return key
 
-        cache._policy.victim = victim
+            cache._policy.victim = victim
         log = []
         var = shared("cache.schedule")
 
@@ -199,13 +224,59 @@ def _run(cache_cls, scenario, detector: bool = False, prelude=None):
             engine.process(actor(f"a{i}", ops))
         engine.run()
         assert not cache._inflight
-        policy_state = {name: list(order.items())
-                        for name, order in vars(cache._policy).items()
-                        if name != "victim"}
-        return (log, engine.now, sorted(cache._pages.items()),
-                {fid: sorted(pages) for fid, pages in cache._dirty_by_file.items()},
-                victims, device_log, asdict(cache.stats), policy_state,
-                det.summary() if det is not None else None)
+        if isinstance(cache, BufferCache):
+            _check_books(cache)
+        evict_instants = None
+        if tracer is not None:
+            evict_instants = [(e.start, e.attrs) for e in tracer.events
+                              if e.name == "cache.evict"]
+        return dict(
+            log=log, now=engine.now,
+            resident={i.file_id: sorted(cache.resident_pages_of(i))
+                      for i in inodes},
+            dirty={i.file_id: sorted(cache.dirty_pages_of(i)) for i in inodes},
+            resident_pages=cache.resident_pages, victims=victims,
+            device_log=device_log, stats=asdict(cache.stats),
+            order=_order(cache._policy),
+            races=det.summary() if det is not None else None,
+            evict_instants=evict_instants)
+
+
+def _order(policy) -> list:
+    """A policy's order, key by key, next victim first (with CLOCK's
+    reference bits)."""
+    if isinstance(policy, ClockPolicy):
+        return list(policy._ring.items())
+    return keys(policy)
+
+
+def _check_books(cache: BufferCache) -> None:
+    """The run books agree with one another: boundaries strictly
+    increasing, the resident count their total, dirty pages resident,
+    and the policy's runs exactly the resident pages, each file's runs
+    sorted by first page."""
+    resident = set()
+    for fid, bounds in cache._runs.items():
+        assert bounds and len(bounds) % 2 == 0
+        assert all(a < b for a, b in zip(bounds, bounds[1:])), bounds
+        resident.update((fid, page) for start, stop
+                        in zip(bounds[::2], bounds[1::2])
+                        for page in range(start, stop))
+    assert cache._resident == len(resident) <= cache.params.capacity_pages
+    for fid, dirty in cache._dirty_by_file.items():
+        assert dirty and {(fid, page) for page in dirty} <= resident
+    ordered = keys(cache._policy)
+    assert len(ordered) == len(set(ordered)) and set(ordered) == resident
+    if isinstance(cache._policy, LruPolicy):
+        ring = []
+        run = cache._policy._ring.next
+        while run is not cache._policy._ring:
+            assert run.start < run.stop
+            ring.append(run)
+            run = run.next
+        for fid, runs in cache._policy._files.items():
+            assert runs == sorted((r for r in ring if r.fid == fid),
+                                  key=lambda r: r.start)
 
 
 def _apply(engine, cache, inodes, kind, args):
@@ -227,11 +298,14 @@ def _apply(engine, cache, inodes, kind, args):
         return (yield from cache.sync_file(inode))
     if kind == "invalidate":
         return cache.invalidate_file(inode)
+    if kind == "truncate":
+        # The cache's half of ``FileSystem.truncate``: drop every
+        # resident page from the new end of file on.
+        return cache.drop_pages(inode, args[1])
     assert kind == "drop"
     if args[1] not in cache.resident_pages_of(inode):
         return False
-    cache.drop_page(inode, args[1])
-    return True
+    return cache.drop_pages(inode, args[1], args[1] + 1) == 1
 
 
 def _clip(first, npages):
@@ -251,6 +325,7 @@ _op = st.one_of(
     st.tuples(st.just("sync"), _file),
     st.tuples(st.just("invalidate"), _file),
     st.tuples(st.just("drop"), _file, _page),
+    st.tuples(st.just("truncate"), _file, _page),
     st.tuples(st.just("pause"), st.sampled_from([0.0, 2e-4, 3e-3])),
 )
 _scenario = st.tuples(
@@ -270,6 +345,36 @@ _REFETCHED_UNDER_A_WRITE = [
     [("read", 0, 0, 1), ("invalidate", 0), ("read", 0, 6, 2)],
 ]
 
+# ``(capacity, actors)`` shapes that exercise the run books' edges,
+# each pinned under every policy.
+_RUN_SHAPES = [
+    # A hit in the middle of an older run, then a publish that evicts
+    # the pages on both sides of it.
+    (20, [[("read", 0, 0, 12), ("read", 1, 0, 4), ("read", 0, 4, 4),
+           ("read", 1, 8, 12)]]),
+    # A publish that evicts all of one run and part of another.
+    (10, [[("read", 0, 0, 4), ("read", 1, 0, 4), ("read", 2, 0, 8)]]),
+    # A run longer than the capacity evicts its own first pages.
+    (5, [[("read", 0, 0, 12)]]),
+    # Dirty pages in the middle of a run, evicted with it.
+    (10, [[("write", 0, 2, 2, False, False), ("read", 0, 0, 8),
+           ("read", 1, 0, 10)]]),
+    # Two files' runs interleaved in recency: f0 [0, 2) and f0 [2, 4)
+    # are contiguous pages but not neighbours in the order.
+    (8, [[("read", 0, 0, 2), ("read", 1, 2, 2), ("read", 0, 2, 2),
+          ("read", 1, 0, 2), ("read", 2, 0, 5)]]),
+]
+
+
+def _on_every_policy(shapes):
+    """``@example`` each ``(capacity, actors)`` shape under every policy."""
+    def decorate(test):
+        for policy in ("lru", "fifo", "clock"):
+            for capacity, actors in shapes:
+                test = example((policy, capacity, actors, None))(test)
+        return test
+    return decorate
+
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -278,15 +383,23 @@ _REFETCHED_UNDER_A_WRITE = [
 @example(("lru", 3, [_REFETCHED_UNDER_A_WRITE[0],
                      _REFETCHED_UNDER_A_WRITE[1] + [("read", 0, 0, 7)]],
           None))
+# A read registers a run over a written page and its successor while
+# the write's read-modify-write fetch of the first is in flight: the
+# write must still wait for the successor.
+@example(("lru", 3, [[("flush", 0), ("invalidate", 0)],
+                     [("read", 0, 0, 1), ("read", 0, 0, 3)],
+                     [("write", 0, 1, 2, True, False)]], None))
+@_on_every_policy(_RUN_SHAPES)
 def test_run_bookkeeping_matches_per_page_cache(scenario):
     assert _run(BufferCache, scenario) == _run(PerPageCache, scenario)
-    assert (_run(BufferCache, scenario, detector=True)
-            == _run(PerPageCache, scenario, detector=True))
+    assert (_run(BufferCache, scenario, instrumented=True)
+            == _run(PerPageCache, scenario, instrumented=True))
 
 
 def test_mid_run_eviction_and_inflight_overlap_match():
-    """A fetched run larger than the free space evicts page by page, and
-    a reader that finds part of its range in flight waits once per fetch."""
+    """A fetched run larger than the free space evicts in the middle of
+    the run, and a reader that finds part of its range in flight waits
+    once per fetch."""
     actors = [
         [("prefetch", 0, 0, 8), ("read", 0, 0, 12)],
         [("read", 0, 4, 8), ("read", 1, 0, 10), ("read", 0, 0, 6)],
@@ -296,8 +409,8 @@ def test_mid_run_eviction_and_inflight_overlap_match():
         scenario = (policy, 10, actors, None)
         result = _run(BufferCache, scenario)
         assert result == _run(PerPageCache, scenario)
-        assert result[6]["evictions"] > 0
-        assert result[6]["inflight_waits"] > 0
+        assert result["stats"]["evictions"] > 0
+        assert result["stats"]["inflight_waits"] > 0
 
 
 def test_resident_page_with_a_fetch_in_flight_matches():
@@ -320,7 +433,7 @@ def test_resident_page_with_a_fetch_in_flight_matches():
             scenario = (policy, capacity, actors, None)
             result = _run(BufferCache, scenario, prelude=prelude)
             assert result == _run(PerPageCache, scenario, prelude=prelude)
-            first_reads = {name: got for _, name, index, got in result[0]
+            first_reads = {name: got for _, name, index, got in result["log"]
                            if index == 0}
             assert first_reads["a1"] == (1, 0)  # page 5 awaited, 6 hit
 
@@ -328,8 +441,7 @@ def test_resident_page_with_a_fetch_in_flight_matches():
 class CountingLru(LruPolicy):
     """LRU that counts calls to its public hooks, whichever exist."""
 
-    HOOKS = ("on_insert", "on_access", "on_remove", "on_insert_run",
-             "on_access_run", "victim")
+    HOOKS = ("on_insert_run", "on_access_run", "on_remove_run", "evict")
 
     def __init__(self) -> None:
         super().__init__()
@@ -363,18 +475,67 @@ def test_policy_calls_per_run_do_not_grow_with_the_run():
         assert engine.run_process(fs.cache.access(inode, 0, npages)) == (npages, 0)
         hit = sum(policy.calls.values())
 
-        assert list(policy._order) == [(inode.file_id, p) for p in range(npages)]
+        assert keys(policy) == [(inode.file_id, p) for p in range(npages)]
         assert publish <= 2, (npages, publish)
         assert hit <= 2, (npages, hit)
 
 
-def test_page_map_and_policy_share_key_tuples():
-    """One key tuple per resident page, held by both the page map and
-    the policy (a second copy per page costs memory on large caches)."""
+def test_books_hold_one_entry_per_run():
+    """A fetched run is one entry in each book, whatever its length: one
+    pair of boundaries in the file's resident list and one run in the
+    policy's order (per-page entries cost memory on large caches)."""
     engine = Engine()
     fs = FileSystem(engine, Disk(engine))
     engine.run_process(fs.create("/f", size_bytes=32 * 4096))
     inode = fs.stat("/f")
     engine.run_process(fs.cache.access(inode, 0, 32))
-    ordered = list(fs.cache._policy._order)
-    assert [id(k) for k in ordered] == [id(k) for k in fs.cache._pages]
+    assert fs.cache._runs == {inode.file_id: [0, 32]}
+    assert fs.cache.resident_pages == 32
+    policy = fs.cache._policy
+    assert [(r.start, r.stop) for r in policy._files[inode.file_id]] == [(0, 32)]
+    assert policy._ring.next is policy._ring.prev is policy._files[inode.file_id][0]
+
+
+def _calls(fn) -> int:
+    """Python calls made by ``fn()``, counted with ``sys.setprofile``."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_run_operations_call_budget():
+    """Host-independent guard on the books' cost per run: Python calls
+    made by a warm read, the publish of a wholly absent run, a prefetch
+    over a resident window and a publish that evicts one whole victim
+    run, counted with ``sys.setprofile`` (as
+    ``tests/storage/test_raid.py::test_striped_fragment_call_budget``
+    counts the striped path's).  Each is the same at 4 and at 256
+    pages: per-page books made each grow with the run."""
+    budgets = []
+    with detector_or_none(False):  # the race detector adds its own calls
+        for npages in (4, 256):
+            engine = Engine()
+            fs = FileSystem(engine, Disk(engine),
+                            cache_params=CacheParams(capacity_pages=npages))
+            engine.run_process(fs.create("/a", size_bytes=npages * 4096))
+            engine.run_process(fs.create("/b", size_bytes=npages * 4096))
+            a, b = fs.stat("/a"), fs.stat("/b")
+            cache = fs.cache
+            publish = _calls(lambda: cache._publish_run(a.file_id, 0, npages))
+            warm = _calls(lambda: engine.run_process(cache.access(a, 0, npages)))
+            prefetch = _calls(lambda: cache.prefetch(a, 0, npages))
+            evict = _calls(lambda: cache._publish_run(b.file_id, 0, npages))
+            assert cache.stats.evictions == npages
+            assert cache.resident_pages_of(b) == list(range(npages))
+            budgets.append((publish, warm, prefetch, evict))
+    assert budgets[0] == budgets[1], budgets

@@ -15,7 +15,7 @@ from repro.io.prefetch import NoPrefetch
 from repro.sim import Engine
 from repro.storage import Disk, DiskGeometry
 
-from tests.io.conftest import run
+from tests.io.conftest import keys, run
 
 
 # ---------------------------------------------------------------------------
@@ -31,49 +31,71 @@ def test_factory():
         CacheParams(eviction="arc")
 
 
-def fill(policy, keys):
-    for k in keys:
-        policy.on_insert(k)
+def fill(policy, pages):
+    """Insert pages of file 0 as one-page runs, in order, with room."""
+    for page in pages:
+        assert policy.on_insert_run(0, page, page + 1, room=1) == []
 
 
 def test_lru_refreshes_on_access():
     p = LruPolicy()
-    fill(p, "abc")
-    p.on_access("a")
-    assert p.victim() == "b"
-    assert p.victim() == "c"
-    assert p.victim() == "a"
+    fill(p, [0, 1, 2])
+    p.on_access_run(0, 0, 1)
+    assert p.evict(1) == [(0, 1, 2)]
+    assert p.evict(1) == [(0, 2, 3)]
+    assert p.evict(1) == [(0, 0, 1)]
     with pytest.raises(StorageError):
-        p.victim()
+        p.evict(1)
 
 
 def test_fifo_ignores_accesses():
     p = FifoPolicy()
-    fill(p, "abc")
-    p.on_access("a")
-    assert p.victim() == "a"  # access did not refresh
+    fill(p, [0, 1, 2])
+    p.on_access_run(0, 0, 1)
+    assert p.evict(1) == [(0, 0, 1)]  # access did not refresh
+
+
+def test_lru_keeps_order_per_run():
+    """A hit in the middle of a run cuts it in two and appends its pages
+    as one run; contiguous pages of one file merge only when they are
+    neighbours in the order; ``evict`` returns victim runs in order."""
+    p = LruPolicy()
+    assert p.on_insert_run(0, 0, 6, room=6) == []
+    p.on_access_run(0, 2, 4)
+    assert keys(p) == [(0, 0), (0, 1), (0, 4), (0, 5), (0, 2), (0, 3)]
+    assert p.on_insert_run(0, 6, 8, room=0) == [(0, 0, 2)]
+    assert p.on_insert_run(1, 0, 2, room=0) == [(0, 4, 6)]
+    assert p.on_insert_run(0, 8, 9, room=1) == []
+    assert keys(p) == [(0, 2), (0, 3), (0, 6), (0, 7), (1, 0), (1, 1), (0, 8)]
+    assert [(r.start, r.stop) for r in p._files[0]] == [(2, 4), (6, 8), (8, 9)]
+    # A run longer than the room left evicts its own first pages last.
+    assert p.on_insert_run(2, 0, 9, room=0) == [
+        (0, 2, 4), (0, 6, 8), (1, 0, 2), (0, 8, 9), (2, 0, 2)]
+    assert keys(p) == [(2, page) for page in range(2, 9)]
+    p.on_remove_run(2, 4, 6)
+    assert keys(p) == [(2, 2), (2, 3), (2, 6), (2, 7), (2, 8)]
 
 
 def test_clock_second_chance():
     p = ClockPolicy()
-    fill(p, "abc")
-    p.on_access("a")  # reference bit set
-    # Hand passes 'a' (bit cleared, moved behind), evicts 'b'.
-    assert p.victim() == "b"
-    # Now 'c' (bit 0) goes before 'a'.
-    assert p.victim() == "c"
-    assert p.victim() == "a"
+    fill(p, [0, 1, 2])
+    p.on_access_run(0, 0, 1)  # reference bit set
+    # Hand passes page 0 (bit cleared, moved behind), evicts page 1.
+    assert p.evict(1) == [(0, 1, 2)]
+    # Now page 2 (bit 0) goes before page 0.
+    assert p.evict(1) == [(0, 2, 3)]
+    assert p.evict(1) == [(0, 0, 1)]
 
 
 def test_clock_on_remove_and_len():
     p = ClockPolicy()
-    fill(p, "ab")
+    fill(p, [0, 1])
     assert len(p) == 2
-    p.on_remove("a")
+    p.on_remove_run(0, 0, 1)
     assert len(p) == 1
-    assert p.victim() == "b"
+    assert p.evict(1) == [(0, 1, 2)]
     with pytest.raises(StorageError):
-        p.victim()
+        p.evict(1)
 
 
 # ---------------------------------------------------------------------------
