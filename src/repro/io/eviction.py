@@ -71,28 +71,27 @@ class EvictionPolicy:
 
 class _Run:
     """Pages ``[start, stop)`` of file ``fid``, next to each other in
-    a policy's order; a node of its ring."""
+    a policy's order: a node of its ring, linked in right after
+    ``prev`` (a ring of its own without one)."""
 
     __slots__ = ("fid", "start", "stop", "prev", "next")
 
-    def __init__(self, fid, start: int, stop: int) -> None:
+    def __init__(self, fid, start: int, stop: int, prev=None) -> None:
         self.fid = fid
         self.start = start
         self.stop = stop
         self.prev = self.next = self
+        if prev is not None:
+            self.relink(prev)
 
-
-def _link(run: _Run, prev: _Run) -> None:
-    """Put ``run`` in the ring right after ``prev``."""
-    run.prev = prev
-    run.next = prev.next
-    prev.next.prev = run
-    prev.next = run
-
-
-def _unlink(run: _Run) -> None:
-    run.prev.next = run.next
-    run.next.prev = run.prev
+    def relink(self, prev: "_Run") -> None:
+        """Move to right after ``prev``."""
+        self.prev.next = self.next
+        self.next.prev = self.prev
+        self.prev = prev
+        self.next = prev.next
+        prev.next.prev = self
+        prev.next = self
 
 
 _START = attrgetter("start")
@@ -119,9 +118,8 @@ class LruPolicy(EvictionPolicy):
         if tail.fid == fid and tail.stop == start:
             tail.stop = stop
             return
-        run = _Run(fid, start, stop)
-        _link(run, tail)
-        insort(self._files.setdefault(fid, []), run, key=_START)
+        insort(self._files.setdefault(fid, []), _Run(fid, start, stop, tail),
+               key=_START)
 
     def on_insert_run(self, fid: int, start: int, stop: int,
                       room: int) -> List[Victim]:
@@ -137,10 +135,9 @@ class LruPolicy(EvictionPolicy):
             return  # already the youngest pages, in order
         runs = self._files[fid]
         run = runs[bisect_right(runs, start, key=_STOP)]
-        if run.start == start and run.stop == stop:
-            # A whole run (a small file, say): move it to the young end.
-            _unlink(run)
-            _link(run, tail)
+        if run.start == start and run.stop == stop and (
+                tail.fid != fid or tail.stop != start):  # else merge below
+            run.relink(tail)  # a whole run (a small file, say)
             return
         self.on_remove_run(fid, start, stop)
         self._append(fid, start, stop)
@@ -152,16 +149,15 @@ class LruPolicy(EvictionPolicy):
             run = runs[j]
             if run.start < start:  # its head stays
                 if run.stop > stop:  # and so does its tail, right after it
-                    tail = _Run(fid, stop, run.stop)
-                    _link(tail, run)
-                    runs.insert(j + 1, tail)
+                    runs.insert(j + 1, _Run(fid, stop, run.stop, run))
                 run.stop = start
                 i += 1
             elif run.stop > stop:  # its tail stays
                 run.start = stop
                 break
             else:
-                _unlink(run)
+                run.prev.next = run.next
+                run.next.prev = run.prev
             j += 1
         del runs[i:j]
         if not runs:
