@@ -207,6 +207,18 @@ def test_invalidate_file_drops_pages(engine):
     assert fs.cache.resident_pages == 0
 
 
+def test_drop_pages_takes_the_range_and_nothing_else(engine):
+    fs = small_fs(engine)
+    ino = make_file(engine, fs)
+    run(engine, fs.cache.access(ino, 0, 6))
+    assert fs.cache.drop_pages(ino, 5, 3) == 0  # an empty range
+    assert fs.cache.drop_pages(ino, 2, 4) == 2
+    assert sorted(fs.cache.resident_pages_of(ino)) == [0, 1, 4, 5]
+    assert fs.cache.drop_pages(ino, 1) == 3  # to the end of the file
+    assert fs.cache.resident_pages_of(ino) == [0]
+    assert fs.cache.resident_pages == 1
+
+
 def test_stats_hit_ratio(engine):
     fs = small_fs(engine)
     ino = make_file(engine, fs)

@@ -515,12 +515,13 @@ def _calls(fn) -> int:
 
 def test_run_operations_call_budget():
     """Host-independent guard on the books' cost per run: Python calls
-    made by a warm read, the publish of a wholly absent run, a prefetch
-    over a resident window and a publish that evicts one whole victim
-    run, counted with ``sys.setprofile`` (as
+    made by a warm read (16), the publish of a wholly absent run (6), a
+    prefetch over a resident window (3) and a publish that evicts one
+    whole victim run (10), counted with ``sys.setprofile`` (as
     ``tests/storage/test_raid.py::test_striped_fragment_call_budget``
     counts the striped path's).  Each is the same at 4 and at 256
-    pages: per-page books made each grow with the run."""
+    pages; the per-page cache evicted page by page, 22 calls at 4 pages
+    and 1,282 at 256."""
     budgets = []
     with detector_or_none(False):  # the race detector adds its own calls
         for npages in (4, 256):
