@@ -128,9 +128,11 @@ class Prefetcher:
         window = self.policy.window_after(state, first_page, npages)
         end = first_page + npages
         state.last_end = end
-        if window <= 0:
+        cache = self.cache
+        # A window at or past EOF has nothing to fetch.
+        if window <= 0 or end >= inode.page_count(cache.params.page_size):
             return 0
-        scheduled = self.cache.prefetch(inode, end, window)
+        scheduled = cache.prefetch(inode, end, window)
         self.pages_scheduled += scheduled
         return scheduled
 

@@ -32,8 +32,13 @@ configuration:
   ``enqueue`` fixes each one's start (``max(now, previous finish)``)
   and service time (from the head the previous request leaves) on the
   spot.  :class:`~repro.storage.raid.StripedArray` commits a whole
-  range at once, as one run of back-to-back requests per member disk,
-  with one entry at its latest fragment's finish.
+  range at once, as one extent per member disk (its physically
+  contiguous run of fragments, split at stripe-unit boundaries), with
+  one entry at its latest fragment's finish.  A lone request is a
+  one-fragment extent.  Only an extent's first fragment may
+  reposition; every later one continues the one before, so its finish
+  is arithmetic, and the disk keeps the extent as one in-flight entry
+  whatever its fragment count.
 * **At start** — every other disk (SSTF, SCAN, C-SCAN, C-LOOK, or any
   disk with an injector).  Requests wait in the scheduler.  An idle
   disk starts at a call it schedules when a request arrives, so the
@@ -46,7 +51,7 @@ configuration:
 
 A start at a start step is recorded there.  Every other start, and
 every finish, is recorded by one catch-up — statistics, the busy
-signal, the queue depth and tracer spans — when the disk is next
+signal, the queue depth and tracer spans, per fragment — when the disk is next
 looked at (through any of its collectors, its registry, its next
 request or a completion entry), for every start and finish the clock
 has passed by then: a read at time ``t`` sees the disk as it was at
@@ -65,9 +70,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import islice
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Deque, Optional, Sequence
+from typing import Callable, Deque, List, Optional, Tuple
 
 import numpy as np
 
@@ -101,20 +107,75 @@ class _Current:
         return getattr(disk, self.slot)
 
 
-class _Completion:
-    """The heap entry of one request queued on a disk: at the request's
-    finish it settles it (see :meth:`Engine._push_commitment`) and, on a
-    disk that commits at start, starts the next one."""
+def _fragments_in(lba: int, end: int, unit: int) -> int:
+    """How many fragments of an extent split at multiples of ``unit``
+    lie in ``[lba, end)``."""
+    return (end - 1) // unit - lba // unit + 1 if lba < end else 0
+
+
+class _Extent:
+    """Fragments one caller queued back to back on a disk at once: the
+    physically contiguous run ``[lba, end)``, split at multiples of
+    ``unit`` (a striped range's run on one member).  ``owner`` (with
+    ``settle``/``retime``) is what a failure settles them through, and
+    ``seq`` ranks their completions.
+
+    :meth:`Disk._commit` fixes ``start`` and ``first``, the first
+    fragment's start and finish (it may reposition; on an extent of one
+    fragment, ``at`` and ``next`` are those), and ``finish``, the last
+    one's; every later fragment continues the one before, so its
+    finish is the previous one's plus ``span`` (overhead and a whole
+    unit's transfer), or ``tail`` for the last one (set only on an
+    extent of more than one fragment).  ``cursor`` is the first fragment
+    whose finish is not recorded yet, ``at`` and ``next`` its start and
+    finish, and ``left`` the fragments from it on.  A failure sets
+    ``owner`` to None, ``finish`` to the fragment in service's (and
+    ``left`` to that one), or None; a served extent drops its owner
+    too."""
+
+    __slots__ = ("lba", "end", "unit", "is_write", "seq", "owner",
+                 "submitted_at", "start", "first", "finish", "span",
+                 "tail", "cursor", "left", "at", "next")
+
+    #: The caller's request, stamped as it moves (a lone request's).
+    request: Optional[IORequest] = None
+
+    def __init__(self, lba: int, end: int, unit: int, is_write: bool,
+                 seq: int, owner, now: float) -> None:
+        self.lba = self.cursor = lba
+        self.end = end
+        self.unit = unit
+        self.is_write = is_write
+        self.seq = seq
+        self.owner = owner
+        self.submitted_at = now
+
+
+class _Completion(_Extent):
+    """A lone request on a disk: a one-fragment extent, and its heap
+    entry, which at the request's finish settles it (see
+    :meth:`Engine._push_commitment`) and, on a disk that commits at
+    start, starts the next one."""
 
     __slots__ = ("disk", "request", "on_done", "due", "error")
 
-    def __init__(self, disk: "Disk", request: IORequest,
-                 on_done: OnDone) -> None:
+    def __init__(self, disk: "Disk", request: IORequest, on_done: OnDone,
+                 seq: int, end: int, now: float) -> None:
         self.disk = disk
         self.request = request
         self.on_done: Optional[OnDone] = on_done
         # The MediaError a fault drawn at the start settles it with.
         self.error: Optional[MediaError] = None
+        self.cursor = request.lba
+        self.end = self.unit = end
+        self.is_write = request.is_write
+        self.seq = seq
+        self.owner = self
+        self.submitted_at = now
+
+    @property
+    def lba(self) -> int:
+        return self.request.lba
 
     def fire(self) -> None:
         disk = self.disk
@@ -134,12 +195,14 @@ class _Completion:
         if not disk._committed:
             disk._start_next()
 
-    def settle(self, request: IORequest, error: Exception) -> None:
+    def settle(self, extent: _Extent, error: Exception) -> None:
         on_done, self.on_done = self.on_done, None
+        request = self.request
+        request._owner = None
         on_done(request, error)
 
     def retime(self) -> None:
-        if self.request._finish is None:
+        if self.finish is None:
             self.due = None  # never started: the entry (if any) lapses
 
 
@@ -262,12 +325,12 @@ class Disk:
         self._committed = (type(scheduler) is FCFSScheduler
                            and injector is None
                            and (self.params.deterministic or rng is None))
-        # Committed requests whose finish has not been recorded yet, in
-        # service order (at most the one in service when committing at
+        # Committed extents with a finish not recorded yet, in service
+        # order (at most the request in service when committing at
         # start); whether the first of them has started its service
         # (its start was recorded); and the head as the last served
-        # request left it.
-        self._inflight: Deque[IORequest] = deque()
+        # fragment left it.
+        self._inflight: Deque[_Extent] = deque()
         self._head_started = False
         self._served_cylinder = 0
         self._served_end_lba: Optional[int] = None
@@ -331,14 +394,14 @@ class Disk:
             raise DiskError(f"request {request.request_id} already submitted")
         engine = self.engine
         seq = engine._seq = engine._seq + 1
-        completion = _Completion(self, request, on_done)
+        now = request.submitted_at = engine._now
+        completion = request._owner = _Completion(
+            self, request, on_done, seq, end_lba, now)
+        request.seq = seq
         if self._committed:
-            due = completion.due = self._commit((request,), seq, completion)
+            due = completion.due = self._commit(completion)
             engine._push_commitment(completion, due, seq)
             return
-        request.seq = seq
-        request.submitted_at = engine._now
-        request._owner = completion
         self.scheduler.push(request)
         depth = self._depth = self._depth + 1
         if depth > self.queue_max_depth:
@@ -382,7 +445,10 @@ class Disk:
         :class:`~repro.errors.DiskFailedError`, in submission order;
         new submissions raise synchronously until :meth:`repair` is
         called.  Requests that have not started never happen; the one
-        in service ends its transfer unrecorded.
+        in service ends its transfer unrecorded.  An extent splits
+        where the failure lands: its finished fragments stay recorded,
+        the one in service ends its transfer, and the rest never
+        happen.
         """
         if self.failed:
             return
@@ -390,22 +456,26 @@ class Disk:
         error = DiskFailedError(f"disk {self.name} failed: {reason}")
         self._catch_up()
         inflight = self._inflight
-        pending = [request for request in inflight
-                   if request._owner is not None]
+        pending = [extent for extent in inflight if extent.owner is not None]
         keep = 1 if self._head_started else 0
         while len(inflight) > keep:
-            inflight.pop()._finish = None
+            inflight.pop().finish = None
         if not self._committed:
             # Drain the scheduler from where the last served request
             # left the head (its policy may keep state across pops).
             for _ in range(self._depth):
-                request = self.scheduler.pop(self._served_cylinder)
-                request._finish = None
-                pending.append(request)
+                completion = self.scheduler.pop(self._served_cylinder)._owner
+                completion.finish = None
+                pending.append(completion)
         self._depth = 0
         if keep:
+            # The fragment in service ends its transfer: the extent
+            # ends there.
             serving = inflight[0]
-            end_lba = serving.lba + serving.nblocks
+            cursor, unit = serving.cursor, serving.unit
+            end_lba = min(serving.end, cursor + unit - cursor % unit)
+            serving.finish = serving.next
+            serving.left = 1
             self._head_cylinder = (
                 (end_lba - 1) // self.geometry.blocks_per_cylinder)
             self._last_end_lba = end_lba
@@ -413,11 +483,11 @@ class Disk:
             self._head_cylinder = self._served_cylinder
             self._last_end_lba = self._served_end_lba
         owners = []
-        for request in sorted(pending, key=attrgetter("seq")):
-            owner, request._owner = request._owner, None
+        for extent in sorted(pending, key=attrgetter("seq")):
+            owner, extent.owner = extent.owner, None
             if owner not in owners:  # identity: owners define no __eq__
                 owners.append(owner)
-            owner.settle(request, error)
+            owner.settle(extent, error)
         for owner in owners:
             owner.retime()
         tracer = self.engine.tracer
@@ -441,64 +511,74 @@ class Disk:
 
     # -- the service -----------------------------------------------------------
     #
-    # A committed request's life is two positions, each a (time, seq)
+    # A committed fragment's life is two positions, each a (time, seq)
     # the clock reaches like a heap entry's: its start, which is the
-    # previous request's finish or, on an idle disk, where it was
-    # queued (time: then, seq: its own), and its finish (seq: its own).
-    # The disk records both lazily, in order, once (engine._now,
-    # engine._cur_seq) has reached them: in _catch_up.  A start at a
-    # start step (_start_next) is recorded on the spot.
+    # previous fragment's finish or, on an idle disk, where its extent
+    # was queued (time: then, seq: the extent's), and its finish (seq:
+    # the extent's).  The disk records both lazily, in order, once
+    # (engine._now, engine._cur_seq) has reached them: in _catch_up.  A
+    # start at a start step (_start_next) is recorded on the spot.
 
-    def _commit(self, requests: Sequence[IORequest], seq: int,
-                owner) -> float:
-        """Fix the service of ``requests``, queued back to back in that
-        order on a disk that commits at enqueue; returns the last one's
-        finish.  ``seq`` ranks their completions; ``owner`` (with
-        ``settle``/``retime``) is what a failure settles them through.
-        ``enqueue`` commits one request; a striped range commits one
-        run per member."""
+    def _commit(self, extent: _Extent) -> float:
+        """Fix the service of ``extent``'s fragments, queued back to
+        back behind what is in flight on a disk that commits at enqueue;
+        returns the last one's finish.  ``enqueue`` commits a lone
+        request, a striped range one extent per member."""
         engine = self.engine
         inflight = self._inflight
         if inflight:
             self._catch_up()
-        now = engine._now
         # Caught up, what is left has not finished: queue behind it.
-        finish = inflight[-1]._finish if inflight else now
-        p = self.params
-        geometry = self.geometry
-        overhead = p.controller_overhead
-        rate = p.transfer_rate
-        block_size = geometry.block_size
-        per_cylinder = geometry.blocks_per_cylinder
-        end_lba = self._last_end_lba
-        for request in requests:
-            start = finish
-            lba = request.lba
-            if lba == end_lba:
-                # A sequential continuation: service_time's arithmetic.
-                finish = start + (overhead
-                                  + request.nblocks * block_size / rate)
-            else:
-                if request is not requests[0]:  # the head the previous left
-                    self._head_cylinder = (end_lba - 1) // per_cylinder
-                    self._last_end_lba = end_lba
-                finish = start + self.service_time(request)
-            end_lba = lba + request.nblocks
-            request.submitted_at = now
-            request._start = start
-            request._finish = finish
-            request.seq = seq
-            request._owner = owner
-            inflight.append(request)
-        self._head_cylinder = (end_lba - 1) // per_cylinder
-        self._last_end_lba = end_lba
+        start = extent.at = (inflight[-1].finish if inflight
+                             else engine._now)
+        lba = extent.cursor
+        end = extent.end
+        unit = extent.unit
+        stop = lba + unit - lba % unit
+        if stop > end:
+            stop = end
+        if lba == self._last_end_lba:
+            # A sequential continuation: service_time's arithmetic.
+            p = self.params
+            finish = start + (p.controller_overhead + (stop - lba)
+                              * self.geometry.block_size / p.transfer_rate)
+        else:
+            finish = start + self._service(lba, stop - lba)
+        extent.next = finish
+        count = 1
+        if stop < end:
+            # Every later fragment continues the one before: whole
+            # units, then what is left of the last one.  (A lone
+            # fragment's ``at`` and ``next`` never move: they are its
+            # start and finish.)
+            extent.start = start
+            extent.first = finish
+            p = self.params
+            overhead = p.controller_overhead
+            rate = p.transfer_rate
+            block_size = self.geometry.block_size
+            whole, rest = divmod(end - stop, unit)
+            span = extent.span = extent.tail = (
+                overhead + unit * block_size / rate)
+            for _ in range(whole):
+                finish = finish + span
+            if rest:
+                tail = extent.tail = overhead + rest * block_size / rate
+                finish = finish + tail
+                whole += 1
+            count += whole
+        extent.finish = finish
+        extent.left = count
+        inflight.append(extent)
+        self._head_cylinder = (end - 1) // self.geometry.blocks_per_cylinder
+        self._last_end_lba = end
         depth = self._depth
         tracer = engine.tracer
-        if tracer.enabled:  # one sample per request, as each was queued
-            for queued in range(depth + 1, depth + len(requests) + 1):
+        if tracer.enabled:  # one sample per fragment, as each was queued
+            for queued in range(depth + 1, depth + count + 1):
                 tracer.counter(f"{self.name}.queue", "storage", queued)
         # The depth only rises in a run: its final value is the highest.
-        depth = self._depth = depth + len(requests)
+        depth = self._depth = depth + count
         if depth > self.queue_max_depth:
             self.queue_max_depth = depth
         return finish
@@ -514,9 +594,9 @@ class Disk:
         self._depth -= 1
         self._busy.record(1.0)
         self._head_started = True
-        now = request.started_at = request._start = self.engine._now
-        service = self.service_time(request)
         completion = request._owner
+        now = request.started_at = completion.at = self.engine._now
+        service = self._service(request.lba, request.nblocks)
         if self._injector is not None:
             fault = self._injector.disk_fault(
                 self.name, request.lba, request.nblocks)
@@ -530,13 +610,15 @@ class Disk:
                     completion.error = MediaError(
                         f"disk {self.name}: unrecoverable read at lba "
                         f"{request.lba}+{request.nblocks}")
-        end_lba = request.lba + request.nblocks
+        end_lba = completion.end
         self._head_cylinder = (end_lba - 1) // self.geometry.blocks_per_cylinder
         # A media error breaks the stream: the next request repositions.
         self._last_end_lba = end_lba if completion.error is None else None
-        due = completion.due = request._finish = now + service
-        self._inflight.append(request)
-        self.engine._push_commitment(completion, due, request.seq)
+        completion.left = 1
+        due = completion.due = completion.next = completion.finish = \
+            now + service
+        self._inflight.append(completion)
+        self.engine._push_commitment(completion, due, completion.seq)
 
     def _catch_up(self) -> None:
         """Record every committed start and finish the clock has reached:
@@ -548,104 +630,224 @@ class Disk:
         engine = self.engine
         now = engine._now
         cur = engine._cur_seq
+        extent = inflight[0]
+        seq = extent.seq
+        # The busy signal is 0 while the disk idles and 1 while it
+        # serves, so a rise adds nothing to its area and a fragment's
+        # service adds the float its ``record`` call would: the signal
+        # is kept here directly.
         busy = self._busy
-        request = inflight[0]
+        started = 0  # starts recorded
         if not self._head_started:  # it was queued on an idle disk
-            at = request._start
-            if at > now or (at == now and request.seq > cur):
+            at = extent.at
+            if at > now or (at == now and seq > cur):
                 return
             self._head_started = True
-            self._depth -= 1
-            busy.record(1.0, at)
-            request.started_at = at
-        at = request._finish
-        if at > now or (at == now and request.seq > cur):
+            started = 1
+            busy._last_time = at
+            busy._last_value = 1.0
+            if busy._max < 1.0:
+                busy._max = 1.0
+            request = extent.request
+            if request is not None:
+                request.started_at = at
+        at = extent.next
+        if at > now or (at == now and seq > cur):
+            self._depth -= started
             return
-        # Finishes to record, each maybe followed by the next start.
-        # Counter.add's and Tally.record's checks hold by construction
-        # (whole counts, finite float times), so the totals are summed
-        # here and the tallies appended to directly.
+        # Finishes to record, each maybe followed by the next start, in
+        # one loop.  Counter.add's and Tally.record's checks hold by
+        # construction (whole counts, finite float times), so the totals
+        # are summed here and the tallies appended to directly.
+        area = busy._area
         service = self._service_times._values
         response = self._response_times._values
         tracing = engine.tracer.enabled
         faults = not self._committed  # only a start draws a fault
         completed = read = written = 0
+        broke = False
         while True:
-            inflight.popleft()
-            request.completed_at = at
-            retired = request
-            owner = request._owner
-            if owner is not None:  # else fail_disk settled it
-                request._owner = None
-                if faults and owner.error is not None:  # a media error
+            # The head extent's fragment at its cursor finished at ``at``.
+            owner = extent.owner
+            # None: a failure settled the extent, and only the fragment
+            # that was in service is left; an error: a media error.
+            recorded = owner is not None and (not faults
+                                              or owner.error is None)
+            first = extent.cursor
+            start = extent.at
+            left = total = extent.left
+            submitted = extent.submitted_at
+            while True:
+                took = at - start
+                area += took
+                if recorded:
+                    service.append(took)
+                    response.append(at - submitted)
+                    if tracing:
+                        self._trace_completion(extent, left, start, at)
+                elif owner is not None:  # a media error
                     self._media_errors.value += 1
                     if tracing:
-                        self._trace_completion(request, at, "MediaError")
+                        self._trace_completion(extent, left, start, at,
+                                               "MediaError")
+                left -= 1
+                if not left:
+                    break
+                # The next fragment continues this one, from right here.
+                start = at
+                at = start + (extent.span if left > 1 else extent.tail)
+                if at > now or (at == now and seq > cur):
+                    break
+            if left:
+                # It stopped mid-extent (so it has more than one
+                # fragment, on a disk that commits at enqueue: all
+                # recorded), the last finish followed by the next start.
+                finished = total - left
+                started += finished
+                completed += finished
+                unit = extent.unit
+                cursor = extent.cursor = (first // unit + finished) * unit
+                extent.left = left
+                if extent.is_write:
+                    written += cursor - first
                 else:
-                    completed += 1
-                    if request.is_write:
-                        written += request.nblocks
+                    read += cursor - first
+                extent.at = start
+                extent.next = at
+                busy._last_time = start
+                break
+            started += total - 1
+            if owner is None:  # it ends after the fragment in service
+                unit = extent.unit
+                cursor = min(extent.end, first + unit - first % unit)
+            else:
+                cursor = extent.end
+                if recorded:
+                    completed += total
+                    if extent.is_write:
+                        written += cursor - first
                     else:
-                        read += request.nblocks
-                    service.append(at - request.started_at)
-                    response.append(at - request.submitted_at)
-                    if tracing:
-                        self._trace_completion(request, at)
+                        read += cursor - first
+            extent.cursor = cursor
+            extent.owner = None  # served: drop the owner's cycle
+            inflight.popleft()
+            request = extent.request
+            if request is not None:
+                request.completed_at = at
+                request._owner = None
+            # A media error broke the stream.
+            broke = not recorded and owner is not None
             if not inflight:
-                busy.record(0.0, at)  # idle
+                busy._last_time = at
+                busy._last_value = 0.0  # idle
                 self._head_started = False
                 break
             # The next one was queued behind this one (_commit caught
             # up first), so it starts right here.
-            request = inflight[0]
-            self._depth -= 1
-            busy.record(1.0, at)
-            request.started_at = at
-            at = request._finish
-            if at > now or (at == now and request.seq > cur):
-                self._head_started = True
+            extent = inflight[0]
+            seq = extent.seq
+            started += 1
+            request = extent.request
+            if request is not None:
+                request.started_at = at
+            finish = extent.next
+            if finish > now or (finish == now and seq > cur):
+                busy._last_time = at
                 break
-        end_lba = retired.lba + retired.nblocks
+            at = finish
+        busy._area = area
+        self._depth -= started
         self._served_cylinder = (
-            (end_lba - 1) // self.geometry.blocks_per_cylinder)
-        # A media error broke the stream, unless a failure settled it.
-        self._served_end_lba = (
-            None if faults and owner is not None and owner.error is not None
-            else end_lba)
+            (cursor - 1) // self.geometry.blocks_per_cylinder)
+        self._served_end_lba = None if broke else cursor
         if completed:
-            block_size = self.geometry.block_size
             self._completed.value += completed
-            self._bytes_read.value += read * block_size
-            self._bytes_written.value += written * block_size
+            if read:
+                self._bytes_read.value += read * self.geometry.block_size
+            if written:
+                self._bytes_written.value += (
+                    written * self.geometry.block_size)
 
-    def _trace_completion(self, request: IORequest, at: float,
-                          error: Optional[str] = None) -> None:
+    def _trace_completion(self, extent: _Extent, left: int, started: float,
+                          at: float, error: Optional[str] = None) -> None:
+        """The span of ``extent``'s fragment with ``left`` fragments to
+        go (itself included), served from ``started`` to ``at``, and the
+        queue depth it left."""
         tracer = self.engine.tracer
-        started = request.started_at
-        name = f"disk.{'write' if request.is_write else 'read'}"
+        end, unit = extent.end, extent.unit
+        index = (end - 1) // unit - left + 1  # of its stripe unit
+        lba = max(extent.lba, index * unit)
+        nblocks = min(end, index * unit + unit) - lba
+        name = f"disk.{'write' if extent.is_write else 'read'}"
         if error is not None:
             tracer.complete(name, "storage", started, end=at,
-                            device=self.name, lba=request.lba,
-                            nblocks=request.nblocks, error=error)
+                            device=self.name, lba=lba, nblocks=nblocks,
+                            error=error)
             return
         tracer.complete(
             name, "storage", started, end=at,
-            device=self.name, lba=request.lba, nblocks=request.nblocks,
-            wait_ms=round((started - request.submitted_at) * 1e3, 6),
+            device=self.name, lba=lba, nblocks=nblocks,
+            wait_ms=round((started - extent.submitted_at) * 1e3, 6),
         )
         if self._committed:
-            # Waiters when it finished: those queued by then (at an
-            # exact tie, only the one queued behind it, which starts
-            # right then).
-            waiting = 0
-            for queued in self._inflight:
-                if queued.submitted_at > at or (
-                        queued.submitted_at == at and queued._start != at):
-                    break
-                waiting += 1
+            # Waiters when it finished: the rest of its extent and the
+            # fragments queued by then (at an exact tie, only the one
+            # queued behind it, which starts right then).
+            waiting = left - 1
+            for queued in islice(self._inflight, 1, None):
+                submitted = queued.submitted_at
+                if submitted < at:
+                    waiting += _fragments_in(queued.lba, queued.end,
+                                             queued.unit)
+                    continue
+                if submitted == at and queued.at == at:
+                    waiting += 1
+                break
         else:
             waiting = self._depth  # recorded in its own completion step
         tracer.counter(f"{self.name}.queue", "storage", waiting, at=at)
+
+    def _fragment_times(self, extent: _Extent
+                        ) -> List[Tuple[int, int, float, float]]:
+        """Each fragment of ``extent`` as ``(lba, stop, start, finish)``:
+        the arithmetic :meth:`_commit` and :meth:`_catch_up` run."""
+        p = self.params
+        overhead = p.controller_overhead
+        rate = p.transfer_rate
+        block_size = self.geometry.block_size
+        lba, end, unit = extent.lba, extent.end, extent.unit
+        stop = min(end, lba + unit - lba % unit)
+        if stop == end:  # one fragment: see _commit
+            return [(lba, end, extent.at, extent.next)]
+        finish = extent.first
+        times = [(lba, stop, extent.start, finish)]
+        while stop < end:
+            lba = stop
+            stop = min(end, lba + unit)
+            start = finish
+            finish = start + (overhead + (stop - lba) * block_size / rate)
+            times.append((lba, stop, start, finish))
+        return times
+
+    def _records(self, extent: _Extent) -> List[IORequest]:
+        """``extent``'s fragments as :class:`IORequest` records, stamped
+        as far as they have been recorded."""
+        inflight = self._inflight
+        cursor = extent.cursor
+        serving = (self._head_started and bool(inflight)
+                   and inflight[0] is extent)
+        records = []
+        for lba, stop, start, finish in self._fragment_times(extent):
+            request = IORequest(lba, stop - lba, extent.is_write,
+                                submitted_at=extent.submitted_at)
+            request.seq = extent.seq
+            if lba < cursor:
+                request.started_at = start
+                request.completed_at = finish
+            elif lba == cursor and serving:
+                request.started_at = start
+            records.append(request)
+        return records
 
     # -- timing model --------------------------------------------------------
 
@@ -680,13 +882,16 @@ class Disk:
         sequential-detection path) — pays only controller overhead and
         media transfer; a random request adds seek + rotation.
         """
+        return self._service(request.lba, request.nblocks)
+
+    def _service(self, lba: int, nblocks: int) -> float:
         # transfer_time(), inlined: this runs once per request.
         p = self.params
         geometry = self.geometry
-        transfer = request.nblocks * geometry.block_size / p.transfer_rate
-        if request.lba == self._last_end_lba:  # None: no stream to continue
+        transfer = nblocks * geometry.block_size / p.transfer_rate
+        if lba == self._last_end_lba:  # None: no stream to continue
             return p.controller_overhead + transfer
-        target = geometry.cylinder_of(request.lba)
+        target = geometry.cylinder_of(lba)
         return (
             p.controller_overhead
             + self.seek_time(self._head_cylinder, target)

@@ -11,8 +11,9 @@ at most one contiguous physical request per (disk, stripe-unit run)
 and completes when every fragment has.  Over members that commit FCFS
 service at enqueue (see :mod:`repro.storage.disk`) every fragment's
 finish is known at submit: each member commits its fragments as one
-run (they are physically contiguous there), and the whole range takes
-one heap entry, at its latest fragment's finish.  Over members that
+extent (they are physically contiguous there), worked out from the
+stripe arithmetic with no request per fragment, and the whole range
+takes one heap entry, at its latest fragment's finish.  Over members that
 commit at start a finish is known only once its fragment starts, so
 each fragment is queued on its own and the last to land decides the
 range.
@@ -30,13 +31,14 @@ would silently mis-map blocks, so it raises :class:`DiskError` instead.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from collections.abc import Sequence as SequenceABC
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import DiskError, DiskFailedError, MediaError
 from repro.sanitizer import runtime as _sanitizer
 from repro.sim import Counter, Engine
 from repro.sim.event import Event
-from repro.storage.disk import Disk
+from repro.storage.disk import Disk, _Extent, _fragments_in
 from repro.storage.request import IORequest
 
 __all__ = ["StripedArray", "MirroredArray"]
@@ -57,43 +59,58 @@ def _validate_members(disks: Sequence[Disk], kind: str) -> None:
         )
 
 
-class _CommittedRange:
-    """One striped range over committing disks: its heap entry, at the
-    latest fragment finish, settles the whole range (see
-    :meth:`Engine._push_commitment`)."""
+class _CommittedRange(SequenceABC):
+    """One striped range over committing disks: one extent per member
+    it touches, and its heap entry, at the latest fragment finish,
+    which settles the whole range (see :meth:`Engine._push_commitment`).
 
-    __slots__ = ("engine", "disks", "first", "requests", "done", "seq",
-                 "due", "failed", "lost")
+    It is also the range's event value: a sequence of its fragments, in
+    stripe order, as :class:`IORequest` records derived from the
+    extents when read."""
 
-    def __init__(self, engine: Engine, disks: List[Disk], first: int,
-                 requests: List[IORequest], done: Event, seq: int) -> None:
+    __slots__ = ("engine", "members", "count", "done", "seq", "due",
+                 "failed", "lost")
+
+    def __init__(self, engine: Engine, count: int, done: Event,
+                 seq: int) -> None:
         self.engine = engine
-        self.disks = disks      # the array's members
-        self.first = first      # the member holding the first fragment
-        self.requests = requests
+        # (disk, extent) per member touched, in stripe order: fragment
+        # i is on member i % len(members).
+        self.members: List[Tuple[Disk, _Extent]] = []
+        self.count = count      # fragments
         self.done = done
         self.seq = seq
         self.failed = False
-        # Fragments a failure settled (it stamped them itself).
-        self.lost: List[IORequest] = []
+        # Extent -> the first of its fragments a failure settled (it
+        # stamped them itself).
+        self.lost: Dict[_Extent, int] = {}
 
-    def members(self) -> Iterator[Disk]:
-        """Each member the range touches, once."""
-        disks = self.disks
-        ndisks = len(disks)
-        first = self.first
-        for k in range(min(len(self.requests), ndisks)):
-            yield disks[(first + k) % ndisks]
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index):
+        return self.fragments()[index]
+
+    def __iter__(self) -> Iterator[IORequest]:
+        return iter(self.fragments())
+
+    def fragments(self) -> List[IORequest]:
+        """Every fragment, in stripe order, stamped as far as its disk
+        has recorded it."""
+        rows = [disk._records(extent) for disk, extent in self.members]
+        return [row[j] for j in range(len(rows[0])) for row in rows
+                if j < len(row)]
 
     def fire(self) -> None:
-        for disk in self.members():
+        for disk, _ in self.members:
             disk._catch_up()
         det = _sanitizer.active
         if det is not None:
             self._stamp(det)
         if not self.failed:
-            done, requests = self.done, self.requests
-            self.engine._schedule_call(lambda: done.succeed(requests))
+            # The event's value is this range: hold no reference back.
+            done, self.done = self.done, None
+            self.engine._schedule_call(lambda: done.succeed(self))
 
     def _stamp(self, det) -> None:
         """Each fragment that finished normally triggers in its disk's
@@ -102,38 +119,48 @@ class _CommittedRange:
         engine = self.engine
         now = engine._now
         done = self.done
-        disks = self.disks
-        ndisks = len(disks)
-        for k, request in enumerate(self.requests):
-            if request in self.lost:
-                continue
-            prev = det.enter(disks[(self.first + k) % ndisks])
-            try:
-                stamp = Event(engine)
-                det.on_trigger(stamp)
-            finally:
-                det.leave(prev)
-            if request._finish == now and not done.triggered:
-                det.on_condition(done, stamp)
+        rows = []
+        for disk, extent in self.members:
+            finishes = [times[3] for times in disk._fragment_times(extent)]
+            cut = self.lost.get(extent)
+            if cut is not None:  # the fragments before the cut finished
+                del finishes[_fragments_in(extent.lba, cut, extent.unit):]
+            rows.append((disk, finishes))
+        for j in range(max(len(finishes) for _, finishes in rows)):
+            for disk, finishes in rows:
+                if j >= len(finishes):
+                    continue
+                prev = det.enter(disk)
+                try:
+                    stamp = Event(engine)
+                    det.on_trigger(stamp)
+                finally:
+                    det.leave(prev)
+                if finishes[j] == now and not done.triggered:
+                    det.on_condition(done, stamp)
 
-    def settle(self, request: IORequest, error: Exception) -> None:
-        """A member failed with ``request`` unfinished (in the failing
-        context): the first such failure fails the range."""
+    def settle(self, extent: _Extent, error: Exception) -> None:
+        """A member failed with ``extent``'s fragments from its cursor
+        on unfinished (in the failing context): the first such failure
+        fails the range."""
         engine = self.engine
         done = self.done
         det = _sanitizer.active
         if det is not None:
-            # As a fragment settled by its disk: once the failure has
+            # As each fragment settled by its disk: once the failure has
             # triggered the range's event, a late fragment's clock joins
             # from a slot of its own, so a waiter already queued at this
             # instant misses it.
-            stamp = Event(engine)
-            det.on_trigger(stamp)
-            if done.triggered:
-                engine._schedule_call(lambda: det.on_condition(done, stamp))
-            else:
-                det.on_condition(done, stamp)
-        self.lost.append(request)
+            for _ in range(_fragments_in(extent.cursor, extent.end,
+                                         extent.unit)):
+                stamp = Event(engine)
+                det.on_trigger(stamp)
+                if done.triggered:
+                    engine._schedule_call(
+                        lambda stamp=stamp: det.on_condition(done, stamp))
+                else:
+                    det.on_condition(done, stamp)
+        self.lost[extent] = extent.cursor
         if self.failed:
             return
         self.failed = True
@@ -141,14 +168,14 @@ class _CommittedRange:
 
     def retime(self) -> None:
         """After a failure: fire at the latest finish still to come (a
-        request in service ends its transfer), or never."""
+        fragment in service ends its transfer), or never."""
         engine = self.engine
-        for disk in self.members():
+        for disk, _ in self.members:
             disk._catch_up()
         now, cur, seq = engine._now, engine._cur_seq, self.seq
         due = None
-        for request in self.requests:
-            at = request._finish
+        for _, extent in self.members:
+            at = extent.finish
             if at is not None and (at > now or (at == now and seq > cur)) \
                     and (due is None or at > due):
                 due = at
@@ -247,8 +274,10 @@ class StripedArray:
         return fragments
 
     def submit_range(self, lba: int, nblocks: int, is_write: bool = False) -> Event:
-        """Submit a logical range; the event succeeds with the list of
-        completed member :class:`IORequest` objects once all land.
+        """Submit a logical range; the event succeeds with the sequence
+        of completed member :class:`IORequest` fragments, in stripe
+        order, once all land (over members that commit at enqueue the
+        records are derived from the member extents when read).
 
         The first fragment failure fails the event with that error.  A
         range touching an offline member raises
@@ -269,29 +298,48 @@ class StripedArray:
                 raise DiskFailedError(f"disk {disk.name} is offline")
         engine = self.engine
         done = Event(engine)
-        fragments = self._fragments(lba, nblocks)
         if self._committed:
-            # Built in stripe order (ids and done.value keep it), then
-            # committed as one run per member: fragment i is on member
-            # (first + i) % ndisks, so member k's run is every
-            # members-th request from the k-th.  A committed disk's
-            # service depends only on its own queue, so the order the
-            # members commit in changes nothing.
-            requests = [IORequest(phys, run, is_write)
-                        for _, phys, run in fragments]
+            # One extent per member, from the stripe arithmetic: member
+            # k holds units first_unit + k, + ndisks, ... (consecutive
+            # physical units there), the first starting at the range's
+            # offset into its unit and the last ending where the range
+            # does; the members after the one holding the last unit hold
+            # one unit fewer.  A committed disk's service depends only
+            # on its own queue, so the order the members commit in
+            # changes nothing.
             seq = engine._seq = engine._seq + 1
-            first = first_unit % ndisks
-            landing = _CommittedRange(engine, disks, first, requests, done, seq)
+            landing = _CommittedRange(engine, touched if ndisks > 1 else 1,
+                                      done, seq)
+            now = engine._now
+            physical, index = divmod(first_unit, ndisks)
+            base = physical * unit
+            start = base + lba - first_unit * unit
+            run = ((touched - 1) // ndisks + 1) * unit
+            last = (touched - 1) % ndisks  # the member with the last unit
+            short = (first_unit + touched) * unit - lba - nblocks
+            step = unit if ndisks > 1 else disks[0].total_blocks
             due = -1.0
             for k in range(members):
-                finish = disks[(first + k) % ndisks]._commit(
-                    requests[k::members], seq, landing)
+                disk = disks[index]
+                end = base + run
+                if k == last:
+                    end -= short
+                    run -= unit
+                extent = _Extent(start, end, step, is_write, seq, landing, now)
+                landing.members.append((disk, extent))
+                finish = disk._commit(extent)
                 if finish > due:
                     due = finish
+                index += 1
+                if index == ndisks:
+                    index = 0
+                    base += unit
+                start = base
             landing.due = due
             engine._push_commitment(landing, due, seq)
             return done
 
+        fragments = self._fragments(lba, nblocks)
         requests = []
         remaining = 0
 

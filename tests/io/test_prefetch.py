@@ -146,3 +146,43 @@ def test_prefetcher_forget_clears_state(engine):
     assert ino.file_id in pf._states
     pf.forget(ino)
     assert ino.file_id not in pf._states
+
+
+def test_whole_file_read_to_eof_schedules_no_prefetch(engine):
+    """A read that ends at EOF leaves a window wholly past the file:
+    the prefetcher still moves its window and the file's last end, but
+    asks the cache for nothing."""
+    fs = fs_with(engine, FixedAheadPrefetch(window=8))
+    run(engine, fs.create("/f", size_bytes=16 * 4096))
+    calls = []
+    prefetch = fs.cache.prefetch
+
+    def counting(inode, first_page, npages):
+        calls.append((first_page, npages))
+        return prefetch(inode, first_page, npages)
+
+    fs.cache.prefetch = counting
+    pf = fs.prefetcher
+    windows = []
+    window_after = pf.policy.window_after
+
+    def recording(state, first_page, npages):
+        window = window_after(state, first_page, npages)
+        windows.append(window)
+        return window
+
+    pf.policy.window_after = recording
+
+    def whole():
+        h = yield from fs.open("/f")  # the open warms the first pages
+        del calls[:]
+        got = yield from fs.read(h, 16 * 4096)
+        yield from fs.close(h)
+        return got
+
+    before = pf.pages_scheduled
+    assert run(engine, whole()) == 16 * 4096
+    assert windows == [8]  # the policy was still asked
+    assert calls == []
+    assert pf.pages_scheduled == before
+    assert pf._state(fs.stat("/f")).last_end == 16

@@ -252,3 +252,42 @@ class ArmDisk(Disk):
             f"disk {self.name}: unrecoverable read at lba "
             f"{request.lba}+{request.nblocks}"
         ))
+
+
+class Queued:
+    """Every request the disks queue, in submission order: through
+    ``enqueue`` on a disk that commits at start (and on the arm), and
+    through ``_commit`` on one that commits at enqueue, where a lone
+    request is committed as is and a striped range as one extent per
+    member.  :meth:`stamps` reads each request's, and each range
+    fragment's, ``(lba, nblocks, submitted_at, started_at,
+    completed_at)``: a range's fragments are the records
+    ``_CommittedRange.fragments`` derives from its member extents, in
+    stripe order."""
+
+    def __init__(self, disks) -> None:
+        self.entries = []  # IORequests and committed ranges
+        for disk in disks:
+            if disk._committed:
+                def recording(extent, _commit=disk._commit):
+                    finish = _commit(extent)
+                    entry = extent.request or extent.owner
+                    if not self.entries or self.entries[-1] is not entry:
+                        self.entries.append(entry)  # a range commits once
+                    return finish
+                disk._commit = recording
+            else:
+                def recording(request, on_done, _enqueue=disk.enqueue):
+                    _enqueue(request, on_done)
+                    self.entries.append(request)
+                disk.enqueue = recording
+
+    def stamps(self):
+        requests = []
+        for entry in self.entries:
+            if isinstance(entry, IORequest):
+                requests.append(entry)
+            else:
+                requests.extend(entry.fragments())
+        return [(r.lba, r.nblocks, r.submitted_at, r.started_at,
+                 r.completed_at) for r in requests]

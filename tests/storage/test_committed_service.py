@@ -20,7 +20,6 @@ ended, so ties at a completion instant, sleeps over committed finishes
 and streaming all occur.
 """
 
-from operator import attrgetter
 from typing import List
 
 import pytest
@@ -31,10 +30,11 @@ from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.sanitizer import shared
 from repro.sim import Engine
 from repro.storage import Disk, DiskGeometry, StripedArray
+from repro.storage.disk import _Extent
 from repro.storage.request import IORequest
 
 from tests.conftest import detector_or_none
-from tests.storage.oracle import ArmDisk
+from tests.storage.oracle import ArmDisk, Queued
 
 GEO = DiskGeometry(cylinders=50, heads=2, sectors_per_track=8)
 
@@ -77,19 +77,7 @@ def _schedule(arm, scenario, tick_at):
         injector=injector) for i in range(ndisks)]
     committed = not arm and service == PLAIN
     assert all(disk._committed is committed for disk in disks)
-    requests: List[IORequest] = []
-    for disk in disks:
-        if not committed:
-            def recording(request, on_done, _enqueue=disk.enqueue):
-                _enqueue(request, on_done)
-                requests.append(request)
-            disk.enqueue = recording
-        else:
-            def recording(run, seq, owner, _commit=disk._commit):
-                finish = _commit(run, seq, owner)
-                requests.extend(run)
-                return finish
-            disk._commit = recording
+    queued = Queued(disks)
     array = StripedArray(engine, disks, stripe_unit=unit)
     log = []
     var = shared("committed.order")
@@ -168,8 +156,7 @@ def _schedule(arm, scenario, tick_at):
     if fault is not None:
         engine.process(failer(*fault))
     engine.run()
-    stamps = [(r.lba, r.nblocks, r.submitted_at, r.started_at, r.completed_at)
-              for r in sorted(requests, key=attrgetter("request_id"))]
+    stamps = queued.stamps()
     stats = [(d.requests_completed.value, d.bytes_read.value,
               d.bytes_written.value, d.service_times.values,
               d.response_times.values, d.busy.integral(), d.busy.current,
@@ -240,6 +227,49 @@ def test_committed_fcfs_matches_the_arm(scenario, fail, data):
             [None, 0.0] + [t - at for t in instants if t > at][:3]))
         fault = (indexes, at, fail_hops, repair_after)
     scenario = (ndisks, unit, requesters, singles, hops, fault, service)
+
+    assert _run(False, scenario, tick_at) == _run(True, scenario, tick_at)
+    committed = _run(False, scenario, tick_at, detector=True)
+    assert committed == _run(True, scenario, tick_at, detector=True)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(2, 4), st.integers(2, 8), st.integers(2, 5),
+       st.sampled_from(("before", "mid", "boundary")), st.data())
+def test_failure_inside_an_extent_matches_the_arm(ndisks, unit, rounds,
+                                                  where, data):
+    """``fail_disk`` (and a repair) landing inside multi-fragment member
+    runs: two ranges of ``rounds`` fragments per member, the second
+    queued behind the first, fail one or two members before a run's
+    first start, mid-fragment, or exactly at a fragment boundary (a
+    few zero-delay hops in: the ``(time, seq)`` tie).  Log, stamps,
+    tallies, busy integral, queue depth and settle order are the arm's,
+    under the race detector too."""
+    offset = data.draw(st.integers(0, unit - 1))  # a partial first unit
+    nblocks = ndisks * unit * rounds
+    ranges = [(0.0, [(offset, nblocks, False)]),
+              (0.0, [(offset + nblocks, nblocks, True)])]
+    instants = _completion_instants((ndisks, unit, ranges, [], 1, None,
+                                     PLAIN))
+    if where == "before":
+        # The first fragments are in service; every later one, and the
+        # whole second range, is queued.
+        at = instants[1] / 2
+    elif where == "mid":
+        i = data.draw(st.integers(1, len(instants) - 2))
+        at = (instants[i] + instants[i + 1]) / 2
+    else:
+        at = data.draw(st.sampled_from(instants[1:-1]))
+    indexes = data.draw(st.lists(st.integers(0, ndisks - 1), min_size=1,
+                                 max_size=2, unique=True))
+    fail_hops = data.draw(st.integers(0, 3))
+    repair_after = data.draw(st.sampled_from(
+        [None, 0.0] + [t - at for t in instants if t > at][:3]))
+    tick_at = sorted(data.draw(st.lists(st.sampled_from(instants),
+                                        min_size=2, max_size=2)))
+    scenario = (ndisks, unit, ranges, [], 2,
+                (indexes, at, fail_hops, repair_after), PLAIN)
 
     assert _run(False, scenario, tick_at) == _run(True, scenario, tick_at)
     committed = _run(False, scenario, tick_at, detector=True)
@@ -451,28 +481,32 @@ def test_traced_spans_and_queue_samples_match_the_arm():
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, GEO.total_blocks - 97),
-                          st.integers(1, 96)), min_size=1, max_size=6))
-def test_a_run_commits_as_its_requests_one_at_a_time(ranges):
-    """``Disk._commit`` of a run gives every request the start and
+                          st.integers(1, 96), st.integers(1, 24)),
+                min_size=1, max_size=6))
+def test_an_extent_commits_as_its_fragments_one_at_a_time(extents):
+    """``Disk._commit`` of an extent gives every fragment the start and
     finish, and leaves the head and the queue depth, that committing
-    its requests one at a time does, a request that repositions after
-    the first included (a striped run repositions only at its first)."""
+    its fragments one at a time does, an extent that repositions after
+    the first included (only an extent's first fragment repositions)."""
     def commit(batched):
         disk = Disk(Engine(), geometry=GEO)
-        requests, end = [], 0
-        for jump, lba, nblocks in ranges:
+        times, end = [], 0
+        for jump, lba, nblocks, unit in extents:
             if not jump:  # continue the previous one, within the disk
                 lba = end % (GEO.total_blocks - 96)
-            request = IORequest(lba=lba, nblocks=nblocks)
-            end = request.lba + nblocks
-            requests.append(request)
-        if batched:
-            disk._commit(requests, 1, None)
-        else:
-            for request in requests:
-                disk._commit((request,), 1, None)
-        return ([(r._start, r._finish) for r in requests],
-                disk._head_cylinder, disk._last_end_lba, disk._depth,
+            end = lba + nblocks
+            if batched:
+                parts = [_Extent(lba, end, unit, False, 1, None, 0.0)]
+            else:  # one lone fragment per stripe-unit run
+                cuts = [lba] + list(range(lba - lba % unit + unit, end,
+                                          unit)) + [end]
+                parts = [_Extent(a, b, b, False, 1, None, 0.0)
+                         for a, b in zip(cuts, cuts[1:])]
+            for extent in parts:
+                disk._commit(extent)
+                times += [(start, finish) for _, _, start, finish
+                          in disk._fragment_times(extent)]
+        return (times, disk._head_cylinder, disk._last_end_lba, disk._depth,
                 disk.queue_max_depth)
 
     assert commit(True) == commit(False)

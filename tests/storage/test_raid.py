@@ -268,11 +268,14 @@ def test_fragments_settle_without_per_fragment_heap_slots():
 def test_striped_fragment_call_budget():
     """Host-independent guard on the striped path's per-fragment cost:
     Python frames entered per fragment of one 64-fragment range, counted
-    with ``sys.setprofile``.  A range commits one run per member, so
-    each fragment costs its request and the busy signal's record of its
-    start; the walk, the commit, a repositioning service time and the
-    catch-up come once per range or member: about 2.9 in all.  One
-    commit per fragment made about 6.7, the flat arm about 14 and a
+    with ``sys.setprofile``.  A range commits one extent per member, and
+    its fragments' finishes, tallies and busy signal are arithmetic in
+    the commit's and the catch-up's loops, so no fragment costs a call
+    of its own: the walk, the range's event and entry come once per
+    range, and an extent, its commit, a repositioning service time
+    (five frames) and its catch-up once per member: 52 calls, about
+    0.81 per fragment.  One run of requests per member made about 2.9,
+    one commit per fragment about 6.7, the flat arm about 14 and a
     layered arm 28."""
     import sys
 
@@ -297,4 +300,4 @@ def test_striped_fragment_call_budget():
         finally:
             sys.setprofile(None)
     assert len(done.value) == 64
-    assert calls / 64 <= 3, f"{calls / 64:.2f} Python calls per fragment"
+    assert calls / 64 <= 0.9, f"{calls / 64:.2f} Python calls per fragment"

@@ -13,7 +13,6 @@ the same timestamps, under both arrays; under the race detector they
 must also produce the same summary.
 """
 
-from operator import attrgetter
 from typing import List
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -28,6 +27,7 @@ from repro.storage import Disk, DiskGeometry, StripedArray
 from repro.storage.request import IORequest
 
 from tests.conftest import detector_or_none
+from tests.storage.oracle import Queued
 
 GEO = DiskGeometry(cylinders=50, heads=2, sectors_per_track=8)
 
@@ -77,9 +77,8 @@ def _run(array_cls, scenario, tick_at: float, detector: bool = False,
          specs=()):
     """Run one schedule; returns everything the two arrays must agree on."""
     with detector_or_none(detector) as det:
-        log, requests, now = _schedule(array_cls, scenario, tick_at, specs)
-    stamps = [(r.lba, r.nblocks, r.submitted_at, r.started_at, r.completed_at)
-              for r in sorted(requests, key=attrgetter("request_id"))]
+        log, queued, now = _schedule(array_cls, scenario, tick_at, specs)
+    stamps = queued.stamps()
     return log, stamps, now, det.summary() if det is not None else None
 
 
@@ -93,23 +92,9 @@ def _schedule(array_cls, scenario, tick_at, specs):
         if specs else None
     disks = [Disk(engine, geometry=GEO, scheduler=scheduler, name=f"d{i}",
                   injector=injector) for i in range(ndisks)]
-    requests: List[IORequest] = []
-    for disk in disks:
-        # Every request a disk queues: through enqueue on a disk that
-        # commits at start, and through _commit (the way in enqueue and a
-        # striped range share, a run at a time) on one that commits at
-        # enqueue.  Stamps are read in request id order: stripe order.
-        if disk._committed:
-            def recording(run, seq, owner, _commit=disk._commit):
-                finish = _commit(run, seq, owner)
-                requests.extend(run)
-                return finish
-            disk._commit = recording
-        else:
-            def recording(request, on_done, _enqueue=disk.enqueue):
-                _enqueue(request, on_done)
-                requests.append(request)
-            disk.enqueue = recording
+    # Every request a disk queues, in submission order (a range's
+    # fragments in stripe order).
+    queued = Queued(disks)
     array = array_cls(engine, disks, stripe_unit=unit)
     log = []
     var = shared("stripe.order")
@@ -153,7 +138,7 @@ def _schedule(array_cls, scenario, tick_at, specs):
     if fault is not None and fault[0] == "fail":
         engine.process(failer(*fault[1:]))
     engine.run()
-    return log, requests, engine.now
+    return log, queued, engine.now
 
 
 def _completion_instants(scenario) -> List[float]:
@@ -190,6 +175,43 @@ def test_direct_settling_matches_event_per_fragment_gather(
             at = (at + instants[instants.index(at) + 1]) / 2
         hops = data.draw(st.integers(0, 3))
         scenario = scenario[:-1] + ((fault_kind, index, at, hops),)
+
+    oracle = _run(EventGatherArray, scenario, tick_at)
+    direct = _run(StripedArray, scenario, tick_at)
+    assert direct[:3] == oracle[:3]
+
+    oracle = _run(EventGatherArray, scenario, tick_at, detector=True)
+    direct = _run(StripedArray, scenario, tick_at, detector=True)
+    assert direct == oracle
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(2, 4), st.integers(2, 8), st.integers(2, 5),
+       st.sampled_from(("before", "mid", "boundary")), st.data())
+def test_failure_inside_an_extent_matches_event_per_fragment_gather(
+        ndisks, unit, rounds, where, data):
+    """A member fails inside multi-fragment member runs (two ranges of
+    ``rounds`` fragments per member, the second queued behind the
+    first): before a run's first start, mid-fragment, or exactly at a
+    fragment boundary, a few zero-delay hops in.  Every outcome and
+    stamp is the gather's, and under the race detector the summary."""
+    offset = data.draw(st.integers(0, unit - 1))  # a partial first unit
+    nblocks = ndisks * unit * rounds
+    requesters = [[(offset, nblocks)], [(offset + nblocks, nblocks)]]
+    scenario = (ndisks, unit, "fcfs", requesters, 2, None)
+    instants = _completion_instants(scenario)
+    if where == "before":
+        at = instants[1] / 2  # the first fragments are in service
+    elif where == "mid":
+        i = data.draw(st.integers(1, len(instants) - 2))
+        at = (instants[i] + instants[i + 1]) / 2
+    else:
+        at = data.draw(st.sampled_from(instants[1:-1]))
+    index = data.draw(st.integers(0, ndisks - 1))
+    hops = data.draw(st.integers(0, 3))
+    tick_at = data.draw(st.sampled_from(instants))
+    scenario = scenario[:-1] + (("fail", index, at, hops),)
 
     oracle = _run(EventGatherArray, scenario, tick_at)
     direct = _run(StripedArray, scenario, tick_at)

@@ -1,5 +1,6 @@
 """Docs stay honest: run tools/check_docs.py as part of the suite."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -94,3 +95,18 @@ def test_every_repro_package_documented():
     problems = check_docs.check_package_coverage(
         check_docs.REPO_ROOT / "src", check_docs.REPO_ROOT / "docs")
     assert not problems, "\n".join(problems)
+
+
+def test_lint_catches_a_changed_figure_cell(tmp_path):
+    """One digit off in a Figure 4 cell of EXPERIMENTS.md fails the lint;
+    the file as it stands passes."""
+    text = (check_docs.REPO_ROOT / "EXPERIMENTS.md").read_text()
+    report = json.loads((check_docs.REPO_ROOT / check_docs.REPORT).read_text())
+    doc = tmp_path / "EXPERIMENTS.md"
+    assert check_docs.check_figure_tables(doc, text, report) == []
+    row = "| measured | 1.109 | 1.197 | 1.247 | 1.273 | 1.287 |"
+    assert row in text
+    doc.write_text(text.replace(row, row.replace("1.247", "1.248")))
+    problems = check_docs.check_figure_tables(doc, doc.read_text(), report)
+    assert len(problems) == 1
+    assert "Figure 4 measured at disks=8 reads '1.248'" in problems[0]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs lint: keep the Markdown honest.
 
-Four checks over ``README.md``, ``docs/*.md`` and the other top-level
+Five checks over ``README.md``, ``docs/*.md`` and the other top-level
 Markdown files:
 
 1. **Links** — every relative (intra-repo) Markdown link target must
@@ -23,6 +23,12 @@ Markdown files:
    comment, ``&&``, ``|`` or ``;``; a trailing backslash continues it
    on the next line.
 
+5. **Figure tables** — the ``measured`` and ``analytic`` rows of the
+   Figure 4 and Figure 5 tables in ``EXPERIMENTS.md`` must equal the
+   ``fig4``/``fig5`` rows of ``results/full_report.json`` (their
+   ``speedup`` and ``predicted`` columns), point by point, so the prose
+   cannot drift from the golden results.
+
 Run directly (``python tools/check_docs.py``) or via the test suite
 (``tests/test_docs_lint.py``).  Exit status 0 = clean.
 """
@@ -30,10 +36,11 @@ Run directly (``python tools/check_docs.py``) or via the test suite
 from __future__ import annotations
 
 import importlib
+import json
 import re
 import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,6 +54,15 @@ DOC_FILES = [
 ] + sorted(
     str(p.relative_to(REPO_ROOT)) for p in (REPO_ROOT / "docs").glob("*.md")
 )
+
+#: The golden results the figure tables are checked against.
+REPORT = "results/full_report.json"
+
+#: EXPERIMENTS.md table heading -> the experiment its rows come from.
+FIGURE_TABLES = {"Figure 4": "fig4", "Figure 5": "fig5"}
+
+#: Table row label -> the report column it shows.
+FIGURE_ROWS = {"measured": "speedup", "analytic": "predicted"}
 
 _LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _FENCE_RE = re.compile(r"^```(\w*)\s*$")
@@ -209,6 +225,65 @@ def check_package_coverage(
     return problems
 
 
+def _table_after(lines: List[str], start: int) -> Iterator[Tuple[int, List[str]]]:
+    """The cells of each row of the first table after line ``start``."""
+    seen = False
+    for lineno in range(start + 1, len(lines)):
+        line = lines[lineno].strip()
+        if line.startswith("|"):
+            seen = True
+            yield lineno + 1, [c.strip() for c in line.strip("|").split("|")]
+        elif seen or line.startswith("#"):
+            return
+
+
+def check_figure_tables(doc: Path, text: str, report: List[Dict]) -> List[str]:
+    """The figure tables' rows against the report's (check 5)."""
+    experiments = {e["exp_id"]: e for e in report}
+    lines = text.splitlines()
+    problems = []
+    for heading, exp_id in FIGURE_TABLES.items():
+        starts = [i for i, line in enumerate(lines)
+                  if line.startswith("#") and heading in line]
+        if not starts:
+            problems.append(f"{_rel(doc)}: no {heading} table")
+            continue
+        experiment = experiments[exp_id]
+        columns = experiment["columns"]
+        table = list(_table_after(lines, starts[0]))
+        if not table:
+            problems.append(f"{_rel(doc)}:{starts[0] + 1}: no {heading} table")
+            continue
+        _, header = table[0]
+        by_x = {str(row[0]): row for row in experiment["rows"]}
+        if header[1:] != list(by_x):
+            problems.append(
+                f"{_rel(doc)}:{table[0][0]}: {heading} columns {header[1:]} "
+                f"are not {REPORT}'s {exp_id} {columns[0]} {list(by_x)}")
+            continue
+        labels = set()
+        for lineno, cells in table[1:]:
+            column = FIGURE_ROWS.get(cells[0])
+            if column is None:
+                continue
+            labels.add(cells[0])
+            index = columns.index(column)
+            for x, cell in zip(header[1:], cells[1:]):
+                want = by_x[x][index]
+                try:
+                    same = float(cell) == want
+                except ValueError:
+                    same = False
+                if not same:
+                    problems.append(
+                        f"{_rel(doc)}:{lineno}: {heading} {cells[0]} at "
+                        f"{header[0]}={x} reads {cell!r}, {REPORT} has "
+                        f"{want} ({exp_id} {column})")
+        for label in sorted(set(FIGURE_ROWS) - labels):
+            problems.append(f"{_rel(doc)}: {heading} table has no {label} row")
+    return problems
+
+
 def run_checks() -> List[str]:
     """Run every check; returns the list of problems (empty = clean)."""
     src = REPO_ROOT / "src"
@@ -224,6 +299,10 @@ def run_checks() -> List[str]:
         problems.extend(check_links(doc, text))
         problems.extend(check_imports(doc, text))
         problems.extend(check_cli_flags(doc, text, src))
+        if rel == "EXPERIMENTS.md":
+            report = json.loads(
+                (REPO_ROOT / REPORT).read_text(encoding="utf-8"))
+            problems.extend(check_figure_tables(doc, text, report))
     problems.extend(
         check_package_coverage(REPO_ROOT / "src", REPO_ROOT / "docs")
     )
