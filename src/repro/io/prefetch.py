@@ -129,8 +129,9 @@ class Prefetcher:
         end = first_page + npages
         state.last_end = end
         cache = self.cache
-        # A window at or past EOF has nothing to fetch.
-        if window <= 0 or end >= inode.page_count(cache.params.page_size):
+        # A window at or past EOF (page_count, inlined) has nothing to
+        # fetch.
+        if window <= 0 or end * cache.params.page_size >= inode.size_bytes:
             return 0
         scheduled = cache.prefetch(inode, end, window)
         self.pages_scheduled += scheduled

@@ -113,32 +113,35 @@ def _fragments_in(lba: int, end: int, unit: int) -> int:
     return (end - 1) // unit - lba // unit + 1 if lba < end else 0
 
 
-class _Extent:
-    """Fragments one caller queued back to back on a disk at once: the
-    physically contiguous run ``[lba, end)``, split at multiples of
-    ``unit`` (a striped range's run on one member).  ``owner`` (with
-    ``settle``/``retime``) is what a failure settles them through, and
-    ``seq`` ranks their completions.
+class _Queued:
+    """What the disk's service reads of whatever it queued: fragments
+    one caller queued back to back at once, the physically contiguous
+    run ending at ``end``, split at multiples of ``unit``.  ``owner``
+    (with ``settle``/``retime``) is what a failure settles them through,
+    and ``seq`` ranks their completions.  ``finish`` is the last
+    fragment's finish; ``cursor`` is the first fragment whose finish is
+    not recorded yet, ``at`` and ``next`` its start and finish, and
+    ``left`` the fragments from it on.  A failure sets ``owner`` to
+    None, ``finish`` to the fragment in service's (and ``left`` to that
+    one), or None; a served one drops its owner too."""
 
-    :meth:`Disk._commit` fixes ``start`` and ``first``, the first
-    fragment's start and finish (it may reposition; on an extent of one
-    fragment, ``at`` and ``next`` are those), and ``finish``, the last
-    one's; every later fragment continues the one before, so its
-    finish is the previous one's plus ``span`` (overhead and a whole
-    unit's transfer), or ``tail`` for the last one (set only on an
-    extent of more than one fragment).  ``cursor`` is the first fragment
-    whose finish is not recorded yet, ``at`` and ``next`` its start and
-    finish, and ``left`` the fragments from it on.  A failure sets
-    ``owner`` to None, ``finish`` to the fragment in service's (and
-    ``left`` to that one), or None; a served extent drops its owner
-    too."""
-
-    __slots__ = ("lba", "end", "unit", "is_write", "seq", "owner",
-                 "submitted_at", "start", "first", "finish", "span",
-                 "tail", "cursor", "left", "at", "next")
+    __slots__ = ("end", "unit", "is_write", "seq", "owner", "submitted_at",
+                 "finish", "cursor", "left", "at", "next")
 
     #: The caller's request, stamped as it moves (a lone request's).
     request: Optional[IORequest] = None
+
+
+class _Extent(_Queued):
+    """A striped range's run on one member, ``[lba, end)``.
+    :meth:`Disk._commit` fixes ``start`` and ``first``, the first
+    fragment's start and finish (it may reposition; on an extent of one
+    fragment, ``at`` and ``next`` are those); every later fragment
+    continues the one before, so its finish is the previous one's plus
+    ``span`` (overhead and a whole unit's transfer), or ``tail`` for
+    the last one (set only on an extent of more than one fragment)."""
+
+    __slots__ = ("lba", "start", "first", "span", "tail")
 
     def __init__(self, lba: int, end: int, unit: int, is_write: bool,
                  seq: int, owner, now: float) -> None:
@@ -151,7 +154,7 @@ class _Extent:
         self.submitted_at = now
 
 
-class _Completion(_Extent):
+class _Completion(_Queued):
     """A lone request on a disk: a one-fragment extent, and its heap
     entry, which at the request's finish settles it (see
     :meth:`Engine._push_commitment`) and, on a disk that commits at
@@ -167,7 +170,7 @@ class _Completion(_Extent):
         # The MediaError a fault drawn at the start settles it with.
         self.error: Optional[MediaError] = None
         self.cursor = request.lba
-        self.end = self.unit = end
+        self.end = self.unit = end  # no unit boundary inside the request
         self.is_write = request.is_write
         self.seq = seq
         self.owner = self
@@ -195,7 +198,7 @@ class _Completion(_Extent):
         if not disk._committed:
             disk._start_next()
 
-    def settle(self, extent: _Extent, error: Exception) -> None:
+    def settle(self, extent: _Queued, error: Exception) -> None:
         on_done, self.on_done = self.on_done, None
         request = self.request
         request._owner = None
@@ -330,7 +333,7 @@ class Disk:
         # start); whether the first of them has started its service
         # (its start was recorded); and the head as the last served
         # fragment left it.
-        self._inflight: Deque[_Extent] = deque()
+        self._inflight: Deque[_Queued] = deque()
         self._head_started = False
         self._served_cylinder = 0
         self._served_end_lba: Optional[int] = None
@@ -519,7 +522,7 @@ class Disk:
     # (engine._now, engine._cur_seq) has reached them: in _catch_up.  A
     # start at a start step (_start_next) is recorded on the spot.
 
-    def _commit(self, extent: _Extent) -> float:
+    def _commit(self, extent: _Queued) -> float:
         """Fix the service of ``extent``'s fragments, queued back to
         back behind what is in flight on a disk that commits at enqueue;
         returns the last one's finish.  ``enqueue`` commits a lone
@@ -768,7 +771,7 @@ class Disk:
                 self._bytes_written.value += (
                     written * self.geometry.block_size)
 
-    def _trace_completion(self, extent: _Extent, left: int, started: float,
+    def _trace_completion(self, extent: _Queued, left: int, started: float,
                           at: float, error: Optional[str] = None) -> None:
         """The span of ``extent``'s fragment with ``left`` fragments to
         go (itself included), served from ``started`` to ``at``, and the
@@ -797,7 +800,7 @@ class Disk:
             for queued in islice(self._inflight, 1, None):
                 submitted = queued.submitted_at
                 if submitted < at:
-                    waiting += _fragments_in(queued.lba, queued.end,
+                    waiting += _fragments_in(queued.cursor, queued.end,
                                              queued.unit)
                     continue
                 if submitted == at and queued.at == at:

@@ -16,7 +16,8 @@ class IORequest:
     """One block-granular request against a disk or array.
 
     A plain ``__slots__`` class rather than a dataclass: one is built
-    per disk fragment, so its constructor is a single frame.  Requests
+    per lone disk request (and per fragment read from a striped
+    range's value), so its constructor is a single frame.  Requests
     compare by identity.
 
     Attributes
@@ -40,14 +41,12 @@ class IORequest:
         among same-instant heap entries by it.
     """
 
-    # The disk's bookkeeping (see repro.storage.disk): the start and
-    # finish it fixed when it committed the request (``_finish`` is None
-    # once a failure cancelled the request), and what settles the
+    # The disk's bookkeeping (see repro.storage.disk): what settles the
     # request while it is queued or in flight (None once settled): a
     # request is on one disk at a time.
     __slots__ = ("lba", "nblocks", "is_write", "request_id",
                  "submitted_at", "started_at", "completed_at", "seq",
-                 "_start", "_finish", "_owner")
+                 "_owner")
 
     def __init__(
         self,

@@ -32,7 +32,7 @@ def test_request_fields_ids_and_slots():
     assert b.request_id > a.request_id
     assert IORequest(lba=0, nblocks=1, request_id=7).request_id == 7
     assert a.end_lba == 5
-    # One object per fragment: no per-instance dict, identity equality.
+    # One object per request: no per-instance dict, identity equality.
     assert not hasattr(a, "__dict__")
     with pytest.raises(AttributeError):
         a.tag = "x"
