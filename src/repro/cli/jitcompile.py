@@ -190,6 +190,15 @@ class _Stack:
         if targets:
             out.w(f"{', '.join(targets)} = {', '.join(values)}")
 
+    def claim(self, out: _Writer) -> str:
+        """The slot the next push lands in, ``s{depth}``, after parking
+        the entries that still read it: a fused entry below may hold
+        it (``add`` over a block's entry slots leaves ``(s0 + s1)`` at
+        depth 1), and the caller is about to assign it."""
+        slot = f"s{len(self.entries)}"
+        self.spill_mentioning(slot, out)
+        return slot
+
 
 def _nonzero_literal(entry: Tuple[str, str]) -> Any:
     """The entry's value when it is a literal numeric constant != 0
@@ -311,20 +320,21 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
             elif op is Op.LDSFLD:
                 # Statics are shared mutable state: read eagerly into
                 # the slot rather than fusing a stale read.
-                d = len(stack)
-                out.w(f"s{d} = _statics.get({ins.operand!r}, 0)")
-                stack.push("expr", f"s{d}")
+                slot = stack.claim(out)
+                out.w(f"{slot} = _statics.get({ins.operand!r}, 0)")
+                stack.push("expr", slot)
             elif op is Op.STSFLD:
                 entry = stack.pop()
                 out.w(f"_statics[{ins.operand!r}] = {stack.materialize(entry)}")
             elif op is Op.DUP:
                 entry = stack.pop()
-                d = len(stack)
+                slot = f"s{len(stack)}"
                 code = stack.materialize(entry)
-                if code != f"s{d}":
-                    out.w(f"s{d} = {code}")
-                stack.push("expr", f"s{d}")
-                stack.push("expr", f"s{d}")
+                if code != slot:
+                    stack.claim(out)
+                    out.w(f"{slot} = {code}")
+                stack.push("expr", slot)
+                stack.push("expr", slot)
             elif op is Op.POP:
                 entry = stack.pop()
                 code = stack.materialize(entry)
@@ -373,9 +383,9 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
                         f"'System.DivideByZeroException', '{name}@{pc}')"
                     )
                     out.indent -= 1
-                    d = len(stack)
-                    out.w(f"s{d} = {fn}({ta}, {tb})")
-                    stack.push("expr", f"s{d}")
+                    slot = stack.claim(out)
+                    out.w(f"{slot} = {fn}({ta}, {tb})")
+                    stack.push("expr", slot)
             elif op is Op.NEG:
                 a = stack.materialize(stack.pop())
                 stack.push("expr", f"(- {a})")
@@ -390,9 +400,9 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
                     f"'{name}@{pc}: not on ' + type({t}).__name__)"
                 )
                 out.indent -= 1
-                d = len(stack)
-                out.w(f"s{d} = ~{t}")
-                stack.push("expr", f"s{d}")
+                slot = stack.claim(out)
+                out.w(f"{slot} = ~{t}")
+                stack.push("expr", slot)
             elif op in _CMPOPS:
                 b = stack.materialize(stack.pop())
                 a = stack.materialize(stack.pop())
@@ -433,9 +443,9 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
                     f"'{name}@{pc}: ldlen on ' + type({t}).__name__)"
                 )
                 out.indent -= 1
-                d = len(stack)
-                out.w(f"s{d} = {t}.length")
-                stack.push("expr", f"s{d}")
+                slot = stack.claim(out)
+                out.w(f"{slot} = {t}.length")
+                stack.push("expr", slot)
             elif op is Op.LDSTR:
                 s = ins.operand
                 emit_sync(pending)
@@ -461,9 +471,9 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
                 pending = 0
                 emit_partial_flush()
                 out.w(f"yield from _heap_allocate({arr}.byte_size)")
-                d = len(stack)
-                out.w(f"s{d} = {arr}")
-                stack.push("expr", f"s{d}")
+                slot = stack.claim(out)
+                out.w(f"{slot} = {arr}")
+                stack.push("expr", slot)
             elif op is Op.CALL:
                 operand = ins.operand
                 if isinstance(operand, MethodDef):
@@ -494,9 +504,9 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
                 )
                 out.w("_incall = False")
                 if returns:
-                    d = len(stack)
-                    out.w(f"s{d} = _r")
-                    stack.push("expr", f"s{d}")
+                    slot = stack.claim(out)
+                    out.w(f"{slot} = _r")
+                    stack.push("expr", slot)
             elif op is Op.CALLINTRINSIC:
                 iname, argc, returns = ins.operand
                 arg_entries = [stack.pop() for _ in range(argc)][::-1]
@@ -525,9 +535,9 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
                 out.indent -= 1
                 out.w("_incall = False")
                 if returns:
-                    d = len(stack)
-                    out.w(f"s{d} = _r")
-                    stack.push("expr", f"s{d}")
+                    slot = stack.claim(out)
+                    out.w(f"{slot} = _r")
+                    stack.push("expr", slot)
             elif op is Op.RET:
                 emit_sync(pending)
                 pending = 0

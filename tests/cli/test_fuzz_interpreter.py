@@ -8,7 +8,7 @@ operator-semantics and verifier bugs that example-based tests miss.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cli import CliRuntime, MethodBuilder
 from repro.cli.interpreter import _truncdiv, _truncrem
@@ -130,6 +130,10 @@ def run_on_vm(expr):
 
 @settings(max_examples=150, deadline=None)
 @given(expressions())
+# A join leaves (s0 + s1) fused at depth 1; the non-literal div then
+# writes s1.
+@example(Node("add", Node("add", Leaf(0), Cond(Leaf(0), Leaf(0), Leaf(0))),
+              Node("div", Leaf(1), Node("div", Leaf(1), Leaf(1)))))
 def test_vm_matches_python_oracle(expr):
     try:
         expected = evaluate(expr)

@@ -211,6 +211,31 @@ def test_literal_divisor_differential(op, divisor):
         assert type(compiled) is type(reference), value
 
 
+_SLOT_WRITERS = {
+    "dup": lambda b: b.ldc(7).dup().add(),
+    # x * x + 1: a divisor that is no literal, and never zero.
+    "div": lambda b: b.ldc(8).ldarg("x").ldarg("x").mul().ldc(1).add().div(),
+    "rem": lambda b: b.ldc(8).ldarg("x").ldarg("x").mul().ldc(1).add().rem(),
+    "not": lambda b: b.ldc(6).not_(),
+    "ldsfld": lambda b: b.ldsfld("f"),
+    "newarr_ldlen": lambda b: b.ldc(3).newarr().ldlen(),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_SLOT_WRITERS))
+def test_slot_write_keeps_a_fused_entry_below(writer):
+    """A join leaves two values in ``s0``/``s1``; ``add`` fuses them
+    into ``(s0 + s1)`` at depth 1, and the next instruction that writes
+    its result into ``s1`` must not change what that entry reads."""
+    builder = (MethodBuilder("join", returns=True).arg("x")
+               .ldc(3).ldarg("x").brfalse("else").ldc(4).br("join")
+               .label("else").ldc(5).label("join").add())
+    m = _SLOT_WRITERS[writer](builder).add().ret().build()
+    for x in (1, 0):
+        reference, compiled = _both(lambda: _run(m, [x]))
+        assert compiled == reference, x
+
+
 # ---------------------------------------------------------------------------
 # The generated artifact
 # ---------------------------------------------------------------------------

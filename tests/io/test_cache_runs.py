@@ -15,6 +15,7 @@ under the race detector and a tracer they must also produce the same
 summary and the same eviction instants.
 """
 
+import gc
 import sys
 from collections import Counter
 from dataclasses import asdict
@@ -497,7 +498,10 @@ def test_books_hold_one_entry_per_run():
 
 
 def _calls(fn) -> int:
-    """Python calls made by ``fn()``, counted with ``sys.setprofile``."""
+    """Python calls made by ``fn()``, counted with ``sys.setprofile``.
+    The cyclic collector is off meanwhile: a collection would count the
+    calls of ``gc.callbacks`` (hypothesis installs one) and of the
+    finalizers of other tests' garbage."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -505,11 +509,15 @@ def _calls(fn) -> int:
         if event == "call":
             calls += 1
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return calls
 
 

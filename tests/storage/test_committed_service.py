@@ -483,11 +483,13 @@ def test_traced_spans_and_queue_samples_match_the_arm():
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, GEO.total_blocks - 97),
                           st.integers(1, 96), st.integers(1, 24)),
                 min_size=1, max_size=6))
-def test_an_extent_commits_as_its_fragments_one_at_a_time(extents):
-    """``Disk._commit`` of an extent gives every fragment the start and
-    finish, and leaves the head and the queue depth, that committing
-    its fragments one at a time does, an extent that repositions after
-    the first included (only an extent's first fragment repositions)."""
+def test_a_run_commits_as_its_requests_one_at_a_time(extents):
+    """A member's run is one extent, its requests the extent's
+    fragments: ``Disk._commit`` of an extent gives every fragment the
+    start and finish, and leaves the head and the queue depth, that
+    committing its fragments one at a time does, an extent that
+    repositions after the first included (only an extent's first
+    fragment repositions)."""
     def commit(batched):
         disk = Disk(Engine(), geometry=GEO)
         times, end = [], 0

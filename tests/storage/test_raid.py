@@ -277,6 +277,7 @@ def test_striped_fragment_call_budget():
     0.81 per fragment.  One run of requests per member made about 2.9,
     one commit per fragment about 6.7, the flat arm about 14 and a
     layered arm 28."""
+    import gc
     import sys
 
     from tests.conftest import detector_or_none
@@ -293,11 +294,17 @@ def test_striped_fragment_call_budget():
             if event == "call":
                 calls += 1
 
+        # No cyclic collection meanwhile: it would count the calls of
+        # ``gc.callbacks`` and of other tests' finalizers.
+        collecting = gc.isenabled()
+        gc.disable()
         sys.setprofile(profile)
         try:
             done = arr.submit_range(0, 64 * 8)
             eng.run()
         finally:
             sys.setprofile(None)
+            if collecting:
+                gc.enable()
     assert len(done.value) == 64
     assert calls / 64 <= 0.9, f"{calls / 64:.2f} Python calls per fragment"
