@@ -157,7 +157,7 @@ class ClusterWorkload:
 
         def one_request():
             key = keys[int(cdf.searchsorted(mix_rng.random(), side="right"))]
-            is_get = float(mix_rng.uniform()) < cfg.get_fraction
+            is_get = mix_rng.random() < cfg.get_fraction
             t0 = engine.now
             try:
                 if is_get:

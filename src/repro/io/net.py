@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from typing import Dict, Optional, Tuple
+from weakref import ref
 
 from repro.errors import ConnectionReset, SimulationError
 from repro.sanitizer import runtime as _sanitizer
@@ -252,7 +253,8 @@ class Socket:
         self.fault_scope = "conn"
         self.bytes_sent = 0
         self.bytes_received = 0
-        self._peer: Optional["Socket"] = None
+        # The peer, held weakly (see pair()).
+        self._peer: Optional["ref[Socket]"] = None
         self._deliver_to: Optional[Store] = None  # wired by pair()
         # Application payloads (e.g. HTTP text) delivered alongside the
         # byte counts, in arrival order.  The simulation tracks data as
@@ -261,7 +263,13 @@ class Socket:
 
     @classmethod
     def pair(cls, network: Network) -> Tuple["Socket", "Socket"]:
-        """Create a connected duplex socket pair."""
+        """Create a connected duplex socket pair.
+
+        Each end holds its peer weakly, so the pair holds no reference
+        cycle: a finished connection is freed by reference counting,
+        not left to the cyclic collector.  An end nothing else holds
+        has no one left to observe it.
+        """
         eng = network.engine
         a_to_b = Channel(eng, network.bandwidth, network.latency, name="a->b")
         b_to_a = Channel(eng, network.bandwidth, network.latency, name="b->a")
@@ -269,7 +277,7 @@ class Socket:
         b_in: Store = Store(eng, name="b.in")
         a = cls(network, outgoing=a_to_b, incoming=a_in)
         b = cls(network, outgoing=b_to_a, incoming=b_in)
-        a._peer, b._peer = b, a
+        a._peer, b._peer = ref(b), ref(a)
 
         # Wire each channel's deliveries into the peer's inbox: the
         # sender process pushes after its transfer completes (below),
@@ -345,8 +353,10 @@ class Socket:
         self._tear_down()
 
     def _tear_down(self) -> None:
-        """Reset both endpoints and wake any blocked receivers."""
-        for sock in (self, self._peer):
+        """Reset both endpoints (the peer only if it is still alive)
+        and wake any blocked receivers."""
+        peer = self._peer
+        for sock in (self, peer() if peer is not None else None):
             if sock is None or sock._reset:
                 continue
             sock._reset = True

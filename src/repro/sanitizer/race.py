@@ -13,8 +13,9 @@ stamp one ``(context, epoch)`` node; none copies or joins a clock:
   context's node, and a waiter logs an edge to it on resumption (this
   one edge covers ``Resource`` grant hand-off, ``Channel`` transfers,
   socket send/receive wake-ups, process join, and task completion);
-* a process that sleeps in its own frame ticks its epoch as a
-  ``Timeout`` trigger and wake-up would, with no event to carry it;
+* a process that sleeps (in its own frame or on a bare heap entry)
+  ticks its epoch as a ``Timeout`` trigger and wake-up would, with no
+  event to carry it;
 * ``Store`` keeps a stamp per *buffered* item, so a ``put`` consumed
   later still orders the producer before the consumer;
 * ``AllOf``/``AnyOf`` accumulate every child's stamp, not just the
@@ -355,10 +356,14 @@ class RaceDetector:
                  now)
 
     def on_sleep(self, owner: Any, wake: float) -> None:
-        """``owner`` sleeps in its own frame from now until ``wake``:
-        the ticks of a Timeout's trigger in ``owner`` now and of its
-        wake-up at ``wake``, with no Timeout.  The wake-up's edge is
-        left out: its stamp is from an earlier instant."""
+        """``owner`` sleeps from now until ``wake``, in its own frame
+        or on a bare heap entry that resumes it with no event: the
+        ticks of a Timeout's trigger in ``owner`` now and of its
+        wake-up at ``wake``, with no Timeout.  Both ticks land now; no
+        one sees ``owner``'s epoch before it resumes.  The wake-up's
+        edge is left out: it would point to ``owner``'s own earlier
+        node (which orders nothing), and for a nonzero delay its stamp
+        is from an earlier instant."""
         owner._san_ctx.epoch += 2  # resume() made it this detector's
         self.events_tracked += 1
 

@@ -58,9 +58,12 @@ class Engine:
         # tag — 1 for an Event whose callbacks should run, 0 for a bare
         # callable, 2 for a *background* callable (see
         # :meth:`schedule_background`), 3 for a commitment (see
-        # :meth:`_push_commitment`) — so the drain loop dispatches on an
-        # int compare instead of isinstance.  (time, seq) is unique, so
-        # kind never takes part in heap ordering.
+        # :meth:`_push_commitment`), 4 for a Process to resume with
+        # ``None`` (its start, or the end of a sleep something queued
+        # could pre-empt: see :meth:`Process._resume`) — so the drain
+        # loop dispatches on an int compare instead of isinstance.
+        # (time, seq) is unique, so kind never takes part in heap
+        # ordering.
         self._queue: List[Tuple[float, int, int, Any]] = []
         # The seq of the entry running now; between entries (outside
         # run(), or while a process sleeps in its own frame) the newest
@@ -210,6 +213,8 @@ class Engine:
             # surface rather than swallow (mirrors SimPy semantics).
             elif not payload._ok and not isinstance(payload, Process):
                 raise payload.value
+        elif kind == 4:
+            payload._resume(None)
         elif kind == 3:
             payload.fire()
         else:
@@ -279,6 +284,10 @@ class Engine:
                                 self._run_callbacks(payload, callbacks)
                         elif not payload._ok and not isinstance(payload, Process):
                             raise payload.value
+                    elif kind == 4:
+                        self._now = when
+                        self._cur_seq = seq
+                        payload._resume(None)
                     elif kind == 0:
                         self._now = when
                         self._cur_seq = seq
@@ -315,6 +324,10 @@ class Engine:
                                 self._run_callbacks(payload, callbacks)
                         elif not payload._ok and not isinstance(payload, Process):
                             raise payload.value
+                    elif kind == 4:
+                        self._now = when
+                        self._cur_seq = seq
+                        payload._resume(None)
                     elif kind == 0:
                         self._now = when
                         self._cur_seq = seq

@@ -143,11 +143,12 @@ class Timeout(Event):
     """An event that triggers after a fixed simulated delay.
 
     The constructor initializes fields and pushes onto the engine's
-    heap inline (no ``super().__init__`` indirection): every disk
-    service and every process sleep that something queued can pre-empt
-    builds one.  A zero delay — the common "reschedule me" idiom —
-    skips the time addition, reusing the engine's current clock value
-    directly.
+    heap inline (no ``super().__init__`` indirection): every
+    ``engine.timeout()`` (an ``AnyOf`` deadline, a timer) and every
+    task-loop sleep builds one.  A process sleep builds none: it is a
+    bare heap entry for the process (see :mod:`repro.sim.process`).  A
+    zero delay skips the time addition, reusing the engine's current
+    clock value directly.
     """
 
     __slots__ = ("delay",)

@@ -9,9 +9,13 @@ simulated seconds:
   the generator);
 * ``yield delay`` sleeps that long and resumes with ``None`` — the one
   way a process sleeps.  When nothing queued can fire first, the clock
-  advances inside the process's own frame, with no event at all; a
-  negative delay raises :class:`~repro.errors.SimulationError` at the
-  yield.
+  advances inside the process's own frame, with no event at all;
+  otherwise the sleep is one bare heap entry for the process, at the
+  ``(time, seq)`` a ``Timeout`` would have taken.  A negative delay
+  raises :class:`~repro.errors.SimulationError` at the yield.
+
+A process starts the same way: a bare entry at ``(now, seq + 1)``
+resumes its generator with ``None``.
 
 The process itself is an event that triggers when the generator returns
 (value = the ``StopIteration`` value) or raises.  A process nobody waits
@@ -28,7 +32,7 @@ from typing import Any, Callable, Generator, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.sanitizer import runtime as _sanitizer
-from repro.sim.event import Event, PENDING, Timeout
+from repro.sim.event import Event, PENDING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -71,8 +75,10 @@ class Process(Event):
             engine._live_processes += 1
         if _sanitizer.active is not None:
             _sanitizer.active.on_spawn(self, self.name, engine._now)
-        # Kick off at the current time.
-        engine._schedule_call(self._resume_first)
+        # Kick off at the current time: a bare entry (kind 4) that
+        # resumes the generator with None.
+        engine._seq += 1
+        heappush(engine._queue, (engine._now, engine._seq, 4, self))
 
     # -- driving ----------------------------------------------------------
 
@@ -80,9 +86,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return self._value is PENDING
-
-    def _resume_first(self) -> None:
-        self._resume(None)
 
     @property
     def processed(self) -> bool:
@@ -138,9 +141,10 @@ class Process(Event):
         self.callbacks = None
 
     def _resume(self, event: Optional[Event]) -> None:
-        """Run the generator to its next wait: once with ``None`` at
-        the start, then as the callback of each event it waits on,
-        sending the event's value in (or throwing its exception).
+        """Run the generator to its next wait: with ``None`` from a
+        bare heap entry (its start, or the end of a queued sleep), or as
+        the callback of an event it waits on, sending the event's value
+        in (or throwing its exception).
 
         One frame per wake-up: the event's ``_ok``/``_value`` slots are
         read directly, not through the properties.  A yielded delay
@@ -149,10 +153,12 @@ class Process(Event):
         it: the running ``run()``'s bound, or ``-inf`` while the event
         that woke this process has callbacks left to run) is slept
         here: the clock moves and the generator resumes in this frame.
-        Otherwise the delay becomes a :class:`Timeout`, the same entry
-        ``engine.timeout(delay)`` would have queued.  Strictly later
-        because that Timeout would take the largest sequence number:
-        anything already due at the wake time fires first.
+        Otherwise the sleep pushes a bare entry for this process at the
+        wake time, with the next seq: the position
+        ``engine.timeout(delay)`` would have taken, without the event.
+        Strictly later because that entry takes the largest sequence
+        number: anything already due at the wake time fires first.
+        Either way the detector sees the sleep through ``on_sleep``.
 
         A zero delay is exact in both cases: it wakes at ``(now, seq +
         1)``, the position of an event triggered now (an idle
@@ -182,18 +188,19 @@ class Process(Event):
                             f"negative timeout delay: {target!r}"))
                     else:
                         wake = engine._now + target
+                        if det is not None:
+                            det.on_sleep(self, wake)
                         if wake <= engine._horizon and (
                                 not queue or queue[0][0] > wake):
-                            if det is not None:
-                                det.on_sleep(self, wake)
                             engine._now = wake
-                            # Where the wake-up's Timeout would have run:
+                            # Where the wake-up's entry would have run:
                             # after everything queued so far.
                             engine._cur_seq = engine._seq
                             target = generator.send(None)
                         else:
-                            target = Timeout(engine, target)
-                            break
+                            engine._seq += 1
+                            heappush(queue, (wake, engine._seq, 4, self))
+                            return
             except StopIteration as stop:
                 self._retire(True, stop.value)
                 return

@@ -173,7 +173,7 @@ class WorkloadGenerator:
                 think = float(rng.exponential(cfg.mean_think_time)) if cfg.mean_think_time else 0.0
                 if think > 0:
                     yield think
-                if float(rng.uniform()) < cfg.get_fraction:
+                if rng.random() < cfg.get_fraction:
                     request = client.get(paths[int(rng.integers(0, len(paths)))])
                 else:
                     request = client.post("/uploads", int(rng.integers(lo, hi + 1)))

@@ -3,9 +3,10 @@
 A process sleeps by yielding a bare float.  When nothing pending can
 fire by the wake time (and the running ``run()`` reaches it), the clock
 advances inside the process's own frame and no event is built;
-otherwise the delay becomes the same ``Timeout`` ``engine.timeout``
-would have queued.  These tests pin the cases where the two could
-differ, and the rule that keeps ``Timeout`` out of process code.
+otherwise the sleep is one bare heap entry at the position
+``engine.timeout`` would have queued.  These tests pin the cases where
+the two could differ, and the rule that keeps ``Timeout`` out of
+process code.
 """
 
 import ast
@@ -196,7 +197,7 @@ def test_non_float_non_event_yield_fails_with_the_usual_message(value):
 # -- run() against step(): the same schedule --------------------------------
 #
 # step() never sleeps in frame, so a schedule stepped entry by entry is
-# the Timeout-per-sleep reference.  Random schedules of sleeps, shared
+# the entry-per-sleep reference.  Random schedules of sleeps, shared
 # events, AllOf/AnyOf waits, timers, child processes and tasks must log
 # every operation at the same instant in the same order either way.
 
@@ -386,14 +387,15 @@ def _detect(detector, drive):
 
 def test_in_frame_sleep_gives_the_detector_a_timeouts_clocks():
     """Driven by run(), free sleeps happen in frame; driven by step(),
-    every sleep is a Timeout.  Races and counters agree."""
+    every sleep takes a queue entry.  Races and counters agree, and
+    both drives report the same sleeps to the detector."""
     in_frame, sleeps = _detect(
         RaceDetector(), lambda: _racy_scenario(lambda eng: eng.run()))
-    queued, no_sleeps = _detect(
+    queued, queued_sleeps = _detect(
         RaceDetector(), lambda: _racy_scenario(_step_all))
     assert in_frame == queued
     assert in_frame[0]  # the scenario does race
-    assert sleeps and not no_sleeps
+    assert sleeps and sleeps == queued_sleeps
 
 
 def test_sanitized_scenario_matches_the_full_clock_oracle():
