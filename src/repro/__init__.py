@@ -24,53 +24,48 @@ Quickstart::
     print(render_table(run_experiment("tab1")))
 """
 
-from repro._version import __version__
-from repro.errors import ReproError
+from importlib import import_module as _import_module
 
-# Convenience re-exports of the most-used entry points.
-from repro.sim import Engine
-from repro.model import (
-    Application,
-    ApplicationExecutor,
-    MachineConfig,
-    Program,
-    WorkingSet,
-    build_qcrd,
-    cpu_speedup_study,
-    disk_speedup_study,
-)
-from repro.traces import (
-    IOOp,
-    ReplayConfig,
-    TraceReplayer,
-    generate_trace,
-    read_trace,
-    write_trace,
-)
-from repro.webserver import WebServerHost, WorkloadConfig, WorkloadGenerator
-from repro.bench import run_experiment, render_table
+#: Public name -> the module that defines it.  Nothing here is imported
+#: with the package: each name is resolved on first access
+#: (:func:`__getattr__`), so ``import repro.sim`` compiles neither the
+#: experiment harness nor NumPy.
+_EXPORTS = {
+    "__version__": "repro._version",
+    "ReproError": "repro.errors",
+    "Engine": "repro.sim",
+    "WorkingSet": "repro.model",
+    "Program": "repro.model",
+    "Application": "repro.model",
+    "build_qcrd": "repro.model",
+    "MachineConfig": "repro.model",
+    "ApplicationExecutor": "repro.model",
+    "disk_speedup_study": "repro.model",
+    "cpu_speedup_study": "repro.model",
+    "IOOp": "repro.traces",
+    "generate_trace": "repro.traces",
+    "read_trace": "repro.traces",
+    "write_trace": "repro.traces",
+    "ReplayConfig": "repro.traces",
+    "TraceReplayer": "repro.traces",
+    "WebServerHost": "repro.webserver",
+    "WorkloadConfig": "repro.webserver",
+    "WorkloadGenerator": "repro.webserver",
+    "run_experiment": "repro.bench",
+    "render_table": "repro.bench",
+}
 
-__all__ = [
-    "__version__",
-    "ReproError",
-    "Engine",
-    "WorkingSet",
-    "Program",
-    "Application",
-    "build_qcrd",
-    "MachineConfig",
-    "ApplicationExecutor",
-    "disk_speedup_study",
-    "cpu_speedup_study",
-    "IOOp",
-    "generate_trace",
-    "read_trace",
-    "write_trace",
-    "ReplayConfig",
-    "TraceReplayer",
-    "WebServerHost",
-    "WorkloadConfig",
-    "WorkloadGenerator",
-    "run_experiment",
-    "render_table",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

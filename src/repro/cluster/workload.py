@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-import numpy as np
-
 from repro.errors import (
     ClusterError,
     ConnectionReset,
@@ -131,6 +129,8 @@ class ClusterWorkload:
         self.cluster = cluster
         self.config = config or ClusterWorkloadConfig()
         self._streams = cluster.streams.fork("workload")
+        import numpy as np  # at first use, as in SeededStreams.get
+
         ranks = np.arange(1, len(cluster.keys) + 1, dtype=np.float64)
         weights = ranks ** -ZIPF_S
         weights /= weights.sum()

@@ -31,66 +31,53 @@ The default is :data:`NULL_TRACER`: every hook is a no-op, so an
 uninstrumented run pays nothing.
 """
 
-from repro.obs.tracer import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    TraceEvent,
-    Tracer,
-    render_summary,
-    summarize,
-)
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.export import (
-    read_jsonl,
-    read_series_jsonl,
-    to_chrome_trace,
-    to_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-    write_series_jsonl,
-)
-from repro.obs.analysis import PathStep, TraceAnalysis, analyze
-from repro.obs.slo import AlertRule, SloEvaluator, SloSpec
-from repro.obs.timeseries import (
-    Telemetry,
-    TelemetryConfig,
-    TelemetrySampler,
-    metric_layer,
-)
-from repro.obs.report import (
-    analysis_to_dict,
-    render_timeline_report,
-    render_trace_report,
-)
+from importlib import import_module as _import_module
 
-__all__ = [
-    "Tracer",
-    "Span",
-    "TraceEvent",
-    "NullTracer",
-    "NULL_TRACER",
-    "MetricsRegistry",
-    "summarize",
-    "render_summary",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "to_jsonl",
-    "write_jsonl",
-    "read_jsonl",
-    "TraceAnalysis",
-    "PathStep",
-    "analyze",
-    "SloSpec",
-    "AlertRule",
-    "SloEvaluator",
-    "Telemetry",
-    "TelemetryConfig",
-    "TelemetrySampler",
-    "metric_layer",
-    "write_series_jsonl",
-    "read_series_jsonl",
-    "analysis_to_dict",
-    "render_timeline_report",
-    "render_trace_report",
-]
+#: Public name -> the module that defines it, resolved on first access
+#: (:func:`__getattr__`): a simulation imports the tracer and the
+#: registry, never the analysis, report, SLO, telemetry or export code.
+_EXPORTS = {
+    "Tracer": "repro.obs.tracer",
+    "Span": "repro.obs.tracer",
+    "TraceEvent": "repro.obs.tracer",
+    "NullTracer": "repro.obs.tracer",
+    "NULL_TRACER": "repro.obs.tracer",
+    "MetricsRegistry": "repro.obs.metrics",
+    "summarize": "repro.obs.tracer",
+    "render_summary": "repro.obs.tracer",
+    "to_chrome_trace": "repro.obs.export",
+    "write_chrome_trace": "repro.obs.export",
+    "to_jsonl": "repro.obs.export",
+    "write_jsonl": "repro.obs.export",
+    "read_jsonl": "repro.obs.export",
+    "TraceAnalysis": "repro.obs.analysis",
+    "PathStep": "repro.obs.analysis",
+    "analyze": "repro.obs.analysis",
+    "SloSpec": "repro.obs.slo",
+    "AlertRule": "repro.obs.slo",
+    "SloEvaluator": "repro.obs.slo",
+    "Telemetry": "repro.obs.timeseries",
+    "TelemetryConfig": "repro.obs.timeseries",
+    "TelemetrySampler": "repro.obs.timeseries",
+    "metric_layer": "repro.obs.timeseries",
+    "write_series_jsonl": "repro.obs.export",
+    "read_series_jsonl": "repro.obs.export",
+    "analysis_to_dict": "repro.obs.report",
+    "render_timeline_report": "repro.obs.report",
+    "render_trace_report": "repro.obs.report",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -11,9 +11,10 @@ adding a new consumer never perturbs existing streams.
 from __future__ import annotations
 
 import zlib
-from typing import Dict
+from typing import Dict, TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["SeededStreams", "stream_seed"]
 
@@ -48,6 +49,9 @@ class SeededStreams:
         """Return the generator for ``name``, creating it on first use."""
         gen = self._streams.get(name)
         if gen is None:
+            # At first use: a run that draws nothing never loads NumPy.
+            import numpy as np
+
             gen = np.random.default_rng(stream_seed(self.seed, name))
             self._streams[name] = gen
         return gen

@@ -2,7 +2,7 @@
 
 All collectors are cheap to update on the hot path (O(1) appends or
 integer adds); aggregate queries (percentiles, means) vectorize with
-NumPy only when asked.
+NumPy only when asked, and NumPy is imported then, not with the module.
 """
 
 from __future__ import annotations
@@ -11,14 +11,34 @@ import math
 import numbers
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
-import numpy as np
-
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.sim.engine import Engine
 
 __all__ = ["Counter", "Tally", "TimeWeighted", "Histogram"]
+
+
+def _observation(owner: str, value: float) -> float:
+    """``value`` as a float; non-numeric or NaN input raises
+    :class:`~repro.errors.SimulationError` naming ``owner``."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise SimulationError(
+            f"{owner}: non-numeric observation {value!r}"
+        ) from None
+    if math.isnan(out):
+        raise SimulationError(f"{owner}: NaN observation")
+    return out
+
+
+def _check_q(owner: str, q: float) -> None:
+    """Reject a percentile ``q`` outside [0, 100] (NaN included)."""
+    if not 0.0 <= q <= 100.0:
+        raise SimulationError(f"{owner}: percentile q={q} outside [0, 100]")
 
 
 class Counter:
@@ -73,19 +93,15 @@ class Tally:
             self._values.append(self._check(value))
 
     def extend(self, values: Sequence[float]) -> None:
-        """Add many observations (validated like :meth:`record`)."""
-        self._values.extend(self._check(v) for v in values)
+        """Add many observations (validated like :meth:`record`).
+
+        The whole batch is checked before any of it is kept: a bad
+        value leaves the tally as it was.
+        """
+        self._values.extend([self._check(v) for v in values])
 
     def _check(self, value: float) -> float:
-        try:
-            out = float(value)
-        except (TypeError, ValueError):
-            raise SimulationError(
-                f"Tally {self.name!r}: non-numeric observation {value!r}"
-            ) from None
-        if math.isnan(out):
-            raise SimulationError(f"Tally {self.name!r}: NaN observation")
-        return out
+        return _observation(f"Tally {self.name!r}", value)
 
     @property
     def count(self) -> int:
@@ -113,6 +129,8 @@ class Tally:
         return self._values[index:]
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self._values, dtype=np.float64)
 
     @property
@@ -142,12 +160,22 @@ class Tally:
         """Population standard deviation."""
         if not self._values:
             raise SimulationError(f"Tally {self.name!r}: std of no observations")
+        import numpy as np
+
         return float(np.std(self.as_array()))
 
     def percentile(self, q: float) -> float:
-        """Linear-interpolated percentile, ``q`` in [0, 100]."""
+        """Linear-interpolated percentile, ``q`` in [0, 100].
+
+        An out-of-range or NaN ``q``, or an empty tally, raises
+        :class:`~repro.errors.SimulationError`, as
+        :meth:`Histogram.percentile` does.
+        """
+        _check_q(f"Tally {self.name!r}", q)
         if not self._values:
             raise SimulationError(f"Tally {self.name!r}: percentile of no observations")
+        import numpy as np
+
         return float(np.percentile(self.as_array(), q))
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -236,13 +264,22 @@ class Histogram:
         self.high = float(high)
         self.bins = bins
         self._width = (high - low) / bins
+        import numpy as np
+
         self.counts = np.zeros(bins, dtype=np.int64)
         self.underflow = 0
         self.overflow = 0
         self._n = 0
 
     def record(self, value: float) -> None:
-        """Add one observation to the appropriate bin."""
+        """Add one observation to the appropriate bin.
+
+        ``value`` is checked first, as :meth:`Tally.record` checks it:
+        non-numeric or NaN input raises
+        :class:`~repro.errors.SimulationError` and records nothing.
+        """
+        if type(value) is not float or value != value:
+            value = _observation(f"Histogram {self.name!r}", value)
         self._n += 1
         if value < self.low:
             self.underflow += 1
@@ -258,12 +295,16 @@ class Histogram:
         return self._n
 
     def bin_edges(self) -> np.ndarray:
+        import numpy as np
+
         return np.linspace(self.low, self.high, self.bins + 1)
 
     def mode_bin(self) -> int:
         """Index of the most populated in-range bin."""
         if self.counts.sum() == 0:
             raise SimulationError(f"Histogram {self.name!r}: empty")
+        import numpy as np
+
         return int(np.argmax(self.counts))
 
     def merge(self, other: "Histogram") -> "Histogram":
@@ -308,10 +349,7 @@ class Histogram:
         or an out-of-range ``q`` raises
         :class:`~repro.errors.SimulationError`.
         """
-        if not 0.0 <= q <= 100.0:
-            raise SimulationError(
-                f"Histogram {self.name!r}: percentile q={q} outside [0, 100]"
-            )
+        _check_q(f"Histogram {self.name!r}", q)
         if self._n == 0:
             raise SimulationError(
                 f"Histogram {self.name!r}: percentile of no observations"
@@ -320,6 +358,8 @@ class Histogram:
             # Left edge of the first recorded mass.
             if self.underflow:
                 return self.low
+            import numpy as np
+
             nonzero = np.flatnonzero(self.counts)
             if nonzero.size:
                 return self.low + int(nonzero[0]) * self._width

@@ -73,9 +73,7 @@ from collections import deque
 from itertools import islice
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Deque, List, Optional, Tuple
-
-import numpy as np
+from typing import Callable, Deque, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import DiskError, DiskFailedError, MediaError
 from repro.sanitizer import runtime as _sanitizer
@@ -85,6 +83,9 @@ from repro.storage.geometry import DiskGeometry
 from repro.storage.request import IORequest
 from repro.storage.scheduler import DiskScheduler, FCFSScheduler, make_scheduler
 from repro.units import MB
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["DiskParams", "Disk"]
 

@@ -289,3 +289,48 @@ def test_tally_accepts_numpy_scalars_and_bool_as_floats():
         t.record(v)
     assert t.values == [1.5, 2.5, 0.5, 4.0, 1.0, 7.0]
     assert all(type(v) is float for v in t.values)
+
+
+def test_histogram_rejects_bad_observation_and_keeps_state():
+    h = Histogram(0.0, 10.0, bins=10, name="lat")
+    for v in (1.0, 2.0, 12.0):
+        h.record(v)
+    before = (h.count, list(h.counts), h.underflow, h.overflow)
+    for bad in (float("nan"), "x", None, object()):
+        with pytest.raises(SimulationError):
+            h.record(bad)
+    assert (h.count, list(h.counts), h.underflow, h.overflow) == before
+    # No phantom mass: the median is still read from the three samples.
+    assert h.percentile(50.0) == pytest.approx(2.5)
+
+
+def test_histogram_accepts_ints_and_infinities():
+    h = Histogram(0.0, 10.0, bins=10)
+    for v in (3, True, float("inf"), float("-inf")):
+        h.record(v)
+    assert h.count == 4
+    assert (h.underflow, h.overflow) == (1, 1)
+    assert list(h.counts[:4]) == [0, 1, 0, 1]
+
+
+def test_tally_extend_is_all_or_nothing():
+    t = Tally("lat")
+    t.record(0.5)
+    with pytest.raises(SimulationError, match="NaN observation"):
+        t.extend([1.0, 2.0, float("nan")])
+    with pytest.raises(SimulationError, match="non-numeric"):
+        t.extend(iter([1.0, "x"]))
+    assert t.values == [0.5]
+    t.extend(v for v in (1.0, 2))
+    assert t.values == [0.5, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("q", [-0.1, 100.5, float("nan"), float("inf")])
+def test_tally_percentile_out_of_range_q_raises(q):
+    t = Tally("lat")
+    t.extend([1.0, 2.0, 3.0])
+    with pytest.raises(SimulationError, match="outside"):
+        t.percentile(q)
+    with pytest.raises(SimulationError, match="outside"):
+        Tally("empty").percentile(q)
+    assert t.percentile(0.0) == 1.0 and t.percentile(100.0) == 3.0
