@@ -87,6 +87,9 @@ class MetricsRegistry:
         return sorted(self._metrics)
 
     def get(self, name: str) -> Any:
+        """The collector registered as ``name``, brought up to the
+        current time first (see :meth:`add_settler`)."""
+        self.settle()
         try:
             return self._metrics[name]
         except KeyError:

@@ -216,12 +216,15 @@ class TelemetrySampler:
         t0, t1 = self._last_t or 0.0, self.engine.now
         registry = self.engine.metrics
         registry.settle()
+        # Settled once: read the collectors directly (``get`` would
+        # settle again for each one).
+        collectors = registry._metrics
         window_stats: Dict[str, Dict[str, Any]] = {}
         samples: List[Dict[str, Any]] = []
-        for name in sorted(registry.names()):
+        for name in sorted(collectors):
             if not self.config.wants(name):
                 continue
-            collector = registry.get(name)
+            collector = collectors[name]
             for sub_name, mtype, stats in self._scrape(name, collector, t1):
                 if stats is None:
                     continue

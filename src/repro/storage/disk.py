@@ -51,12 +51,16 @@ configuration:
 
 A start at a start step is recorded there.  Every other start, and
 every finish, is recorded by one catch-up — statistics, the busy
-signal, the queue depth and tracer spans, per fragment — when the disk is next
-looked at (through any of its collectors, its registry, its next
-request or a completion entry), for every start and finish the clock
-has passed by then: a read at time ``t`` sees the disk as it was at
-``t``.  A completion entry catches up first, so a finish is recorded
-at the latest in its own step.
+signal, the queue depth and tracer spans, per fragment — when the disk
+is read (through any of its collectors, its registry, its head, a
+range's fragments, a failure or repair, or a lone request's completion
+entry), for every start and finish the clock has passed by then: a
+read at time ``t`` sees the disk as it was at ``t``.  A striped range's
+entry does not read its members, and a commit reads the disk only
+while something on it may not have finished: on a disk whose last
+extent has finished, the new one starts at its own position, after an
+idle gap the next catch-up records.  With tracing on, range entries
+and commits always catch up, so spans come out in order.
 
 ``submit()`` is the :class:`~repro.sim.event.Event` adapter over
 ``enqueue``: the returned event succeeds with the request, or fails
@@ -108,6 +112,12 @@ class _Current:
         return getattr(disk, self.slot)
 
 
+#: The owner of an extent whose striped range has landed: served whole,
+#: with nothing left to settle through it (None means a failure settled
+#: it).
+_LANDED = object()
+
+
 def _fragments_in(lba: int, end: int, unit: int) -> int:
     """How many fragments of an extent split at multiples of ``unit``
     lie in ``[lba, end)``."""
@@ -122,12 +132,16 @@ class _Queued:
     and ``seq`` ranks their completions.  ``finish`` is the last
     fragment's finish; ``cursor`` is the first fragment whose finish is
     not recorded yet, ``at`` and ``next`` its start and finish, and
-    ``left`` the fragments from it on.  A failure sets ``owner`` to
-    None, ``finish`` to the fragment in service's (and ``left`` to that
-    one), or None; a served one drops its owner too."""
+    ``left`` the fragments from it on.  ``idle`` (set by
+    :meth:`Disk._commit`) says it was queued on an idle disk, so it
+    starts at its own position ``(at, seq)``, not at the previous
+    one's finish.  A failure sets ``owner`` to None, ``finish`` to the
+    fragment in service's (and ``left`` to that one), or None; a served
+    one drops its owner too, and a landed range swaps itself for
+    :data:`_LANDED`."""
 
     __slots__ = ("end", "unit", "is_write", "seq", "owner", "submitted_at",
-                 "finish", "cursor", "left", "at", "next")
+                 "finish", "cursor", "left", "at", "next", "idle")
 
     #: The caller's request, stamped as it moves (a lone request's).
     request: Optional[IORequest] = None
@@ -517,11 +531,12 @@ class Disk:
     #
     # A committed fragment's life is two positions, each a (time, seq)
     # the clock reaches like a heap entry's: its start, which is the
-    # previous fragment's finish or, on an idle disk, where its extent
-    # was queued (time: then, seq: the extent's), and its finish (seq:
-    # the extent's).  The disk records both lazily, in order, once
-    # (engine._now, engine._cur_seq) has reached them: in _catch_up.  A
-    # start at a start step (_start_next) is recorded on the spot.
+    # previous fragment's finish or, on an idle disk (``idle``), where
+    # its extent was queued (time: then, seq: the extent's), and its
+    # finish (seq: the extent's).  The disk records both lazily, in
+    # order, once (engine._now, engine._cur_seq) has reached them: in
+    # _catch_up.  A start at a start step (_start_next) is recorded on
+    # the spot.
 
     def _commit(self, extent: _Queued) -> float:
         """Fix the service of ``extent``'s fragments, queued back to
@@ -530,11 +545,23 @@ class Disk:
         request, a striped range one extent per member."""
         engine = self.engine
         inflight = self._inflight
+        tracing = engine.tracer.enabled
+        idle = True
         if inflight:
-            self._catch_up()
-        # Caught up, what is left has not finished: queue behind it.
-        start = extent.at = (inflight[-1].finish if inflight
-                             else engine._now)
+            last = inflight[-1]
+            start = last.finish
+            if (tracing or start > engine._now
+                    or (start == engine._now and last.seq > engine._cur_seq)):
+                # The last one may not have finished (or spans must come
+                # out in order): caught up, what is left has not, so
+                # queue behind it.  Else the disk is idle, and what it
+                # served is recorded when it is next read.
+                self._catch_up()
+                idle = not inflight
+        if idle:
+            start = engine._now
+        extent.at = start
+        extent.idle = idle
         lba = extent.cursor
         end = extent.end
         unit = extent.unit
@@ -577,14 +604,17 @@ class Disk:
         self._head_cylinder = (end - 1) // self.geometry.blocks_per_cylinder
         self._last_end_lba = end
         depth = self._depth
-        tracer = engine.tracer
-        if tracer.enabled:  # one sample per fragment, as each was queued
+        if tracing:  # one sample per fragment, as each was queued
             for queued in range(depth + 1, depth + count + 1):
-                tracer.counter(f"{self.name}.queue", "storage", queued)
+                engine.tracer.counter(f"{self.name}.queue", "storage", queued)
         # The depth only rises in a run: its final value is the highest.
-        depth = self._depth = depth + count
-        if depth > self.queue_max_depth:
-            self.queue_max_depth = depth
+        # On an idle disk that is ``count`` (``_depth`` may still hold
+        # starts not recorded yet; the next catch-up settles them).
+        self._depth = depth + count
+        if not idle:
+            count += depth
+        if count > self.queue_max_depth:
+            self.queue_max_depth = count
         return finish
 
     def _start_next(self) -> None:
@@ -741,24 +771,30 @@ class Disk:
                 request._owner = None
             # A media error broke the stream.
             broke = not recorded and owner is not None
-            if not inflight:
-                busy._last_time = at
-                busy._last_value = 0.0  # idle
-                self._head_started = False
-                break
-            # The next one was queued behind this one (_commit caught
-            # up first), so it starts right here.
-            extent = inflight[0]
-            seq = extent.seq
-            started += 1
-            request = extent.request
-            if request is not None:
-                request.started_at = at
-            finish = extent.next
-            if finish > now or (finish == now and seq > cur):
-                busy._last_time = at
-                break
-            at = finish
+            if inflight:
+                # The next one was queued behind this one, so it starts
+                # right here, or on an idle disk after this one finished
+                # (_commit did not catch up), so it starts at its own
+                # position once the clock has reached it.
+                extent = inflight[0]
+                seq = extent.seq
+                start = extent.at
+                if not extent.idle or start < now or (start == now
+                                                      and seq <= cur):
+                    started += 1
+                    request = extent.request
+                    if request is not None:
+                        request.started_at = start
+                    finish = extent.next
+                    if finish > now or (finish == now and seq > cur):
+                        busy._last_time = start
+                        break
+                    at = finish
+                    continue
+            busy._last_time = at
+            busy._last_value = 0.0  # idle
+            self._head_started = False
+            break
         busy._area = area
         self._depth -= started
         self._served_cylinder = (

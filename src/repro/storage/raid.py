@@ -38,7 +38,7 @@ from repro.errors import DiskError, DiskFailedError, MediaError
 from repro.sanitizer import runtime as _sanitizer
 from repro.sim import Counter, Engine
 from repro.sim.event import Event
-from repro.storage.disk import Disk, _Extent, _fragments_in
+from repro.storage.disk import _LANDED, Disk, _Extent, _fragments_in
 from repro.storage.request import IORequest
 
 __all__ = ["StripedArray", "MirroredArray"]
@@ -95,15 +95,27 @@ class _CommittedRange(SequenceABC):
         return iter(self.fragments())
 
     def fragments(self) -> List[IORequest]:
-        """Every fragment, in stripe order, stamped as far as its disk
-        has recorded it."""
-        rows = [disk._records(extent) for disk, extent in self.members]
+        """Every fragment, in stripe order, stamped as far as the clock
+        has reached."""
+        members = self.members
+        for disk, _ in members:
+            disk._catch_up()
+        rows = [disk._records(extent) for disk, extent in members]
         return [row[j] for j in range(len(rows[0])) for row in rows
                 if j < len(row)]
 
     def fire(self) -> None:
-        for disk, _ in self.members:
-            disk._catch_up()
+        # Every fragment has finished; each disk records its extent when
+        # it is next read (at once when tracing: spans come out in
+        # order).  The extents let go of the range, so it frees once its
+        # event does.
+        members = self.members
+        if self.engine.tracer.enabled:
+            for disk, _ in members:
+                disk._catch_up()
+        for _, extent in members:
+            if extent.owner is self:  # else recorded, or a failure settled it
+                extent.owner = _LANDED
         det = _sanitizer.active
         if det is not None:
             self._stamp(det)

@@ -1,6 +1,9 @@
 """Tests for the machine executor and speedup studies."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ModelError
 from repro.model import (
@@ -190,6 +193,50 @@ def test_synthetic_applications_are_valid_and_runnable():
     )
     res = ApplicationExecutor(small).run()
     assert res.makespan > 0
+
+
+def _executed(app, machine, stepped, settle=False):
+    """Run ``app`` on ``machine``: through ``Engine.run``, or one
+    ``step()`` at a time, settling the registry after every step when
+    ``settle``.  Returns the result and the final registry snapshot."""
+    from repro.model import executor
+
+    engines = []
+
+    class RecordingEngine(executor.Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+        if stepped:
+            def run(self, until=None):
+                assert until is None
+                while self._queue:
+                    self.step()
+                    if settle:
+                        self.metrics.settle()
+                return self._now
+
+    with mock.patch.object(executor, "Engine", RecordingEngine):
+        result = ApplicationExecutor(app, machine).run()
+    (engine,) = engines
+    return result, engine.metrics.snapshot()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 2))
+def test_reading_the_disks_every_step_changes_no_result(seed, disks, cpus):
+    """Random applications from the synthetic generator give the same
+    result, and every disk the same statistics, whether the registry is
+    settled after every engine step or only read at the end."""
+    from repro.model import SyntheticAppParams
+
+    app = generate_application(seed=seed, params=SyntheticAppParams(
+        programs=(1, 3), working_sets=(1, 4), total_time=(0.2, 1.5)))
+    machine = MachineConfig(disks=disks, cpus=cpus)
+    plain = _executed(app, machine, stepped=False)
+    assert _executed(app, machine, stepped=True) == plain
+    assert _executed(app, machine, stepped=True, settle=True) == plain
 
 
 def test_synthetic_params_validation():

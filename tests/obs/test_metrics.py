@@ -107,6 +107,19 @@ def test_get_unknown_name_raises():
         reg.get("missing")
 
 
+def test_get_settles_lazy_collectors_first():
+    """``get`` runs the settlers before it reads, as ``snapshot`` does:
+    a disk serving its one request reads busy through the registry."""
+    from repro.storage import Disk
+
+    eng = Engine()
+    disk = Disk(eng, name="d0")
+    disk.submit_range(0, 8)
+    eng.run(until=0.004)  # mid-service
+    assert eng.metrics.get("d0.busy").mean() == 1.0
+    assert disk.busy.mean() == 1.0
+
+
 def test_engine_owns_a_registry():
     eng = Engine()
     assert isinstance(eng.metrics, MetricsRegistry)

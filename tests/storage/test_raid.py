@@ -271,10 +271,12 @@ def test_striped_fragment_call_budget():
     with ``sys.setprofile``.  A range commits one extent per member, and
     its fragments' finishes, tallies and busy signal are arithmetic in
     the commit's and the catch-up's loops, so no fragment costs a call
-    of its own: the walk, the range's event and entry come once per
-    range, and an extent, its commit, a repositioning service time
-    (five frames) and its catch-up once per member: 52 calls, about
-    0.81 per fragment.  One run of requests per member made about 2.9,
+    of its own.  The disks record what they served when read, so the
+    count runs until a settled registry read: the walk, the range's
+    event and entry and the settle come once per range (13 frames), and
+    an extent, its commit, a repositioning service time (six frames)
+    and its catch-up once per member (nine frames): 49 calls, about
+    0.77 per fragment.  One run of requests per member made about 2.9,
     one commit per fragment about 6.7, the flat arm about 14 and a
     layered arm 28."""
     import gc
@@ -302,6 +304,7 @@ def test_striped_fragment_call_budget():
         try:
             done = arr.submit_range(0, 64 * 8)
             eng.run()
+            eng.metrics.settle()  # the disks record what they served
         finally:
             sys.setprofile(None)
             if collecting:
